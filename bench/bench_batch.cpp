@@ -4,15 +4,12 @@
 // occupancy-aware pipeline (batch:size=16,occ=0.9,packer=dp2d) — and the
 // golden records the makespan / wait / turnaround / utilization deltas.
 //
-// Two kinds of numbers, handled like bench_scale:
-//
 //  * Every metric here is a deterministic simulation output, so the CI
 //    gate (tests/bench_batch_gate.cmake) diffs them at bench_diff's
 //    default tolerance against bench/golden/BENCH_batch.json.
 //  * The batch strategy's decisions must be pure functions of the cycle
 //    snapshot: this harness hard-fails if a batched MCCK run diverges
-//    from its own repeat or from the same run on the sharded engine
-//    (--parallel-shards 2), so the perf gate doubles as the determinism
+//    from its own repeat, so the perf gate doubles as the determinism
 //    check at workload scale.
 #include <cstdio>
 #include <cstdlib>
@@ -39,17 +36,15 @@ const cluster::StackConfig kStacks[] = {
 };
 
 cluster::ExperimentConfig stack_config(cluster::StackConfig stack,
-                                       std::uint64_t seed, bool batched,
-                                       std::size_t shards = 0) {
+                                       std::uint64_t seed, bool batched) {
   cluster::ExperimentConfig config = bench::paper_cluster(stack, kNodes, seed);
-  config.parallel_shards = shards;
   if (batched) config.negotiation = condor::parse_negotiation(kBatchSpec);
   return config;
 }
 
 /// The determinism contract, enforced at bench scale: batch decisions are
-/// pure functions of the cycle snapshot + cycle RNG draws, so a repeat or
-/// a sharded run drifting is a correctness bug — die loudly.
+/// pure functions of the cycle snapshot + cycle RNG draws, so a repeat
+/// drifting is a correctness bug — die loudly.
 void require_identical(const cluster::ExperimentResult& a,
                        const cluster::ExperimentResult& b, const char* what) {
   const bool same = a.makespan == b.makespan &&
@@ -89,10 +84,6 @@ std::map<std::string, double> run_seed(std::uint64_t seed) {
         require_identical(
             batch, bench::run_stack(stack_config(stack, seed, true), jobs),
             "batched MCCK repeat");
-        require_identical(
-            batch,
-            bench::run_stack(stack_config(stack, seed, true, 2), jobs),
-            "batched MCCK on 2 shards");
       }
       m[tag + ".fifo.makespan_s"] = fifo.makespan;
       m[tag + ".fifo.mean_wait_s"] = fifo.wait_time.mean();
@@ -125,8 +116,7 @@ int main(int argc, char** argv) {
         distribution, kJobs, phisched::Rng(42).child("jobs"));
     for (const auto stack : kStacks) {
       for (const bool batched : {false, true}) {
-        const auto r =
-            run_stack(stack_config(stack, 42, batched, 0), jobs);
+        const auto r = run_stack(stack_config(stack, 42, batched), jobs);
         table.add_row({phisched::workload::distribution_name(distribution),
                        phisched::cluster::stack_config_name(stack),
                        batched ? kBatchSpec : "fifo",

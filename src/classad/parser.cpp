@@ -2,8 +2,9 @@
 
 #include "classad/lexer.hpp"
 
+#include <algorithm>
+#include <string>
 #include <utility>
-
 
 namespace phisched::classad {
 
@@ -73,17 +74,37 @@ const char* binary_op_text(BinaryOp op) {
   return "?";
 }
 
+/// A parsed subexpression and the height of its tree (a leaf is 1).
+struct Parsed {
+  ExprPtr expr;
+  int height = 1;
+};
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   ExprPtr run() {
-    ExprPtr e = ternary();
+    Parsed e = ternary();
     expect(TokenKind::kEnd, "trailing input after expression");
-    return e;
+    return std::move(e.expr);
   }
 
  private:
+  /// Holds one level of recursion for the lifetime of a production.
+  class Nested {
+   public:
+    explicit Nested(Parser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxParseDepth) parser_.too_deep();
+    }
+    ~Nested() { --parser_.depth_; }
+    Nested(const Nested&) = delete;
+    Nested& operator=(const Nested&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   const Token& peek() const { return tokens_[pos_]; }
   Token take() { return tokens_[pos_++]; }
   bool accept(TokenKind kind) {
@@ -98,34 +119,53 @@ class Parser {
                        peek().offset);
     }
   }
+  [[noreturn]] void too_deep() const {
+    throw ParseError("expression nests deeper than the parser's limit of " +
+                         std::to_string(kMaxParseDepth) + " levels",
+                     peek().offset);
+  }
 
-  ExprPtr ternary() {
-    ExprPtr cond = logical_or();
+  /// A new interior node over children at most `child_height` tall.
+  Parsed node(ExprPtr e, int child_height) const {
+    if (child_height >= kMaxParseDepth) too_deep();
+    return {std::move(e), child_height + 1};
+  }
+  Parsed binary(BinaryOp op, Parsed lhs, Parsed rhs) const {
+    return node(make_binary(op, std::move(lhs.expr), std::move(rhs.expr)),
+                std::max(lhs.height, rhs.height));
+  }
+
+  Parsed ternary() {
+    const Nested nested(*this);
+    Parsed cond = logical_or();
     if (!accept(TokenKind::kQuestion)) return cond;
-    ExprPtr t = ternary();
+    Parsed t = ternary();
     expect(TokenKind::kColon, "expected ':' in conditional");
-    ExprPtr f = ternary();
-    return make_ternary(std::move(cond), std::move(t), std::move(f));
+    Parsed f = ternary();
+    const int height = std::max({cond.height, t.height, f.height});
+    return node(make_ternary(std::move(cond.expr), std::move(t.expr),
+                             std::move(f.expr)),
+                height);
   }
 
-  ExprPtr logical_or() {
-    ExprPtr lhs = logical_and();
+  Parsed logical_or() {
+    Parsed lhs = logical_and();
     while (accept(TokenKind::kOr)) {
-      lhs = make_binary(BinaryOp::kOr, std::move(lhs), logical_and());
+      lhs = binary(BinaryOp::kOr, std::move(lhs), logical_and());
     }
     return lhs;
   }
 
-  ExprPtr logical_and() {
-    ExprPtr lhs = equality();
+  Parsed logical_and() {
+    Parsed lhs = equality();
     while (accept(TokenKind::kAnd)) {
-      lhs = make_binary(BinaryOp::kAnd, std::move(lhs), equality());
+      lhs = binary(BinaryOp::kAnd, std::move(lhs), equality());
     }
     return lhs;
   }
 
-  ExprPtr equality() {
-    ExprPtr lhs = relational();
+  Parsed equality() {
+    Parsed lhs = relational();
     for (;;) {
       BinaryOp op;
       if (accept(TokenKind::kEq)) op = BinaryOp::kEq;
@@ -133,12 +173,12 @@ class Parser {
       else if (accept(TokenKind::kIs)) op = BinaryOp::kIs;
       else if (accept(TokenKind::kIsnt)) op = BinaryOp::kIsnt;
       else return lhs;
-      lhs = make_binary(op, std::move(lhs), relational());
+      lhs = binary(op, std::move(lhs), relational());
     }
   }
 
-  ExprPtr relational() {
-    ExprPtr lhs = additive();
+  Parsed relational() {
+    Parsed lhs = additive();
     for (;;) {
       BinaryOp op;
       if (accept(TokenKind::kLt)) op = BinaryOp::kLt;
@@ -146,57 +186,61 @@ class Parser {
       else if (accept(TokenKind::kGt)) op = BinaryOp::kGt;
       else if (accept(TokenKind::kGe)) op = BinaryOp::kGe;
       else return lhs;
-      lhs = make_binary(op, std::move(lhs), additive());
+      lhs = binary(op, std::move(lhs), additive());
     }
   }
 
-  ExprPtr additive() {
-    ExprPtr lhs = multiplicative();
+  Parsed additive() {
+    Parsed lhs = multiplicative();
     for (;;) {
       BinaryOp op;
       if (accept(TokenKind::kPlus)) op = BinaryOp::kAdd;
       else if (accept(TokenKind::kMinus)) op = BinaryOp::kSub;
       else return lhs;
-      lhs = make_binary(op, std::move(lhs), multiplicative());
+      lhs = binary(op, std::move(lhs), multiplicative());
     }
   }
 
-  ExprPtr multiplicative() {
-    ExprPtr lhs = unary();
+  Parsed multiplicative() {
+    Parsed lhs = unary();
     for (;;) {
       BinaryOp op;
       if (accept(TokenKind::kStar)) op = BinaryOp::kMul;
       else if (accept(TokenKind::kSlash)) op = BinaryOp::kDiv;
       else if (accept(TokenKind::kPercent)) op = BinaryOp::kMod;
       else return lhs;
-      lhs = make_binary(op, std::move(lhs), unary());
+      lhs = binary(op, std::move(lhs), unary());
     }
   }
 
-  ExprPtr unary() {
-    if (accept(TokenKind::kNot)) return make_unary(UnaryOp::kNot, unary());
-    if (accept(TokenKind::kMinus)) return make_unary(UnaryOp::kNeg, unary());
-    return primary();
+  Parsed unary() {
+    UnaryOp op;
+    if (accept(TokenKind::kNot)) op = UnaryOp::kNot;
+    else if (accept(TokenKind::kMinus)) op = UnaryOp::kNeg;
+    else return primary();
+    const Nested nested(*this);
+    Parsed operand = unary();
+    return node(make_unary(op, std::move(operand.expr)), operand.height);
   }
 
-  ExprPtr primary() {
+  Parsed primary() {
     const Token& t = peek();
     switch (t.kind) {
       case TokenKind::kInteger: {
         Token tok = take();
-        return make_literal(Value::integer(tok.int_value));
+        return {make_literal(Value::integer(tok.int_value))};
       }
       case TokenKind::kReal: {
         Token tok = take();
-        return make_literal(Value::real(tok.real_value));
+        return {make_literal(Value::real(tok.real_value))};
       }
       case TokenKind::kString: {
         Token tok = take();
-        return make_literal(Value::string(std::move(tok.text)));
+        return {make_literal(Value::string(std::move(tok.text)))};
       }
       case TokenKind::kLParen: {
         take();
-        ExprPtr e = ternary();
+        Parsed e = ternary();
         expect(TokenKind::kRParen, "expected ')'");
         return e;
       }
@@ -209,13 +253,13 @@ class Parser {
     }
   }
 
-  ExprPtr identifier() {
+  Parsed identifier() {
     Token tok = take();
     const std::string& name = tok.text;
-    if (iequals(name, "true")) return make_literal(Value::boolean(true));
-    if (iequals(name, "false")) return make_literal(Value::boolean(false));
-    if (iequals(name, "undefined")) return make_literal(Value::undefined());
-    if (iequals(name, "error")) return make_literal(Value::error());
+    if (iequals(name, "true")) return {make_literal(Value::boolean(true))};
+    if (iequals(name, "false")) return {make_literal(Value::boolean(false))};
+    if (iequals(name, "undefined")) return {make_literal(Value::undefined())};
+    if (iequals(name, "error")) return {make_literal(Value::error())};
 
     if (iequals(name, "my") || iequals(name, "target")) {
       if (accept(TokenKind::kDot)) {
@@ -225,23 +269,30 @@ class Parser {
         }
         const AttrScope scope =
             iequals(name, "my") ? AttrScope::kMy : AttrScope::kTarget;
-        return make_attr(scope, std::move(attr.text));
+        return {make_attr(scope, std::move(attr.text))};
       }
     }
     if (accept(TokenKind::kLParen)) {
       std::vector<ExprPtr> args;
+      int height = 0;
+      const auto argument = [&] {
+        Parsed arg = ternary();
+        height = std::max(height, arg.height);
+        args.push_back(std::move(arg.expr));
+      };
       if (!accept(TokenKind::kRParen)) {
-        args.push_back(ternary());
-        while (accept(TokenKind::kComma)) args.push_back(ternary());
+        argument();
+        while (accept(TokenKind::kComma)) argument();
         expect(TokenKind::kRParen, "expected ')' after arguments");
       }
-      return make_call(std::move(tok.text), std::move(args));
+      return node(make_call(std::move(tok.text), std::move(args)), height);
     }
-    return make_attr(AttrScope::kNone, std::move(tok.text));
+    return {make_attr(AttrScope::kNone, std::move(tok.text))};
   }
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

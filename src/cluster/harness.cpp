@@ -12,7 +12,6 @@
 #include "condor/negotiator.hpp"
 #include "core/addon.hpp"
 #include "obs/recorder.hpp"
-#include "sim/sharded.hpp"
 #include "sim/timer.hpp"
 
 namespace phisched::cluster {
@@ -26,26 +25,14 @@ namespace {
          c == StackConfig::kMCCBestFit || c == StackConfig::kMCCOracle;
 }
 
-/// Engine selection: parallel_shards > 1 runs the sharded engine, which
-/// is bit-identical to the sequential one for every config (the
-/// equivalence suite pins this), so results never depend on the choice.
-[[nodiscard]] std::unique_ptr<Simulator> make_engine(
-    const ExperimentConfig& config) {
-  if (config.parallel_shards > 1) {
-    return std::make_unique<ShardedSimulator>(config.parallel_shards);
-  }
-  return std::make_unique<Simulator>();
-}
-
 }  // namespace
 
 Harness::Harness(const ExperimentConfig& config)
     : config_(config),
       rng_(config.seed),
-      sim_(make_engine(config)),
-      schedd_(*sim_),
+      schedd_(sim_),
       collector_(config.ad_update_interval > 0.0
-                     ? condor::Collector(*sim_, config.ad_update_interval)
+                     ? condor::Collector(sim_, config.ad_update_interval)
                      : condor::Collector()) {
   PHISCHED_REQUIRE(config_.node_count > 0, "experiment: need nodes");
   PHISCHED_REQUIRE(config_.dispatch_latency >= 0.0 &&
@@ -84,7 +71,7 @@ void Harness::build_nodes() {
 
   for (NodeId n = 0; n < static_cast<NodeId>(config_.node_count); ++n) {
     nodes_.push_back(std::make_unique<Node>(
-        *sim_, n, nc, rng_.child("node" + std::to_string(n))));
+        sim_, n, nc, rng_.child("node" + std::to_string(n))));
     collector_.advertise(n, [this, n] {
       return nodes_[static_cast<std::size_t>(n)]->machine_ad();
     });
@@ -102,6 +89,11 @@ void Harness::build_nodes() {
       }
     }
   }
+  // Every node carries the same fleet.
+  const Node& first = *nodes_.front();
+  for (DeviceId d = 0; d < first.device_count(); ++d) {
+    cards_.push_back(first.device(d).config().hw);
+  }
 }
 
 void Harness::build_condor() {
@@ -110,7 +102,7 @@ void Harness::build_condor() {
   ncfg.order = condor::MachineOrder::kRandom;
   ncfg.negotiation = config_.negotiation;
   negotiator_ = std::make_unique<condor::Negotiator>(
-      *sim_, schedd_, collector_,
+      sim_, schedd_, collector_,
       [this](JobId job, NodeId node) { return dispatch(job, node); }, ncfg,
       rng_.child("negotiator"));
   if (recorder_ != nullptr) {
@@ -148,9 +140,7 @@ void Harness::build_condor() {
   schedd_.set_on_terminal([this](const condor::JobRecord& rec) {
     // The user observer runs first, while the record is fresh, so a
     // service layer can stream per-job wait/turnaround samples the
-    // moment they exist. Terminal transitions happen on the global lane
-    // (post_global), so the observer fires in the same deterministic
-    // order on every engine and shard count.
+    // moment they exist.
     if (terminal_observer_ != nullptr) terminal_observer_(rec);
     if (complete()) {
       negotiator_->stop();
@@ -164,11 +154,11 @@ void Harness::ensure_started() {
   started_ = true;
   // Trigger an immediate first negotiation so the cluster does not sit
   // idle for one full interval (Condor negotiates on submission).
-  sim_->schedule_in(0.0, [this] { negotiator_->run_cycle(); });
+  sim_.schedule_in(0.0, [this] { negotiator_->run_cycle(); });
   negotiator_->start();
   if (config_.sample_interval > 0.0) {
     sampler_ = std::make_unique<PeriodicTimer>(
-        *sim_, config_.sample_interval, [this] { take_sample(); });
+        sim_, config_.sample_interval, [this] { take_sample(); });
   }
 }
 
@@ -182,7 +172,7 @@ void Harness::take_sample() {
     }
   }
   samples_.emplace_back(
-      sim_->now(),
+      sim_.now(),
       total > 0 ? static_cast<double>(busy) / static_cast<double>(total)
                 : 0.0);
 }
@@ -201,15 +191,22 @@ std::string Harness::requirements_for_stack() const {
 }
 
 void Harness::submit(const workload::JobSpec& job) {
-  const MiB usable = config_.node_hw.phi.usable_memory_mib();
-  const ThreadCount hw_threads = config_.node_hw.phi.hw_threads();
-  PHISCHED_REQUIRE(job.mem_req_mib <= usable,
-                   "job does not fit one coprocessor's memory");
-  PHISCHED_REQUIRE(job.threads_req <= hw_threads,
-                   "job does not fit one coprocessor's threads");
+  // Each of the job's devices_req cards must hold its whole declaration,
+  // so count the cards of one node that do.
+  bool memory_fits = false;
+  bool threads_fit = false;
+  int holding = 0;
+  for (const PhiHardware& card : cards_) {
+    const bool memory = job.mem_req_mib <= card.usable_memory_mib();
+    const bool threads = job.threads_req <= card.hw_threads();
+    memory_fits = memory_fits || memory;
+    threads_fit = threads_fit || threads;
+    if (memory && threads) ++holding;
+  }
+  PHISCHED_REQUIRE(memory_fits, "job does not fit one coprocessor's memory");
+  PHISCHED_REQUIRE(threads_fit, "job does not fit one coprocessor's threads");
   PHISCHED_REQUIRE(job.submit_time >= 0.0, "negative submit time");
-  PHISCHED_REQUIRE(job.devices_req >= 1 &&
-                       job.devices_req <= config_.node_hw.phi_devices,
+  PHISCHED_REQUIRE(job.devices_req >= 1 && job.devices_req <= holding,
                    "job's gang does not fit one node's devices");
   PHISCHED_REQUIRE(specs_.find(job.id) == specs_.end(),
                    "harness: duplicate job id");
@@ -223,7 +220,7 @@ void Harness::submit(const workload::JobSpec& job) {
   final_.reset();
 
   const std::string reqs = requirements_for_stack();
-  if (job.submit_time <= sim_->now()) {
+  if (job.submit_time <= sim_.now()) {
     schedd_.submit(job.id, condor::make_job_ad(job, reqs));
   } else {
     // Dynamic arrival (the paper's "dynamic scenario with continuously
@@ -232,13 +229,13 @@ void Harness::submit(const workload::JobSpec& job) {
     // re-reading specs_ at fire time would silently pick up whatever a
     // later mutation (e.g. a retry's memory boost on a resubmitted id)
     // left there instead of what this call submitted.
-    sim_->schedule_at(job.submit_time, [this, spec = job, reqs] {
+    sim_.schedule_at(job.submit_time, [this, spec = job, reqs] {
       schedd_.submit(spec.id, condor::make_job_ad(spec, reqs));
     });
   }
 
   if (resume) {
-    sim_->schedule_in(0.0, [this] { negotiator_->run_cycle(); });
+    sim_.schedule_in(0.0, [this] { negotiator_->run_cycle(); });
     negotiator_->start();
     if (sampler_ != nullptr) sampler_->start();
   }
@@ -250,19 +247,19 @@ void Harness::submit(const workload::JobSet& jobs) {
 
 bool Harness::step() {
   ensure_started();
-  return sim_->step();
+  return sim_.step();
 }
 
 std::size_t Harness::run_until(SimTime t) {
   ensure_started();
-  return sim_->run_until(t);
+  return sim_.run_until(t);
 }
 
-std::size_t Harness::run_for(SimTime dt) { return run_until(sim_->now() + dt); }
+std::size_t Harness::run_for(SimTime dt) { return run_until(sim_.now() + dt); }
 
 ExperimentResult Harness::run_to_completion() {
   ensure_started();
-  sim_->run();
+  sim_.run();
   PHISCHED_CHECK(
       complete(),
       "experiment deadlock: " + std::to_string(schedd_.pending_count()) +
@@ -270,7 +267,7 @@ ExperimentResult Harness::run_to_completion() {
   return result();
 }
 
-SimTime Harness::now() const { return sim_->now(); }
+SimTime Harness::now() const { return sim_.now(); }
 
 bool Harness::complete() const {
   return schedd_.completed_count() + schedd_.failed_count() == total_jobs_;
@@ -312,21 +309,23 @@ bool Harness::dispatch(JobId job_id, NodeId node_id) {
   // MCC — and gang jobs under any sharing stack — let COSMIC decide.
   std::vector<DeviceId> devices;
   if (config_.stack == StackConfig::kMC) {
-    // Claim devices_req whole free devices, skipping ones already
-    // claimed by an in-flight dispatch this cycle (their reservation
-    // lands only after the shadow/starter latency).
+    // Claim devices_req whole free devices that can hold the job's
+    // memory, skipping ones already claimed by an in-flight dispatch this
+    // cycle (their reservation lands only after the shadow/starter
+    // latency).
     for (DeviceId d = 0;
          d < node.device_count() &&
          devices.size() < static_cast<std::size_t>(spec.devices_req);
          ++d) {
       if (node.middleware().jobs_on_device(d) == 0 &&
+          node.device(d).usable_memory() >= spec.mem_req_mib &&
           exclusive_claims_.find(DeviceAddress{node_id, d}) ==
               exclusive_claims_.end()) {
         devices.push_back(d);
       }
     }
     if (devices.size() < static_cast<std::size_t>(spec.devices_req)) {
-      return false;  // stale ad: not enough free devices
+      return false;  // stale ad: not enough free devices that fit
     }
     for (DeviceId d : devices) {
       exclusive_claims_.insert(DeviceAddress{node_id, d});
@@ -338,17 +337,10 @@ bool Harness::dispatch(JobId job_id, NodeId node_id) {
     if (pinned.has_value()) devices.push_back(static_cast<DeviceId>(*pinned));
   }
 
-  // Job completion crosses from node-local machinery back into the
-  // cluster-wide scheduler state, so it travels as a global message: the
-  // sharded engine applies it at the deterministic merge point, the
-  // sequential engine inline (`s` by value — the JobRun's spec reference
-  // must not outlive the callback).
   auto run = std::make_unique<JobRun>(
-      *sim_, spec, node.middleware(), devices,
+      sim_, spec, node.middleware(), devices,
       [this, node_id](const workload::JobSpec& s, bool success) {
-        sim_->post_global([this, spec = s, node_id, success] {
-          on_job_done(spec, node_id, success);
-        });
+        on_job_done(s, node_id, success);
       });
   node.claim_slot();
   JobRun* raw = run.get();
@@ -356,16 +348,10 @@ bool Harness::dispatch(JobId job_id, NodeId node_id) {
   // previous run, which holds no pending events by now.
   runs_[job_id] = std::move(run);
   // Shadow/starter latency: transfer the job and spawn it at the node.
-  // The arrival is node-local work (affinity = the node), while the
-  // running-state transition belongs to the schedd — posted globally so
-  // the sharded engine records it at this event's time, in this order.
-  sim_->schedule_in(
-      config_.dispatch_latency,
-      [this, job_id, raw] {
-        sim_->post_global([this, job_id] { schedd_.mark_running(job_id); });
-        raw->arrive();
-      },
-      /*affinity=*/node_id);
+  sim_.schedule_in(config_.dispatch_latency, [this, job_id, raw] {
+    schedd_.mark_running(job_id);
+    raw->arrive();
+  });
   return true;
 }
 
@@ -387,7 +373,10 @@ void Harness::on_job_done(const workload::JobSpec& spec, NodeId node_id,
     // Requeue with a boosted declaration: the kill told us the
     // estimate was too low.
     workload::JobSpec& stored = specs_.at(spec.id);
-    const MiB usable = config_.node_hw.phi.usable_memory_mib();
+    MiB usable = 0;
+    for (const PhiHardware& card : cards_) {
+      usable = std::max(usable, card.usable_memory_mib());
+    }
     const auto boosted = static_cast<MiB>(
         std::llround(static_cast<double>(stored.mem_req_mib) *
                      config_.retry_memory_boost));
@@ -406,7 +395,7 @@ ExperimentResult Harness::gather(SimTime until) const {
   r.jobs_failed = schedd_.failed_count();
   r.negotiation_cycles = negotiator_->stats().cycles;
   r.matches = negotiator_->stats().matches;
-  r.events_processed = sim_->events_processed();
+  r.events_processed = sim_.events_processed();
   if (addon_ != nullptr) r.addon_pins = addon_->stats().pins;
 
   double util_sum = 0.0;
@@ -478,7 +467,7 @@ void Harness::roll_up(obs::Recorder& rec, const ExperimentResult& r) const {
 ExperimentResult Harness::snapshot() const {
   // Mid-run horizon: the current clock (>= every instrument's last
   // update). At completion this coincides with the makespan.
-  const SimTime until = sim_->now();
+  const SimTime until = sim_.now();
   ExperimentResult r = gather(until);
   if (recorder_ != nullptr) {
     // Finalize a COPY of the recorder: close any open oversubscription

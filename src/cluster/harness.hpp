@@ -74,9 +74,10 @@ class Harness {
   /// Enqueues one job. A job with submit_time <= now() enters the queue
   /// immediately; a later submit_time becomes a scheduled arrival (the
   /// paper's "dynamic scenario with continuously arriving jobs"). Every
-  /// job must individually fit one coprocessor (Section III), and ids
-  /// must be unique across the harness's lifetime. Submitting after a
-  /// previous workload drained resumes negotiation automatically.
+  /// job must individually fit one coprocessor of the node's fleet
+  /// (Section III) — a gang needs that many cards that each hold it —
+  /// and ids must be unique across the harness's lifetime. Submitting
+  /// after a previous workload drained resumes negotiation automatically.
   void submit(const workload::JobSpec& job);
 
   /// Enqueues a whole job set (in order).
@@ -119,16 +120,15 @@ class Harness {
 
   /// Observer invoked on every terminal job transition (completed or
   /// failed) with the job's final record — the hook the service mode's
-  /// SLA telemetry streams wait/turnaround samples from. Runs at a
-  /// deterministic point on both engines. Pass nullptr to clear.
+  /// SLA telemetry streams wait/turnaround samples from. Runs inside the
+  /// event that ends the job, so its call order is bit-identical across
+  /// repeats. Pass nullptr to clear.
   void set_terminal_observer(
       std::function<void(const condor::JobRecord&)> observer);
   [[nodiscard]] const ExperimentConfig& config() const { return config_; }
   /// Power-user access to the event loop (e.g. to interleave custom
   /// events with the cluster's); scheduling into the past is rejected.
-  /// A sim::ShardedSimulator when config.parallel_shards > 1, the
-  /// sequential engine otherwise — same surface, bit-identical behaviour.
-  [[nodiscard]] Simulator& simulator() { return *sim_; }
+  [[nodiscard]] Simulator& simulator() { return sim_; }
 
   // -- Results -------------------------------------------------------
 
@@ -171,12 +171,14 @@ class Harness {
 
   ExperimentConfig config_;
   Rng rng_;
-  /// The engine, chosen by config_.parallel_shards (0/1 = sequential).
   /// Declared before every component that captures a Simulator&.
-  std::unique_ptr<Simulator> sim_;
+  Simulator sim_;
   condor::Schedd schedd_;
   condor::Collector collector_;
   std::vector<std::unique_ptr<Node>> nodes_;
+  /// One node's cards (config_.devices, or node_hw's identical cards):
+  /// what submit() validates jobs against.
+  std::vector<PhiHardware> cards_;
   std::unique_ptr<condor::Negotiator> negotiator_;
   std::unique_ptr<core::SharingAwareScheduler> addon_;
   std::map<JobId, workload::JobSpec> specs_;

@@ -2,16 +2,6 @@
 
 namespace phisched::obs {
 
-namespace {
-thread_local EventLog::ThreadSink* t_sink = nullptr;
-}  // namespace
-
-EventLog::ThreadSink* EventLog::set_thread_sink(ThreadSink* sink) {
-  ThreadSink* prev = t_sink;
-  t_sink = sink;
-  return prev;
-}
-
 void EventLog::emit(
     SimTime t, std::string type,
     std::initializer_list<std::pair<std::string, std::string>> fields) {
@@ -19,10 +9,6 @@ void EventLog::emit(
   e.t = t;
   e.type = std::move(type);
   e.fields.assign(fields.begin(), fields.end());
-  if (t_sink != nullptr) {
-    t_sink->deferred_emit(*this, std::move(e));
-    return;
-  }
   events_.push_back(std::move(e));
 }
 

@@ -2,44 +2,20 @@
 
 namespace phisched::obs {
 
-Registry::Registry(const Registry& other) {
-  const std::lock_guard<std::mutex> lock(other.mutex_);
-  counters_ = other.counters_;
-  gauges_ = other.gauges_;
-  series_ = other.series_;
-  time_histograms_ = other.time_histograms_;
-  histograms_ = other.histograms_;
-}
-
-Registry& Registry::operator=(const Registry& other) {
-  if (this == &other) return *this;
-  const std::scoped_lock lock(mutex_, other.mutex_);
-  counters_ = other.counters_;
-  gauges_ = other.gauges_;
-  series_ = other.series_;
-  time_histograms_ = other.time_histograms_;
-  histograms_ = other.histograms_;
-  return *this;
-}
-
 Counter& Registry::counter(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   return counters_[name];
 }
 
 Gauge& Registry::gauge(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   return gauges_[name];
 }
 
 TimeSeriesGauge& Registry::series(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   return series_[name];
 }
 
 TimeHistogram& Registry::time_histogram(const std::string& name, double lo,
                                         double hi, std::size_t bins) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   auto it = time_histograms_.find(name);
   if (it == time_histograms_.end()) {
     it = time_histograms_.emplace(name, TimeHistogram(lo, hi, bins)).first;
@@ -49,7 +25,6 @@ TimeHistogram& Registry::time_histogram(const std::string& name, double lo,
 
 ValueHistogram& Registry::histogram(const std::string& name, double lo,
                                     double hi, std::size_t bins) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_.emplace(name, ValueHistogram(lo, hi, bins)).first;
@@ -71,7 +46,6 @@ MetricsSnapshot::HistogramData flatten(const Histogram& h) {
 }  // namespace
 
 MetricsSnapshot Registry::snapshot(SimTime until) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snap;
   for (const auto& [name, c] : counters_) snap.counters.emplace(name, c.value());
   for (const auto& [name, g] : gauges_) snap.gauges.emplace(name, g.value());

@@ -4,23 +4,8 @@
 // same time fire in scheduling order (stable FIFO tie-break), which makes
 // whole experiments deterministic. Events are cancellable through handles;
 // cancellation is lazy (cancelled records are skipped at pop time).
-//
-// The driving surface (schedule/step/run/now) is virtual so an experiment
-// can swap in sim::ShardedSimulator (sim/sharded.hpp), which executes
-// independent event partitions on a thread pool while reproducing this
-// engine's (time, seq) order bit-identically. Code written against this
-// class runs unchanged on either engine; two hooks exist purely so it can
-// also parallelize well:
-//
-//   * schedule_at(t, fn, affinity) tags an event with a stable partition
-//     key (e.g. the node id it concerns). The sequential engine ignores it.
-//   * post_global(fn) runs fn "outside" the current event: immediately
-//     here, at the next deterministic merge point on the sharded engine.
-//     Use it when an event's callback must touch state shared across
-//     partitions (e.g. a per-node job completion updating the scheduler).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -31,7 +16,6 @@
 namespace phisched {
 
 class Simulator;
-class ShardedSimulator;
 
 namespace detail {
 struct EventRecord {
@@ -43,18 +27,6 @@ struct EventRecord {
   /// their simulator's heap, so the pointer is valid whenever a handle's
   /// weak_ptr still locks.
   Simulator* owner = nullptr;
-
-  // Sharded-engine bookkeeping (sim/sharded.hpp); the sequential engine
-  // leaves these at their defaults. `seq` doubles as the child index
-  // there: the n-th event scheduled by one executing event.
-  int shard = -1;                  ///< partition lane; -1 = global lane
-  std::uint64_t stamp = 0;         ///< execution-order stamp, once executed
-  bool stamp_final = false;        ///< stamp fixed by the deterministic merge
-  std::uint64_t parent_stamp = 0;  ///< scheduling parent's stamp (tie-break)
-  /// Set while the parent's stamp is still provisional: the tie-break then
-  /// reads parent->stamp. Cleared when this record itself is merged, so
-  /// chains stay short-lived and cycles are impossible.
-  std::shared_ptr<EventRecord> parent;
 };
 }  // namespace detail
 
@@ -72,7 +44,6 @@ class EventHandle {
 
  private:
   friend class Simulator;
-  friend class ShardedSimulator;
   explicit EventHandle(std::weak_ptr<detail::EventRecord> rec)
       : record_(std::move(rec)) {}
   std::weak_ptr<detail::EventRecord> record_;
@@ -81,66 +52,39 @@ class EventHandle {
 class Simulator {
  public:
   using Callback = std::function<void()>;
-  /// Stable partition key for an event (e.g. the node id it concerns).
-  /// kNoAffinity leaves placement to the engine.
-  using AffinityKey = std::int64_t;
-  static constexpr AffinityKey kNoAffinity = -1;
 
   Simulator() = default;
-  virtual ~Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  [[nodiscard]] virtual SimTime now() const { return now_; }
+  [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedules `fn` to run at absolute time `t` (must be >= now()).
-  virtual EventHandle schedule_at(SimTime t, Callback fn);
-
-  /// As above, tagging the event with a partition affinity. The
-  /// sequential engine ignores the tag entirely.
-  virtual EventHandle schedule_at(SimTime t, Callback fn,
-                                  AffinityKey affinity);
+  EventHandle schedule_at(SimTime t, Callback fn);
 
   /// Schedules `fn` to run `delay` seconds from now (delay >= 0).
   EventHandle schedule_in(SimTime delay, Callback fn);
-  EventHandle schedule_in(SimTime delay, Callback fn, AffinityKey affinity);
-
-  /// Runs `fn` against cross-partition ("global") state: immediately on
-  /// this engine, deferred to the next deterministic merge point on the
-  /// sharded engine (with now() restored to the posting event's time).
-  virtual void post_global(Callback fn) { fn(); }
 
   /// Runs the next pending event, if any. Returns false when idle.
-  virtual bool step();
+  bool step();
 
   /// Runs until the queue drains. Returns the number of events processed.
   /// Throws InternalError after `max_events` as a runaway guard.
-  virtual std::size_t run(std::size_t max_events = kDefaultMaxEvents);
+  std::size_t run(std::size_t max_events = kDefaultMaxEvents);
 
   /// Runs events with time <= t, then advances the clock to exactly t.
-  virtual std::size_t run_until(SimTime t,
-                                std::size_t max_events = kDefaultMaxEvents);
+  std::size_t run_until(SimTime t, std::size_t max_events = kDefaultMaxEvents);
 
   /// True when no non-cancelled events remain.
   [[nodiscard]] bool idle() const;
 
   /// Number of pending, non-cancelled events. O(1): a live counter is
   /// bumped on schedule and dropped on fire or EventHandle::cancel().
-  [[nodiscard]] std::size_t pending_events() const {
-    return live_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t pending_events() const { return live_; }
 
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
   static constexpr std::size_t kDefaultMaxEvents = 500'000'000;
-
- protected:
-  // Shared with derived engines. `live_` is atomic because the sharded
-  // engine schedules and cancels from worker threads; the sequential
-  // engine's relaxed single-threaded use is unchanged in behaviour.
-  SimTime now_ = 0.0;
-  std::uint64_t processed_ = 0;
-  std::atomic<std::size_t> live_{0};
 
  private:
   friend class EventHandle;  // cancel() maintains live_
@@ -152,6 +96,9 @@ class Simulator {
   /// Drops cancelled records from the heap top.
   void skim();
 
+  SimTime now_ = 0.0;
+  std::uint64_t processed_ = 0;
+  std::size_t live_ = 0;
   std::uint64_t next_seq_ = 0;
   std::vector<std::shared_ptr<detail::EventRecord>> heap_;
 };

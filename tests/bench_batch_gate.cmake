@@ -4,8 +4,8 @@
 # (fifo vs batched makespan / wait / turnaround / utilization per stack
 # and Fig. 7 distribution), so any drift beyond bench_diff's default
 # threshold fails the build. bench_batch itself hard-fails if a batched
-# MCCK run is not bit-identical across a repeat and the sharded engine,
-# so a green gate also certifies batch-mode determinism.
+# MCCK run is not bit-identical across a repeat, so a green gate also
+# certifies batch-mode determinism.
 set(CANDIDATE ${WORKDIR}/BENCH_batch_candidate.json)
 
 execute_process(

@@ -3,10 +3,24 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace phisched::classad {
 namespace {
 
 std::string round_trip(std::string_view src) { return to_string(parse(src)); }
+
+/// Asserts that `source` is refused with a ParseError naming the limit.
+void expect_too_deep(const std::string& source) {
+  try {
+    (void)parse(source);
+    ADD_FAILURE() << "accepted input nested past the parser's limit";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(kMaxParseDepth)),
+              std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(Parser, Literals) {
   EXPECT_EQ(round_trip("42"), "42");
@@ -103,6 +117,43 @@ TEST(Parser, ScopeWithoutAttributeIsPlainIdentifier) {
 
 TEST(Parser, DeeplyNestedParens) {
   EXPECT_EQ(round_trip("((((1))))"), "1");
+}
+
+// Parentheses nest the parser without growing the tree; 20,000 of them
+// used to overflow the stack while parsing.
+TEST(Parser, ParenthesesPastTheDepthLimitAreRefused) {
+  const auto nested = [](std::size_t n) {
+    return std::string(n, '(') + "1" + std::string(n, ')');
+  };
+  const std::size_t limit = kMaxParseDepth;
+  EXPECT_EQ(round_trip(nested(limit - 1)), "1");
+  expect_too_deep(nested(limit));
+  expect_too_deep(nested(20'000));
+}
+
+// Each unary operator recurses once; 2,000,000 of them used to overflow
+// the stack while parsing.
+TEST(Parser, UnaryChainsPastTheDepthLimitAreRefused) {
+  const std::size_t limit = kMaxParseDepth;
+  EXPECT_NO_THROW((void)parse(std::string(limit - 1, '-') + "1"));
+  expect_too_deep(std::string(limit, '!') + "x");
+  expect_too_deep(std::string(2'000'000, '-') + "1");
+}
+
+// "1+1+...+1" parses iteratively, but its left-deep tree is as tall as the
+// chain is long: destroying a 1,000,000-term tree used to overflow the
+// stack.
+TEST(Parser, OperatorChainsPastTheHeightLimitAreRefused) {
+  const auto chain = [](std::size_t terms) {
+    std::string s = "1";
+    s.reserve(2 * terms);
+    for (std::size_t i = 1; i < terms; ++i) s += "+1";
+    return s;
+  };
+  const std::size_t limit = kMaxParseDepth;
+  EXPECT_NO_THROW((void)parse(chain(limit)));
+  expect_too_deep(chain(limit + 1));
+  expect_too_deep(chain(1'000'000));
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ const std::vector<Layer>& layers() {
       {"classad", {"common"}},
       {"workload", {"common"}},
       {"knapsack", {"common"}},
-      {"sim", {"common", "obs"}},
+      {"sim", {"common"}},
       {"phi", {"common", "obs", "sim"}},
       {"cosmic", {"common", "obs", "sim", "phi"}},
       {"condor", {"common", "obs", "sim", "classad", "workload", "knapsack"}},

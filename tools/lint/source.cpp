@@ -207,8 +207,8 @@ namespace {
 /// are correctness bugs, not style. core/ joined the list with the
 /// interference-aware add-on: its device views and bandwidth trims pick
 /// placements, so they carry the same bit-identical promise. Files named
-/// sharded*, strategy*, or batch* qualify wherever they live — the
-/// parallel engine's merge (sim/sharded*), the matchmaking strategies
+/// sharded*, strategy*, or batch* qualify wherever they live — parallel
+/// event-merge code (sharded*), the matchmaking strategies
 /// (condor/strategy*), and the batch packer (knapsack/batch*) all promise
 /// bit-identical decisions from a given snapshot, so moving such a file
 /// out of its directory must not drop it from the lint's scope.

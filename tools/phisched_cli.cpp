@@ -87,10 +87,6 @@ options:
   --pcie-switch-bandwidth R  switch uplink bandwidth in MiB/s (default
                         12288 = 2 cards' worth; only meaningful with
                         --pcie-switch)
-  --parallel-shards N   run each experiment on the sharded parallel event
-                        engine with N shards (nodes are partitioned
-                        node_id mod N); results are bit-identical to the
-                        sequential engine for every N (default 0 = off)
   --save-jobs PATH      write the generated job set to PATH and exit
   --load-jobs PATH      run on a job set loaded from PATH (see workload/io.hpp)
   --help                this text
@@ -210,8 +206,6 @@ cluster::ExperimentConfig cluster_config_from_args(const ArgParser& args,
   if (config.pcie_switch.enabled) config.pcie.contention = true;
   config.pcie_switch.bandwidth_mib_s = args.get_real_or(
       "pcie-switch-bandwidth", config.pcie_switch.bandwidth_mib_s);
-  config.parallel_shards =
-      static_cast<std::size_t>(args.get_int_or("parallel-shards", 0));
   return config;
 }
 
@@ -326,7 +320,7 @@ int main(int argc, char** argv) {
          "series", "csv", "save-jobs", "load-jobs", "metrics-out",
          "events-out", "metrics-filter", "mem-bw-contention",
          "mem-bw-saturation", "pcie-contention", "pcie-bandwidth",
-         "pcie-switch", "pcie-switch-bandwidth", "parallel-shards", "serve",
+         "pcie-switch", "pcie-switch-bandwidth", "serve",
          "arrivals", "horizon", "sla-interval", "sla-out", "admit-queue",
          "admit-occupancy", "admit-defer", "admit-max-defers", "admit-packer",
          "tenants", "tenant-skew", "no-drain", "help"});
