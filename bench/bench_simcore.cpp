@@ -10,6 +10,9 @@
 #include "classad/parser.hpp"
 #include "cluster/experiment.hpp"
 #include "cluster/harness.hpp"
+#include "cluster/node.hpp"
+#include "condor/ads.hpp"
+#include "phi/capability.hpp"
 #include "sim/simulator.hpp"
 #include "workload/jobset.hpp"
 
@@ -70,6 +73,36 @@ void BM_ClassAdMatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClassAdMatch);
+
+/// The two-way match against a real machine ad: an idle
+/// `2x5110P+2x7120P` node publishes about 40 attributes, so attribute
+/// lookup costs what it costs in a negotiation cycle. The job carries one
+/// stack's Requirements: MC's exclusive guard, MCC's free slot, or MCCK's
+/// pin to this node or to another one.
+void BM_ClassAdMatchNodeAd(benchmark::State& state,
+                           const std::string& requirements) {
+  Simulator sim;
+  cluster::NodeConfig config;
+  config.devices = phi::parse_device_spec("2x5110P+2x7120P");
+  const cluster::Node node(sim, 3, config, Rng(42));
+  const classad::ClassAd machine = node.machine_ad();
+  workload::JobSpec spec;
+  spec.id = 1;
+  spec.mem_req_mib = 3400;
+  spec.threads_req = 120;
+  const classad::ClassAd job = condor::make_job_ad(spec, requirements);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(classad::symmetric_match(job, machine));
+  }
+}
+BENCHMARK_CAPTURE(BM_ClassAdMatchNodeAd, exclusive,
+                  condor::exclusive_requirements());
+BENCHMARK_CAPTURE(BM_ClassAdMatchNodeAd, arbitrary,
+                  condor::arbitrary_requirements());
+BENCHMARK_CAPTURE(BM_ClassAdMatchNodeAd, pinned_here,
+                  condor::pinned_requirements(3));
+BENCHMARK_CAPTURE(BM_ClassAdMatchNodeAd, pinned_elsewhere,
+                  condor::pinned_requirements(4));
 
 void BM_ExperimentPerJob(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -5,6 +5,7 @@
 // cheap and safe.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,9 +38,10 @@ struct Expr {
   // kLiteral
   Value literal;
 
-  // kAttrRef
+  // kAttrRef; attr_hash is name_hash(attr), computed once by make_attr.
   AttrScope scope = AttrScope::kNone;
   std::string attr;
+  std::uint64_t attr_hash = 0;
 
   // kUnary
   UnaryOp unary_op = UnaryOp::kNeg;

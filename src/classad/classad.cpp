@@ -1,5 +1,6 @@
 #include "classad/classad.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 
@@ -10,10 +11,53 @@
 
 namespace phisched::classad {
 
+namespace {
+constexpr std::string_view kRequirements = "Requirements";
+constexpr std::string_view kRank = "Rank";
+constexpr std::uint64_t kRequirementsHash = name_hash(kRequirements);
+constexpr std::uint64_t kRankHash = name_hash(kRank);
+}  // namespace
+
+std::vector<ClassAd::Slot>::const_iterator ClassAd::first_slot(
+    std::uint64_t hash) const {
+  return std::lower_bound(
+      slots_.begin(), slots_.end(), hash,
+      [](const Slot& slot, std::uint64_t h) { return slot.hash < h; });
+}
+
+std::vector<ClassAd::Slot>::const_iterator ClassAd::find_slot(
+    std::uint64_t hash, std::string_view name) const {
+  for (auto it = first_slot(hash); it != slots_.end() && it->hash == hash;
+       ++it) {
+    if (iequals(it->name, name)) return it;
+  }
+  return slots_.end();
+}
+
+std::vector<const ClassAd::Slot*> ClassAd::sorted_slots() const {
+  std::vector<const Slot*> out;
+  out.reserve(slots_.size());
+  for (const Slot& slot : slots_) out.push_back(&slot);
+  std::sort(out.begin(), out.end(), [](const Slot* a, const Slot* b) {
+    return iless(a->name, b->name);
+  });
+  return out;
+}
+
 void ClassAd::insert(std::string name, ExprPtr expr) {
   PHISCHED_REQUIRE(!name.empty(), "ClassAd: empty attribute name");
   PHISCHED_REQUIRE(expr != nullptr, "ClassAd: null expression");
-  attrs_[std::move(name)] = std::move(expr);
+  const std::uint64_t hash = name_hash(name);
+  auto it = first_slot(hash);
+  for (; it != slots_.end() && it->hash == hash; ++it) {
+    if (iequals(it->name, name)) {
+      // Re-insertion keeps the first spelling of the name.
+      slots_[static_cast<std::size_t>(it - slots_.begin())].expr =
+          std::move(expr);
+      return;
+    }
+  }
+  slots_.insert(it, Slot{hash, std::move(name), std::move(expr)});
 }
 
 void ClassAd::insert_integer(std::string name, std::int64_t v) {
@@ -36,24 +80,34 @@ void ClassAd::insert_expr(std::string name, std::string_view expr_source) {
   insert(std::move(name), parse(expr_source));
 }
 
-bool ClassAd::erase(const std::string& name) { return attrs_.erase(name) > 0; }
-
-bool ClassAd::has(const std::string& name) const {
-  return attrs_.find(name) != attrs_.end();
+bool ClassAd::erase(std::string_view name) {
+  const auto it = find_slot(name_hash(name), name);
+  if (it == slots_.end()) return false;
+  slots_.erase(it);
+  return true;
 }
 
-ExprPtr ClassAd::lookup(const std::string& name) const {
-  auto it = attrs_.find(name);
-  return it == attrs_.end() ? nullptr : it->second;
+bool ClassAd::has(std::string_view name) const {
+  return find_slot(name_hash(name), name) != slots_.end();
 }
 
-Value ClassAd::eval(const std::string& name, const ClassAd* target) const {
-  ExprPtr e = lookup(name);
+ExprPtr ClassAd::lookup(std::string_view name) const {
+  const auto it = find_slot(name_hash(name), name);
+  return it == slots_.end() ? nullptr : it->expr;
+}
+
+const Expr* ClassAd::find(std::uint64_t hash, std::string_view name) const {
+  const auto it = find_slot(hash, name);
+  return it == slots_.end() ? nullptr : it->expr.get();
+}
+
+Value ClassAd::eval(std::string_view name, const ClassAd* target) const {
+  const Expr* e = find(name_hash(name), name);
   if (e == nullptr) return Value::undefined();
   return evaluate(*e, EvalContext{this, target});
 }
 
-std::optional<std::int64_t> ClassAd::eval_integer(const std::string& name,
+std::optional<std::int64_t> ClassAd::eval_integer(std::string_view name,
                                                   const ClassAd* target) const {
   const Value v = eval(name, target);
   if (v.is_integer()) return v.as_integer();
@@ -61,14 +115,14 @@ std::optional<std::int64_t> ClassAd::eval_integer(const std::string& name,
   return std::nullopt;
 }
 
-std::optional<double> ClassAd::eval_real(const std::string& name,
+std::optional<double> ClassAd::eval_real(std::string_view name,
                                          const ClassAd* target) const {
   const Value v = eval(name, target);
   if (v.is_number()) return v.number();
   return std::nullopt;
 }
 
-std::optional<bool> ClassAd::eval_boolean(const std::string& name,
+std::optional<bool> ClassAd::eval_boolean(std::string_view name,
                                           const ClassAd* target) const {
   const Value v = eval(name, target);
   if (v.is_boolean()) return v.as_boolean();
@@ -76,7 +130,7 @@ std::optional<bool> ClassAd::eval_boolean(const std::string& name,
   return std::nullopt;
 }
 
-std::optional<std::string> ClassAd::eval_string(const std::string& name,
+std::optional<std::string> ClassAd::eval_string(std::string_view name,
                                                 const ClassAd* target) const {
   const Value v = eval(name, target);
   if (v.is_string()) return v.as_string();
@@ -85,21 +139,27 @@ std::optional<std::string> ClassAd::eval_string(const std::string& name,
 
 std::vector<std::string> ClassAd::attribute_names() const {
   std::vector<std::string> out;
-  out.reserve(attrs_.size());
-  for (const auto& [name, _] : attrs_) out.push_back(name);
+  out.reserve(slots_.size());
+  for (const Slot* slot : sorted_slots()) out.push_back(slot->name);
   return out;
 }
 
 std::string ClassAd::to_string() const {
   std::ostringstream os;
-  for (const auto& [name, expr] : attrs_) {
-    os << name << " = " << classad::to_string(*expr) << "\n";
+  for (const Slot* slot : sorted_slots()) {
+    os << slot->name << " = " << classad::to_string(*slot->expr) << "\n";
   }
   return os.str();
 }
 
+bool requirements_never_met(const ClassAd& ad) {
+  const Expr* req = ad.find(kRequirementsHash, kRequirements);
+  return req != nullptr && req->kind == Expr::Kind::kLiteral &&
+         !(req->literal.is_boolean() && req->literal.as_boolean());
+}
+
 bool requirements_met(const ClassAd& ad, const ClassAd& target) {
-  ExprPtr req = ad.lookup("Requirements");
+  const Expr* req = ad.find(kRequirementsHash, kRequirements);
   if (req == nullptr) return true;
   const Value v = evaluate(*req, EvalContext{&ad, &target});
   return v.is_boolean() && v.as_boolean();
@@ -110,7 +170,7 @@ bool symmetric_match(const ClassAd& a, const ClassAd& b) {
 }
 
 double eval_rank(const ClassAd& ad, const ClassAd& target) {
-  ExprPtr rank = ad.lookup("Rank");
+  const Expr* rank = ad.find(kRankHash, kRank);
   if (rank == nullptr) return 0.0;
   const Value v = evaluate(*rank, EvalContext{&ad, &target});
   return v.is_number() ? v.number() : 0.0;
@@ -129,10 +189,14 @@ ClassAd parse_classad(std::string_view text) {
     line_start = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
 
     // Strip comments (a '#' outside of string literals) and whitespace.
+    // Inside a string a backslash escapes the next character, so `\"`
+    // does not close the string and `\\` does not escape the quote after it.
     bool in_string = false;
     std::size_t comment = line.size();
     for (std::size_t i = 0; i < line.size(); ++i) {
-      if (line[i] == '"' && (i == 0 || line[i - 1] != '\\')) {
+      if (in_string && line[i] == '\\') {
+        ++i;
+      } else if (line[i] == '"') {
         in_string = !in_string;
       } else if (line[i] == '#' && !in_string) {
         comment = i;

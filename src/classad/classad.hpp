@@ -2,7 +2,7 @@
 // plus the two-way matchmaking primitive Condor's negotiator uses.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -23,43 +23,65 @@ class ClassAd {
   /// Parses `expr_source` and inserts it; throws ParseError on bad syntax.
   void insert_expr(std::string name, std::string_view expr_source);
 
-  bool erase(const std::string& name);
-  [[nodiscard]] bool has(const std::string& name) const;
-  [[nodiscard]] std::size_t size() const { return attrs_.size(); }
+  bool erase(std::string_view name);
+  [[nodiscard]] bool has(std::string_view name) const;
+  [[nodiscard]] std::size_t size() const { return slots_.size(); }
 
   /// Raw (unevaluated) expression, or nullptr if absent.
-  [[nodiscard]] ExprPtr lookup(const std::string& name) const;
+  [[nodiscard]] ExprPtr lookup(std::string_view name) const;
+
+  /// The evaluator's lookup: `hash` must be name_hash(name). Returns the
+  /// raw expression, or nullptr if absent; valid until the attribute is
+  /// replaced or erased.
+  [[nodiscard]] const Expr* find(std::uint64_t hash,
+                                 std::string_view name) const;
 
   // --- evaluation -----------------------------------------------------------
   /// Evaluates attribute `name` with this ad as MY and `target` as TARGET
   /// (target may be null). Absent attributes evaluate to undefined.
-  [[nodiscard]] Value eval(const std::string& name,
+  [[nodiscard]] Value eval(std::string_view name,
                            const ClassAd* target = nullptr) const;
 
   /// Typed convenience accessors; nullopt when absent / wrong type.
   [[nodiscard]] std::optional<std::int64_t> eval_integer(
-      const std::string& name, const ClassAd* target = nullptr) const;
+      std::string_view name, const ClassAd* target = nullptr) const;
   [[nodiscard]] std::optional<double> eval_real(
-      const std::string& name, const ClassAd* target = nullptr) const;
+      std::string_view name, const ClassAd* target = nullptr) const;
   [[nodiscard]] std::optional<bool> eval_boolean(
-      const std::string& name, const ClassAd* target = nullptr) const;
+      std::string_view name, const ClassAd* target = nullptr) const;
   [[nodiscard]] std::optional<std::string> eval_string(
-      const std::string& name, const ClassAd* target = nullptr) const;
+      std::string_view name, const ClassAd* target = nullptr) const;
 
-  /// Attribute names in insertion-independent (sorted) order.
+  /// Attribute names in insertion-independent order (iless), each in the
+  /// spelling it was first inserted with.
   [[nodiscard]] std::vector<std::string> attribute_names() const;
 
-  /// Multi-line `Name = expr` rendering, sorted by attribute name.
+  /// Multi-line `Name = expr` rendering, in attribute_names() order.
   [[nodiscard]] std::string to_string() const;
 
  private:
-  struct ILess {
-    bool operator()(const std::string& a, const std::string& b) const {
-      return iless(a, b);
-    }
+  struct Slot {
+    std::uint64_t hash;
+    std::string name;
+    ExprPtr expr;
   };
-  std::map<std::string, ExprPtr, ILess> attrs_;
+
+  /// First slot whose hash is not below `hash`.
+  [[nodiscard]] std::vector<Slot>::const_iterator first_slot(
+      std::uint64_t hash) const;
+  /// The slot holding `name`, or slots_.end().
+  [[nodiscard]] std::vector<Slot>::const_iterator find_slot(
+      std::uint64_t hash, std::string_view name) const;
+  /// Slots in iless order of their names.
+  [[nodiscard]] std::vector<const Slot*> sorted_slots() const;
+
+  /// Sorted by hash; names that collide on a hash sit side by side.
+  std::vector<Slot> slots_;
 };
+
+/// True when `ad.Requirements` is a literal other than `true`: it then
+/// accepts no target, whatever the target holds.
+[[nodiscard]] bool requirements_never_met(const ClassAd& ad);
 
 /// Evaluates `ad.Requirements` against `target`. A match requires the
 /// Requirements expression to evaluate to exactly true (undefined and

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "classad/classad.hpp"
 
@@ -14,29 +15,22 @@ constexpr int kMaxDepth = 64;  // guards against attribute reference cycles
 Value eval_node(const Expr& expr, const EvalContext& ctx, int depth);
 
 Value eval_attr_ref(const Expr& expr, const EvalContext& ctx, int depth) {
-  auto resolve = [&](const ClassAd* ad, const ClassAd* other) -> Value {
-    if (ad == nullptr) return Value::undefined();
-    ExprPtr e = ad->lookup(expr.attr);
-    if (e == nullptr) return Value::undefined();
-    // The referenced expression evaluates in the scope of the ad that owns
-    // it: MY becomes that ad, TARGET the other side.
-    EvalContext inner{ad, other};
-    return eval_node(*e, inner, depth + 1);
+  const auto find_in = [&](const ClassAd* ad) -> const Expr* {
+    return ad != nullptr ? ad->find(expr.attr_hash, expr.attr) : nullptr;
   };
-
-  switch (expr.scope) {
-    case AttrScope::kMy:
-      return resolve(ctx.my, ctx.target);
-    case AttrScope::kTarget:
-      return resolve(ctx.target, ctx.my);
-    case AttrScope::kNone: {
-      if (ctx.my != nullptr && ctx.my->lookup(expr.attr) != nullptr) {
-        return resolve(ctx.my, ctx.target);
-      }
-      return resolve(ctx.target, ctx.my);
-    }
+  // MY.x looks in MY, TARGET.x in TARGET, and a bare x in MY, then TARGET.
+  const ClassAd* owner = ctx.my;
+  const ClassAd* other = ctx.target;
+  if (expr.scope == AttrScope::kTarget) std::swap(owner, other);
+  const Expr* found = find_in(owner);
+  if (found == nullptr && expr.scope == AttrScope::kNone) {
+    std::swap(owner, other);
+    found = find_in(owner);
   }
-  return Value::error();
+  if (found == nullptr) return Value::undefined();
+  // The referenced expression evaluates in the scope of the ad that owns
+  // it: MY becomes that ad, TARGET the other side.
+  return eval_node(*found, EvalContext{owner, other}, depth + 1);
 }
 
 Value call_builtin(const std::string& name, const std::vector<Value>& args) {
@@ -187,6 +181,13 @@ Value eval_node(const Expr& expr, const EvalContext& ctx, int depth) {
     }
     case Expr::Kind::kBinary: {
       const Value a = eval_node(*expr.children[0], ctx, depth + 1);
+      // `false && x` is false and `true || x` is true for every x, error
+      // and undefined included, and evaluation has no side effects: skip x.
+      const BinaryOp op = expr.binary_op;
+      if ((op == BinaryOp::kAnd || op == BinaryOp::kOr) && a.is_boolean() &&
+          a.as_boolean() == (op == BinaryOp::kOr)) {
+        return a;
+      }
       const Value b = eval_node(*expr.children[1], ctx, depth + 1);
       switch (expr.binary_op) {
         case BinaryOp::kAdd: return op_add(a, b);

@@ -17,6 +17,7 @@ ExprPtr make_literal(Value v) {
 ExprPtr make_attr(AttrScope scope, std::string name) {
   auto e = std::make_shared<Expr>(Expr::Kind::kAttrRef);
   e->scope = scope;
+  e->attr_hash = name_hash(name);
   e->attr = std::move(name);
   return e;
 }

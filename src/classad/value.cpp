@@ -1,16 +1,11 @@
 #include "classad/value.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 
 namespace phisched::classad {
 
 namespace {
-
-char lower(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-}
 
 /// Outcome of a tri-state comparison: LT/EQ/GT or not comparable.
 enum class Cmp { kLt, kEq, kGt, kUndefined, kError };
@@ -30,8 +25,8 @@ Cmp compare(const Value& a, const Value& b) {
     const auto& t = b.as_string();
     const std::size_t n = std::min(s.size(), t.size());
     for (std::size_t i = 0; i < n; ++i) {
-      const char x = lower(s[i]);
-      const char y = lower(t[i]);
+      const char x = fold_case(s[i]);
+      const char y = fold_case(t[i]);
       if (x < y) return Cmp::kLt;
       if (x > y) return Cmp::kGt;
     }
@@ -104,7 +99,20 @@ std::string Value::to_string() const {
       if (out.find_first_of(".eE") == std::string::npos) out += ".0";
       return out;
     }
-    case ValueType::kString: return "\"" + as_string() + "\"";
+    case ValueType::kString: {
+      // Re-escape the lexer's escape set so the text parses back.
+      std::string out = "\"";
+      for (const char c : as_string()) {
+        switch (c) {
+          case '\\': out += "\\\\"; break;
+          case '"': out += "\\\""; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          default: out += c;
+        }
+      }
+      return out + "\"";
+    }
   }
   return "error";
 }
@@ -122,19 +130,19 @@ bool Value::same_as(const Value& other) const {
   return false;
 }
 
-bool iequals(const std::string& a, const std::string& b) {
+bool iequals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (lower(a[i]) != lower(b[i])) return false;
+    if (fold_case(a[i]) != fold_case(b[i])) return false;
   }
   return true;
 }
 
-bool iless(const std::string& a, const std::string& b) {
+bool iless(std::string_view a, std::string_view b) {
   const std::size_t n = std::min(a.size(), b.size());
   for (std::size_t i = 0; i < n; ++i) {
-    const char x = lower(a[i]);
-    const char y = lower(b[i]);
+    const char x = fold_case(a[i]);
+    const char y = fold_case(b[i]);
     if (x != y) return x < y;
   }
   return a.size() < b.size();

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 namespace phisched::classad {
@@ -66,11 +67,28 @@ class Value {
   std::variant<Undefined, Error, bool, std::int64_t, double, std::string> data_;
 };
 
-/// Case-insensitive ASCII string equality (ClassAd string semantics).
-[[nodiscard]] bool iequals(const std::string& a, const std::string& b);
+/// ASCII lower-casing: the case folding of every ClassAd name and string
+/// comparison (locale-independent).
+[[nodiscard]] constexpr char fold_case(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
 
-/// Case-insensitive ASCII "less than" for ordered containers.
-[[nodiscard]] bool iless(const std::string& a, const std::string& b);
+/// Case-insensitive ASCII string equality (ClassAd string semantics).
+[[nodiscard]] bool iequals(std::string_view a, std::string_view b);
+
+/// Case-insensitive ASCII "less than": the order ads list attributes in.
+[[nodiscard]] bool iless(std::string_view a, std::string_view b);
+
+/// 64-bit FNV-1a over the case-folded bytes of an attribute name: names
+/// that are iequals hash alike, so it keys an ad's attribute slots.
+[[nodiscard]] constexpr std::uint64_t name_hash(std::string_view name) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : name) {
+    h ^= static_cast<unsigned char>(fold_case(c));
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
 
 // --- ClassAd operator semantics over Values -------------------------------
 // Arithmetic: undefined if either side undefined; error on type mismatch.

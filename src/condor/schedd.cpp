@@ -1,5 +1,7 @@
 #include "condor/schedd.hpp"
 
+#include <algorithm>
+
 #include "classad/parser.hpp"
 #include "common/check.hpp"
 #include "common/json.hpp"
@@ -23,8 +25,7 @@ void Schedd::submit(JobId id, classad::ClassAd ad) {
   rec.id = id;
   rec.ad = std::move(ad);
   rec.submit_time = sim_.now();
-  jobs_.emplace(id, std::move(rec));
-  fifo_.push_back(id);
+  live_.push_back(&jobs_.emplace(id, std::move(rec)).first->second);
   if (obs_.rec != nullptr) obs_.jobs_submitted->inc();
 }
 
@@ -70,13 +71,19 @@ void Schedd::qedit_expr(JobId id, const std::string& attr,
   qedit(id, attr, classad::parse(expr_source));
 }
 
+void Schedd::retire_from_live() {
+  if (2 * ++terminal_in_live_ <= live_.size()) return;
+  std::erase_if(live_, [](const JobRecord* rec) {
+    return rec->state == JobState::kCompleted ||
+           rec->state == JobState::kFailed;
+  });
+  terminal_in_live_ = 0;
+}
+
 std::vector<JobId> Schedd::pending() const {
   std::vector<JobId> out;
-  for (JobId id : fifo_) {
-    auto it = jobs_.find(id);
-    if (it != jobs_.end() && it->second.state == JobState::kPending) {
-      out.push_back(id);
-    }
+  for (const JobRecord* rec : live_) {
+    if (rec->state == JobState::kPending) out.push_back(rec->id);
   }
   return out;
 }
@@ -110,6 +117,7 @@ void Schedd::mark_completed(JobId id) {
   rec.finish_time = sim_.now();
   last_finish_ = sim_.now();
   ++completed_;
+  retire_from_live();
   if (obs_.rec != nullptr) {
     obs_.jobs_completed->inc();
     note_terminal(rec, "job_completed");
@@ -126,6 +134,7 @@ void Schedd::mark_failed(JobId id) {
   rec.finish_time = sim_.now();
   last_finish_ = sim_.now();
   ++failed_;
+  retire_from_live();
   if (obs_.rec != nullptr) {
     obs_.jobs_failed->inc();
     note_terminal(rec, "job_failed");
@@ -154,11 +163,10 @@ void Schedd::release_match(JobId id) {
 }
 
 std::size_t Schedd::pending_count() const {
-  std::size_t n = 0;
-  for (const auto& [_, rec] : jobs_) {
-    if (rec.state == JobState::kPending) ++n;
-  }
-  return n;
+  return static_cast<std::size_t>(
+      std::count_if(live_.begin(), live_.end(), [](const JobRecord* rec) {
+        return rec->state == JobState::kPending;
+      }));
 }
 
 }  // namespace phisched::condor

@@ -110,12 +110,19 @@ class Schedd {
   };
 
   void note_terminal(const JobRecord& rec, const char* type);
+  /// Counts one more terminal job in live_ and compacts live_ once
+  /// terminal jobs make up more than half of it.
+  void retire_from_live();
 
   JobRecord& mutable_record(JobId id);
 
   Simulator& sim_;
   std::map<JobId, JobRecord> jobs_;
-  std::vector<JobId> fifo_;  // submission order
+  /// Non-terminal jobs in submission order (map nodes never move), plus
+  /// terminal ones not yet compacted away: walks cost O(live jobs), not
+  /// O(history). A released or requeued job keeps its place.
+  std::vector<const JobRecord*> live_;
+  std::size_t terminal_in_live_ = 0;
   std::size_t completed_ = 0;
   std::size_t failed_ = 0;
   SimTime last_finish_ = 0.0;

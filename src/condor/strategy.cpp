@@ -163,6 +163,7 @@ class BatchStrategy final : public MatchStrategy {
   [[nodiscard]] static bool matches_somewhere(
       const classad::ClassAd& job_ad,
       const std::vector<std::pair<NodeId, classad::ClassAd>>& machines) {
+    if (classad::requirements_never_met(job_ad)) return false;
     for (const auto& [node, ad] : machines) {
       if (classad::symmetric_match(job_ad, ad)) return true;
     }
@@ -464,6 +465,11 @@ std::optional<std::size_t> choose_machine(
     const classad::ClassAd& job_ad,
     const std::vector<std::pair<NodeId, classad::ClassAd>>& machines,
     MachineOrder order, Rng& rng) {
+  // A constant Requirements other than true (MCCK's parked jobs) matches
+  // nothing; an empty candidate set draws no RNG, so skipping the scan
+  // changes no decision.
+  if (classad::requirements_never_met(job_ad)) return std::nullopt;
+
   // Candidate machines whose ads match the job both ways.
   std::vector<std::size_t> candidates;
   for (std::size_t m = 0; m < machines.size(); ++m) {

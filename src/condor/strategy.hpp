@@ -145,7 +145,8 @@ void deduct_from_ad(classad::ClassAd& machine, const classad::ClassAd& job,
 /// Chooses one machine for `job_ad` among those matching both ways, per
 /// `order` (kRandom draws exactly one rng.index per call with a nonempty
 /// candidate set; kBestRank breaks ties toward the lowest index). Returns
-/// nullopt when nothing matches.
+/// nullopt when nothing matches, without a scan when the job's
+/// Requirements is a literal other than true.
 [[nodiscard]] std::optional<std::size_t> choose_machine(
     const classad::ClassAd& job_ad,
     const std::vector<std::pair<NodeId, classad::ClassAd>>& machines,

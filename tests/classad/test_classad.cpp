@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <map>
+
 #include "classad/parser.hpp"
+#include "common/rng.hpp"
 
 namespace phisched::classad {
 namespace {
@@ -110,6 +114,100 @@ TEST(ClassAd, EvalWithTarget) {
   EXPECT_TRUE(job.eval("fits", &machine).as_boolean());
   machine.insert_integer("Free", 50);
   EXPECT_FALSE(job.eval("fits", &machine).as_boolean());
+}
+
+TEST(ClassAd, FindConfirmsTheName) {
+  ClassAd ad;
+  ad.insert_integer("Alpha", 1);
+  ad.insert_integer("Beta", 2);
+  ASSERT_NE(ad.find(name_hash("alpha"), "ALPHA"), nullptr);
+  EXPECT_EQ(ad.find(name_hash("alpha"), "ALPHA"), ad.lookup("Alpha").get());
+  // A key whose hash finds a slot but whose name differs is a miss, as a
+  // hash collision would be.
+  EXPECT_EQ(ad.find(name_hash("Alpha"), "Beta"), nullptr);
+  EXPECT_EQ(ad.find(name_hash("Gamma"), "Gamma"), nullptr);
+}
+
+/// Storage model: a seeded random sequence of operations on names drawn
+/// from a small pool in random letter case, checked after every step
+/// against a reference std::map ordered by iless.
+TEST(ClassAd, MatchesReferenceMapUnderRandomOperations) {
+  struct ILessRef {
+    bool operator()(const std::string& a, const std::string& b) const {
+      return iless(a, b);
+    }
+  };
+  const std::vector<std::string> pool = {
+      "Requirements", "Rank",          "Name",           "FreeSlots",
+      "PhiFreeMemory", "PhiFreeMemory0", "PhiFreeMemory1", "a",
+      "B",             "ab",            "RequestPhiMemBandwidth"};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    ClassAd ad;
+    std::map<std::string, ExprPtr, ILessRef> ref;
+    const auto random_case = [&](std::string name) {
+      for (char& c : name) {
+        if (rng.bernoulli(0.5)) {
+          c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+        } else {
+          c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+        }
+      }
+      return name;
+    };
+    for (int step = 0; step < 400; ++step) {
+      const std::string name = random_case(pool[rng.index(pool.size())]);
+      const auto found = ref.find(name);
+      switch (rng.uniform_int(0, 4)) {
+        case 0:
+        case 1: {
+          const ExprPtr expr =
+              make_literal(Value::integer(rng.uniform_int(-9, 9)));
+          ad.insert(name, expr);
+          if (found == ref.end()) {
+            ref.emplace(name, expr);
+          } else {
+            found->second = expr;  // std::map keeps the first spelling
+          }
+          break;
+        }
+        case 2: {
+          const bool erased = found != ref.end();
+          if (erased) ref.erase(found);
+          EXPECT_EQ(ad.erase(name), erased) << name;
+          break;
+        }
+        case 3:
+          EXPECT_EQ(ad.has(name), found != ref.end()) << name;
+          break;
+        default: {
+          const Value v = ad.eval(name);
+          if (found == ref.end()) {
+            EXPECT_TRUE(v.is_undefined()) << name;
+          } else {
+            EXPECT_TRUE(v.same_as(found->second->literal)) << name;
+          }
+        }
+      }
+      // Presence, the stored expression and the first spelling.
+      for (const std::string& candidate : pool) {
+        const auto it = ref.find(candidate);
+        const ExprPtr stored = ad.lookup(candidate);
+        EXPECT_EQ(stored, it == ref.end() ? nullptr : it->second)
+            << candidate;
+        EXPECT_EQ(ad.find(name_hash(candidate), candidate), stored.get());
+      }
+      std::vector<std::string> names;
+      std::string text;
+      for (const auto& [n, e] : ref) {
+        names.push_back(n);
+        text += n + " = " + to_string(*e) + "\n";
+      }
+      ASSERT_EQ(ad.size(), ref.size());
+      ASSERT_EQ(ad.attribute_names(), names);
+      ASSERT_EQ(ad.to_string(), text);
+    }
+  }
 }
 
 }  // namespace

@@ -148,5 +148,52 @@ TEST(Eval, PaperValueFunctionExpression) {
   EXPECT_DOUBLE_EQ(v.as_real(), 0.75);
 }
 
+TEST(Eval, BareAttributeInMyOnlyIsNotLookedUpInTarget) {
+  ClassAd my;
+  my.insert_expr("x", "undefined");
+  ClassAd target;
+  target.insert_integer("x", 2);
+  // Present in MY: MY decides, even when its value is undefined.
+  EXPECT_TRUE(eval_src("x", &my, &target).is_undefined());
+  EXPECT_EQ(eval_src("x", nullptr, &target).as_integer(), 2);
+}
+
+/// `&&` and `||` over every pair of operand kinds, against a table
+/// written out by hand. The right operand may be missing or a reference
+/// cycle: skipping it when the left side decides must not change a result.
+TEST(Eval, LogicTruthTable) {
+  const char* const lefts[] = {"true", "false", "undefined", "error", "0", "1"};
+  const char* const rights[] = {"true",    "false",   "undefined",
+                                "error",   "Missing", "Cycle"};
+  const char* const kAnd[6][6] = {
+      {"true", "false", "undefined", "error", "undefined", "error"},
+      {"false", "false", "false", "false", "false", "false"},
+      {"undefined", "false", "undefined", "error", "undefined", "error"},
+      {"error", "false", "error", "error", "error", "error"},
+      {"false", "false", "false", "false", "false", "false"},
+      {"true", "false", "undefined", "error", "undefined", "error"},
+  };
+  const char* const kOr[6][6] = {
+      {"true", "true", "true", "true", "true", "true"},
+      {"true", "false", "undefined", "error", "undefined", "error"},
+      {"true", "undefined", "undefined", "error", "undefined", "error"},
+      {"true", "error", "error", "error", "error", "error"},
+      {"true", "false", "undefined", "error", "undefined", "error"},
+      {"true", "true", "true", "true", "true", "true"},
+  };
+  ClassAd my;
+  my.insert_expr("Cycle", "Cycle");
+  for (std::size_t l = 0; l < 6; ++l) {
+    for (std::size_t r = 0; r < 6; ++r) {
+      const std::string lhs = lefts[l];
+      const std::string rhs = rights[r];
+      EXPECT_EQ(eval_src(lhs + " && " + rhs, &my).to_string(), kAnd[l][r])
+          << lhs << " && " << rhs;
+      EXPECT_EQ(eval_src(lhs + " || " + rhs, &my).to_string(), kOr[l][r])
+          << lhs << " || " << rhs;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace phisched::classad

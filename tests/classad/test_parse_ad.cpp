@@ -61,6 +61,26 @@ TEST(ParseAd, RoundTripThroughToString) {
   EXPECT_EQ(reparsed.to_string(), original.to_string());
 }
 
+TEST(ParseAd, TrailingBackslashInStringRoundTrips) {
+  ClassAd original;
+  original.insert_string("S", "tail\\");
+  EXPECT_EQ(original.to_string(), "S = \"tail\\\\\"\n");
+  const ClassAd reparsed = parse_classad(original.to_string());
+  EXPECT_EQ(reparsed.eval_string("S"), "tail\\");
+  EXPECT_EQ(reparsed.to_string(), original.to_string());
+}
+
+TEST(ParseAd, EscapedBackslashBeforeQuoteClosesTheString) {
+  const ClassAd ad = parse_classad(R"(Path = "C:\\"  # note)" "\n");
+  EXPECT_EQ(ad.size(), 1u);
+  EXPECT_EQ(ad.eval_string("Path"), "C:\\");
+}
+
+TEST(ParseAd, HashAfterEscapedBackslashStaysInString) {
+  const ClassAd ad = parse_classad(R"(X = strcat("a\\", "#b"))" "\n");
+  EXPECT_EQ(ad.eval_string("X"), "a\\#b");
+}
+
 TEST(ParseAd, NoTrailingNewlineOk) {
   const ClassAd ad = parse_classad("X = 5");
   EXPECT_EQ(ad.eval_integer("X"), 5);

@@ -20,11 +20,17 @@ ExprPtr random_expr(Rng& rng, int depth) {
         return make_literal(
             Value::real(static_cast<double>(rng.uniform_int(-40, 40)) / 4.0));
       case 2: return make_literal(Value::boolean(rng.bernoulli(0.5)));
+      case 3: {
+        // Plain strings and ones the unparser must re-escape: a
+        // backslash, a quote, a comment marker, a newline and a tab.
+        static const char* const kStrings[] = {
+            "s0", "s1", "s2", "s3", "tail\\", "say \"hi\"", "a#b",
+            "two\nlines", "tab\there", "\\\"#"};
+        return make_literal(
+            Value::string(kStrings[rng.index(std::size(kStrings))]));
+      }
       // std::string("x") + ...: the const char* + string&& overload trips
       // GCC 12's bogus -Wrestrict (PR 105651) under -Werror.
-      case 3:
-        return make_literal(Value::string(
-            std::string("s") + std::to_string(rng.uniform_int(0, 3))));
       case 4:
         return make_attr(AttrScope::kMy,
                          std::string("a") + std::to_string(rng.uniform_int(0, 2)));

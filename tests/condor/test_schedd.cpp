@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "classad/parser.hpp"
+#include "common/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace phisched::condor {
@@ -108,6 +109,89 @@ TEST_F(ScheddTest, TerminalCallbackFires) {
   schedd_.mark_matched(2, 0);
   schedd_.mark_failed(2);
   EXPECT_EQ(terminal, (std::vector<JobId>{1, 2}));
+}
+
+TEST_F(ScheddTest, RequeuedJobKeepsItsFifoPosition) {
+  schedd_.submit(1, simple_ad());
+  schedd_.submit(2, simple_ad());
+  schedd_.submit(3, simple_ad());
+  schedd_.mark_matched(2, 0);
+  schedd_.mark_running(2);
+  // Later submissions, and enough retirements to compact the live list
+  // while job 2 is away.
+  schedd_.submit(4, simple_ad());
+  schedd_.submit(5, simple_ad());
+  for (const JobId id : {JobId{1}, JobId{3}, JobId{4}}) {
+    schedd_.mark_matched(id, 0);
+    schedd_.mark_running(id);
+    schedd_.mark_completed(id);
+  }
+  schedd_.submit(6, simple_ad());
+  schedd_.requeue(2, simple_ad());
+  EXPECT_EQ(schedd_.pending(), (std::vector<JobId>{2, 5, 6}));
+  // A refused dispatch returns a job to its place as well.
+  schedd_.mark_matched(5, 0);
+  schedd_.release_match(5);
+  EXPECT_EQ(schedd_.pending(), (std::vector<JobId>{2, 5, 6}));
+  EXPECT_EQ(schedd_.pending_count(), 3u);
+}
+
+TEST_F(ScheddTest, PendingCountTracksPendingThroughALifecycle) {
+  // Random transitions over a stream of submissions; after every step
+  // pending() must be the submission order filtered by state.
+  Rng rng(11);
+  std::vector<JobId> submitted;
+  std::vector<JobId> active;  // not yet terminal
+  JobId next = 0;
+  for (int step = 0; step < 2000; ++step) {
+    if (active.empty() || rng.bernoulli(0.2)) {
+      schedd_.submit(next, simple_ad());
+      submitted.push_back(next);
+      active.push_back(next++);
+    } else {
+      const std::size_t at = rng.index(active.size());
+      const JobId id = active[at];
+      switch (schedd_.record(id).state) {
+        case JobState::kPending:
+          schedd_.mark_matched(id, 0);
+          break;
+        case JobState::kMatched:
+          if (rng.bernoulli(0.3)) {
+            schedd_.release_match(id);
+          } else if (rng.bernoulli(0.1)) {
+            schedd_.mark_failed(id);
+          } else {
+            schedd_.mark_running(id);
+          }
+          break;
+        case JobState::kRunning:
+          if (rng.bernoulli(0.2)) {
+            schedd_.requeue(id, simple_ad());
+          } else if (rng.bernoulli(0.1)) {
+            schedd_.mark_failed(id);
+          } else {
+            schedd_.mark_completed(id);
+          }
+          break;
+        default:
+          break;
+      }
+      const JobState state = schedd_.record(id).state;
+      if (state == JobState::kCompleted || state == JobState::kFailed) {
+        active.erase(active.begin() + static_cast<std::ptrdiff_t>(at));
+      }
+    }
+    std::vector<JobId> expected;
+    for (const JobId id : submitted) {
+      if (schedd_.record(id).state == JobState::kPending) {
+        expected.push_back(id);
+      }
+    }
+    ASSERT_EQ(schedd_.pending(), expected) << "step " << step;
+    ASSERT_EQ(schedd_.pending_count(), schedd_.pending().size());
+  }
+  EXPECT_GT(schedd_.completed_count(), 0u);
+  EXPECT_GT(schedd_.failed_count(), 0u);
 }
 
 TEST_F(ScheddTest, UnknownJobThrows) {

@@ -388,6 +388,40 @@ TEST_F(StrategyTest, ChooseMachineDrawsNoRngWhenNothingMatches) {
   EXPECT_EQ(a.index(1000), b.index(1000));
 }
 
+TEST_F(StrategyTest, ConstantRequirementsFoldBeforeTheScan) {
+  // MCCK parks unpinned jobs at `Requirements = false`. A literal other
+  // than true accepts no machine, so choose_machine answers without a
+  // scan and without touching the RNG, whatever the order.
+  for (NodeId n = 0; n < 4; ++n) {
+    add_machine(n, machine_ad(n, 16, 7600, 7600, 240));
+  }
+  workload::JobSpec spec;
+  spec.id = 9;
+  spec.mem_req_mib = 10;
+  spec.threads_req = 10;
+  for (const char* literal : {"false", "undefined", "error", "1", "\"yes\""}) {
+    const classad::ClassAd job = make_job_ad(spec, literal);
+    EXPECT_TRUE(classad::requirements_never_met(job)) << literal;
+    for (const MachineOrder order :
+         {MachineOrder::kFirstFit, MachineOrder::kRandom,
+          MachineOrder::kBestRank}) {
+      Rng rng(77);
+      Rng pristine = rng;
+      EXPECT_EQ(choose_machine(job, machines_, order, rng), std::nullopt)
+          << literal;
+      EXPECT_TRUE(rng.engine() == pristine.engine()) << literal;
+    }
+  }
+  // `true` and a non-literal expression still scan.
+  for (const char* reqs : {"true", "TARGET.FreeSlots >= 1"}) {
+    const classad::ClassAd job = make_job_ad(spec, reqs);
+    EXPECT_FALSE(classad::requirements_never_met(job)) << reqs;
+    EXPECT_EQ(choose_machine(job, machines_, MachineOrder::kFirstFit, rng_),
+              std::optional<std::size_t>{0})
+        << reqs;
+  }
+}
+
 TEST_F(StrategyTest, MakeStrategyRejectsBadBatchKnobs) {
   NegotiationConfig config;
   config.strategy = MatchStrategyKind::kBatch;
