@@ -1,11 +1,22 @@
 #include "knapsack/dp2d.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/quantize.hpp"
 
 namespace phisched::knapsack {
+
+namespace {
+// An item that fits the bin on its own, with its size in DP units.
+struct Fit {
+  std::size_t index = 0;  ///< into Problem::items
+  std::size_t buckets = 0;
+  std::size_t threads = 0;
+};
+}  // namespace
 
 Solution Dp2DSolver::solve(const Problem& problem) const {
   PHISCHED_REQUIRE(problem.capacity_mib >= 0, "dp2d: negative capacity");
@@ -18,51 +29,61 @@ Solution Dp2DSolver::solve(const Problem& problem) const {
   const auto tcap = static_cast<std::size_t>(problem.thread_capacity);
   if (n == 0 || w == 0 || tcap == 0) return {};
 
-  std::vector<std::size_t> wb(n);
+  // An item heavier than the bin or wider than its thread budget is never
+  // taken, so it is dropped. The grid stops at the remaining items' totals:
+  // a cell past them holds the same optimum and picks as the capped one.
+  std::vector<Fit> fits;
+  std::size_t cap_w = 0;
+  std::size_t cap_t = 0;
   for (std::size_t i = 0; i < n; ++i) {
     PHISCHED_REQUIRE(problem.items[i].weight_mib > 0, "dp2d: zero-weight item");
     PHISCHED_REQUIRE(problem.items[i].threads > 0, "dp2d: zero-thread item");
-    wb[i] = static_cast<std::size_t>(
+    const auto buckets = static_cast<std::size_t>(
         quantize_up(problem.items[i].weight_mib, problem.quantum_mib) /
         problem.quantum_mib);
+    const auto threads = static_cast<std::size_t>(problem.items[i].threads);
+    if (buckets > w || threads > tcap) continue;
+    fits.push_back(Fit{i, buckets, threads});
+    cap_w = std::min(w, cap_w + buckets);
+    cap_t = std::min(tcap, cap_t + threads);
   }
+  if (fits.empty()) return {};
 
-  const std::size_t cols = (w + 1) * (tcap + 1);
-  auto at = [&](std::size_t m, std::size_t t) { return m * (tcap + 1) + t; };
+  // best[m * stride + t]: the optimum over the items seen so far within m
+  // buckets and t threads, updated in place. Rows run from high to low so
+  // a take always reads the previous item's row m - buckets.
+  const std::size_t stride = cap_t + 1;
+  const std::size_t cells = (cap_w + 1) * stride;
+  std::vector<double> best(cells, 0.0);
+  // Bit k * cells + m * stride + t: whether item k is taken at (m, t).
+  std::vector<std::uint64_t> took((fits.size() * cells + 63) / 64, 0);
 
-  std::vector<double> prev(cols, 0.0);
-  std::vector<double> curr(cols, 0.0);
-  std::vector<bool> took(n * cols, false);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const Item& item = problem.items[i];
-    const auto ti = static_cast<std::size_t>(item.threads);
-    for (std::size_t m = 0; m <= w; ++m) {
-      for (std::size_t t = 0; t <= tcap; ++t) {
-        double best = prev[at(m, t)];
-        bool take = false;
-        if (wb[i] <= m && ti <= t) {
-          const double cand = prev[at(m - wb[i], t - ti)] + item.value;
-          if (cand > best) {
-            best = cand;
-            take = true;
-          }
+  for (std::size_t k = 0; k < fits.size(); ++k) {
+    const Fit& fit = fits[k];
+    const double value = problem.items[fit.index].value;
+    for (std::size_t m = cap_w + 1; m-- > fit.buckets;) {
+      const std::size_t row = m * stride;
+      const std::size_t src = (m - fit.buckets) * stride;
+      for (std::size_t t = fit.threads; t <= cap_t; ++t) {
+        const double cand = best[src + t - fit.threads] + value;
+        if (cand > best[row + t]) {
+          best[row + t] = cand;
+          const std::size_t bit = k * cells + row + t;
+          took[bit / 64] |= std::uint64_t{1} << (bit % 64);
         }
-        curr[at(m, t)] = best;
-        took[i * cols + at(m, t)] = take;
       }
     }
-    std::swap(prev, curr);
   }
 
   std::vector<std::size_t> picks;
-  std::size_t m = w;
-  std::size_t t = tcap;
-  for (std::size_t i = n; i-- > 0;) {
-    if (took[i * cols + at(m, t)]) {
-      picks.push_back(i);
-      m -= wb[i];
-      t -= static_cast<std::size_t>(problem.items[i].threads);
+  std::size_t m = cap_w;
+  std::size_t t = cap_t;
+  for (std::size_t k = fits.size(); k-- > 0;) {
+    const std::size_t bit = k * cells + m * stride + t;
+    if ((took[bit / 64] >> (bit % 64)) & 1U) {
+      picks.push_back(fits[k].index);
+      m -= fits[k].buckets;
+      t -= fits[k].threads;
     }
   }
   Solution s = materialize(problem, std::move(picks));

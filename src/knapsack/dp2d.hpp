@@ -4,9 +4,16 @@
 // Unlike the paper's 1-D formulation (dp1d.hpp), which folds the thread
 // limit into the value as a heuristic, this solver carries the thread
 // budget in the DP state and is exact for the doubly-constrained packing
-// problem. Complexity O(n · w · T); used by tests as ground truth on small
-// instances and by the ablation bench to quantify how much the paper's
-// heuristic gives up.
+// problem. It is the default packer of the batched negotiation strategy
+// (condor::BatchStrategy) and of the admission controller's
+// `--admit-packer`; tests use it as ground truth and the ablation bench
+// compares the paper's heuristic against it.
+//
+// Cost O(k · min(w, Σwb) · min(T, Σt)) over the k items that fit the bin
+// alone. Exact: an unfit item is never taken, and after items 0..i cell
+// (m, t) equals cell (min(m, S_i), min(t, U_i)) for the prefix sums S_i, U_i
+// of buckets and threads, so backtracking from the capped corner takes the
+// picks a full (w, T) table would. On equal value the later item is left out.
 #pragma once
 
 #include "knapsack/solver.hpp"

@@ -90,7 +90,7 @@ TEST(ArrivalSpec, RejectsNonFiniteValues) {
 
 TEST(ArrivalSpec, RejectsDuplicateKeysNamingTheKey) {
   try {
-    ArrivalSpec::parse("poisson:rate=1,rate=2");
+    static_cast<void>(ArrivalSpec::parse("poisson:rate=1,rate=2"));
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("rate"), std::string::npos);
