@@ -133,8 +133,11 @@ void Harness::build_condor() {
         break;
     }
     addon_ = std::make_unique<core::SharingAwareScheduler>(
-        schedd_, collector_, std::move(policy), addon_config);
-    negotiator_->set_pre_cycle_hook([this] { addon_->pre_cycle(); });
+        schedd_, std::move(policy), addon_config);
+    negotiator_->set_pre_cycle_hook(
+        [this](const condor::MachineAds& machines) {
+          addon_->pre_cycle(machines);
+        });
   }
 
   schedd_.set_on_terminal([this](const condor::JobRecord& rec) {

@@ -92,17 +92,13 @@ classad::ClassAd Node::machine_ad() const {
   // below carry the exact per-card numbers.
   ThreadCount max_hw_threads = 0;
   MiB max_usable = 0;
-  std::vector<phi::DeviceCapability> caps;
   for (DeviceId d = 0; d < device_count(); ++d) {
-    const phi::DeviceCapability& cap = device(d).capability();
-    max_hw_threads = std::max(max_hw_threads, cap.hw.hw_threads());
-    max_usable = std::max(max_usable, cap.hw.usable_memory_mib());
-    caps.push_back(cap);
+    const PhiHardware& hw = device(d).capability().hw;
+    max_hw_threads = std::max(max_hw_threads, hw.hw_threads());
+    max_usable = std::max(max_usable, hw.usable_memory_mib());
   }
   ad.insert_integer(condor::kAttrPhiHwThreads, max_hw_threads);
   ad.insert_integer(condor::kAttrPhiTotalMemory, max_usable);
-  ad.insert_string(condor::kAttrPhiGenerations,
-                   phi::device_spec_to_string(caps));
   ad.insert_integer(condor::kAttrPhiFreeDevices, free_exclusive_devices());
 
   MiB best_free = 0;
@@ -114,15 +110,10 @@ classad::ClassAd Node::machine_ad() const {
     // budget; schedulers need the raw value to account residents.
     ad.insert_integer(condor::per_device_threads_attr(d),
                       middleware_->unreserved_threads(d));
-    const phi::DeviceCapability& cap = caps[static_cast<std::size_t>(d)];
-    ad.insert_string(condor::per_device_generation_attr(d), cap.generation);
-    ad.insert_integer(condor::per_device_hw_threads_attr(d),
-                      cap.hw.hw_threads());
+    const PhiHardware& hw = device(d).capability().hw;
+    ad.insert_integer(condor::per_device_hw_threads_attr(d), hw.hw_threads());
     ad.insert_integer(condor::per_device_total_memory_attr(d),
-                      cap.hw.usable_memory_mib());
-    ad.insert_real(condor::per_device_link_bw_attr(d),
-                   cap.link_bandwidth_mib_s);
-    ad.insert_real(condor::per_device_mem_bw_attr(d), cap.mem_bandwidth_mib_s);
+                      hw.usable_memory_mib());
     // Published raw (possibly negative under oversubscription) whenever
     // the contention model is on; absent when it is off.
     if (device(d).mem_bw_budget() >= 0.0) {

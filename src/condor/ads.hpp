@@ -5,9 +5,14 @@
 // device count, free card memory, and free devices. Job ads carry the two
 // user-declared requirements (memory, threads) plus the Requirements
 // expression that gates matchmaking.
+//
+// The schedulers read those resources through the two decoders at the
+// bottom (device_ads, job_request), never attribute by attribute, so each
+// attribute has exactly one fallback rule.
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "classad/classad.hpp"
 #include "common/types.hpp"
@@ -29,24 +34,15 @@ inline constexpr const char* kAttrPhiHwThreads = "PhiHwThreads";
 /// Usable card memory per device (MiB) — the capacity the occupancy
 /// thresholds of the batched strategy are fractions of.
 inline constexpr const char* kAttrPhiTotalMemory = "PhiTotalMemory";
-/// Run-length device spec of the node's fleet ("2x5110P+2x7120P");
-/// "5110P" repeated per card on the homogeneous default.
-inline constexpr const char* kAttrPhiGenerations = "PhiGenerations";
 /// Per-device unreserved memory: PhiFreeMemory0, PhiFreeMemory1, ...
 [[nodiscard]] std::string per_device_memory_attr(DeviceId d);
 /// Per-device unreserved (declared) threads: PhiFreeThreads0, ...
 [[nodiscard]] std::string per_device_threads_attr(DeviceId d);
-/// Per-device generation name: PhiGeneration0 = "5110P", ...
-[[nodiscard]] std::string per_device_generation_attr(DeviceId d);
 /// Per-device hardware threads: PhiHwThreads0, ... (may differ per card
 /// on heterogeneous nodes; the node-level PhiHwThreads is the max).
 [[nodiscard]] std::string per_device_hw_threads_attr(DeviceId d);
 /// Per-device usable memory (MiB): PhiTotalMemory0, ...
 [[nodiscard]] std::string per_device_total_memory_attr(DeviceId d);
-/// Per-device PCIe link bandwidth (MiB/s): PhiLinkBandwidth0, ...
-[[nodiscard]] std::string per_device_link_bw_attr(DeviceId d);
-/// Per-device aggregate memory bandwidth (MiB/s): PhiMemBandwidth0, ...
-[[nodiscard]] std::string per_device_mem_bw_attr(DeviceId d);
 /// Per-device unreserved bandwidth budget (MiB/s): PhiFreeBandwidth0, ...
 /// Published only when the bandwidth-contention model is on.
 [[nodiscard]] std::string per_device_free_bw_attr(DeviceId d);
@@ -95,5 +91,38 @@ inline constexpr const char* kAttrJobPrio = "JobPrio";
 /// Builds a job ad from a JobSpec with the given Requirements source.
 [[nodiscard]] classad::ClassAd make_job_ad(const workload::JobSpec& job,
                                            const std::string& requirements);
+
+// --- decoders -----------------------------------------------------------------
+
+/// One card as its machine ad advertises it. Each field reads the
+/// per-device attribute, else the node-level one, else the default.
+struct DeviceAd {
+  /// PhiFreeMemory<d>, else PhiFreeMemory, else 0.
+  MiB free_memory_mib = 0;
+  /// PhiTotalMemory<d>, else PhiTotalMemory, else free_memory_mib.
+  MiB total_memory_mib = 0;
+  /// PhiHwThreads<d>, else PhiHwThreads, else 240.
+  ThreadCount hw_threads = 240;
+  /// PhiFreeThreads<d>, else hw_threads. Negative once resident declared
+  /// threads stack past the hardware.
+  ThreadCount free_threads = 240;
+  /// PhiFreeBandwidth<d>, else -1: the contention model is off and
+  /// bandwidth constrains nothing.
+  double free_bw = -1.0;
+};
+
+/// The cards of a machine ad, indexed by DeviceId. An ad without
+/// PhiDevices advertises no cards.
+[[nodiscard]] std::vector<DeviceAd> device_ads(const classad::ClassAd& machine);
+
+/// A job ad's declared request.
+struct JobRequest {
+  MiB mem_mib = 0;          ///< RequestPhiMemory (per device), else 0
+  ThreadCount threads = 0;  ///< RequestPhiThreads, else 0
+  int devices = 1;          ///< RequestPhiDevices, else 1
+  double bw = 0.0;          ///< RequestPhiMemBandwidth, else 0 (none)
+};
+
+[[nodiscard]] JobRequest job_request(const classad::ClassAd& job);
 
 }  // namespace phisched::condor

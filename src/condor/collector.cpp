@@ -36,9 +36,8 @@ const classad::ClassAd& Collector::resolve(const Entry& entry) const {
   return *entry.cached;
 }
 
-std::vector<std::pair<NodeId, classad::ClassAd>> Collector::machine_ads()
-    const {
-  std::vector<std::pair<NodeId, classad::ClassAd>> out;
+MachineAds Collector::machine_ads() const {
+  MachineAds out;
   out.reserve(sources_.size());
   for (const auto& [node, entry] : sources_) {
     out.emplace_back(node, resolve(entry));

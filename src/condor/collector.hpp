@@ -19,6 +19,9 @@
 
 namespace phisched::condor {
 
+/// One negotiation cycle's machine ads, ordered by node id.
+using MachineAds = std::vector<std::pair<NodeId, classad::ClassAd>>;
+
 class Collector {
  public:
   using AdSource = std::function<classad::ClassAd()>;
@@ -37,8 +40,7 @@ class Collector {
 
   /// Snapshot of all machine ads, ordered by node id. With an update
   /// interval configured these are the ads as of the last update epoch.
-  [[nodiscard]] std::vector<std::pair<NodeId, classad::ClassAd>> machine_ads()
-      const;
+  [[nodiscard]] MachineAds machine_ads() const;
 
   /// Ad for one node (same staleness semantics); throws if unknown.
   [[nodiscard]] classad::ClassAd machine_ad(NodeId node) const;

@@ -50,9 +50,9 @@ void Negotiator::stop() { timer_.reset(); }
 
 void Negotiator::run_cycle() {
   ++stats_.cycles;
-  if (pre_cycle_) pre_cycle_();
+  MachineAds machines = collector_.machine_ads();
+  if (pre_cycle_) pre_cycle_(machines);
 
-  auto machines = collector_.machine_ads();
   std::vector<JobId> pending = schedd_.pending();
 
   if (obs_.rec != nullptr) {
@@ -70,7 +70,6 @@ void Negotiator::run_cycle() {
   MatchCycle cycle{schedd_,
                    rng_,
                    config_.order,
-                   config_.deduct_custom_resources,
                    machines,
                    pending,
                    dispatch_,

@@ -1,20 +1,22 @@
 // The negotiator: periodic matchmaking between pending jobs and machine
 // ads (Section II-D).
 //
-// Each negotiation cycle snapshots the machine ads, orders pending jobs
-// (priority, then FIFO), and hands both to the configured MatchStrategy
-// (see condor/strategy.hpp): the default FifoStrategy walks jobs one at a
-// time exactly like stock Condor; BatchStrategy drains a batch and solves
-// its placement jointly under occupancy thresholds. A successful claim
-// deducts the job's requested resources from the cycle-local copy of the
-// machine ad (so one cycle can pack several jobs onto a node without
-// oversubscribing the advertisement) and hands the (job, node) pair to
-// the dispatch callback, which models the shadow/starter launch path.
+// Each negotiation cycle snapshots the machine ads once, runs the
+// pre-cycle hook over that snapshot, orders pending jobs (priority, then
+// FIFO), and hands both to the configured MatchStrategy (see
+// condor/strategy.hpp): the default FifoStrategy walks jobs one at a time
+// exactly like stock Condor; BatchStrategy drains a batch and solves its
+// placement jointly under occupancy thresholds. A successful claim takes
+// one slot from the cycle-local copy of the machine ad (so one cycle can
+// pack several jobs onto a node without claiming more slots than it
+// advertises) and hands the (job, node) pair to the dispatch callback,
+// which models the shadow/starter launch path.
 //
 // The optional pre-cycle hook is the integration point for the paper's
 // sharing-aware add-on: it runs right before matchmaking, exactly like the
 // external scheduler that batches condor_qedit updates so they are visible
-// to the next cycle.
+// to the next cycle. It only edits job ads, so the snapshot it reads is
+// the one matchmaking sees.
 #pragma once
 
 #include <functional>
@@ -33,15 +35,6 @@ namespace phisched::condor {
 struct NegotiatorConfig {
   SimTime cycle_interval = 10.0;
   MachineOrder order = MachineOrder::kRandom;
-  /// Whether the cycle-local machine-ad copy deducts the CUSTOM Phi
-  /// resource attributes (PhiFreeMemory, PhiFreeDevices) as jobs are
-  /// matched. Vanilla Condor deducts only standard claimed resources
-  /// (slots); custom attributes stay stale until the next collector
-  /// update, so several jobs can match the same advertised memory within
-  /// one cycle and the surplus dispatches fail at the node. Keep false to
-  /// model the paper's stock Condor (MC/MCC); the sharing-aware add-on
-  /// does its own consistent accounting and does not need this either.
-  bool deduct_custom_resources = false;
   /// Which matchmaking strategy runs the cycle (default: the paper's
   /// per-job FIFO walk).
   NegotiationConfig negotiation;
@@ -62,6 +55,8 @@ class Negotiator {
   /// Dispatch callback: launch `job` on `node`. Returning false refuses
   /// the match (the job goes back to pending).
   using DispatchFn = std::function<bool(JobId, NodeId)>;
+  /// Pre-cycle hook: sees the cycle's machine-ad snapshot.
+  using PreCycleHook = std::function<void(const MachineAds&)>;
 
   Negotiator(Simulator& sim, Schedd& schedd, Collector& collector,
              DispatchFn dispatch, NegotiatorConfig config, Rng rng);
@@ -70,7 +65,7 @@ class Negotiator {
   Negotiator& operator=(const Negotiator&) = delete;
 
   /// Installs the add-on hook executed at the start of every cycle.
-  void set_pre_cycle_hook(std::function<void()> hook) {
+  void set_pre_cycle_hook(PreCycleHook hook) {
     pre_cycle_ = std::move(hook);
   }
 
@@ -120,7 +115,7 @@ class Negotiator {
   NegotiatorConfig config_;
   Rng rng_;
   std::unique_ptr<MatchStrategy> strategy_;
-  std::function<void()> pre_cycle_;
+  PreCycleHook pre_cycle_;
   std::unique_ptr<PeriodicTimer> timer_;
   NegotiatorStats stats_;
   Telemetry obs_;

@@ -14,31 +14,45 @@ namespace phisched::condor {
 
 namespace {
 
-/// One FIFO-style match attempt for `job_id` against the (deducted)
-/// machine snapshot — the shared per-job path: FifoStrategy's whole loop,
-/// and BatchStrategy's fallback for gang jobs the packer cannot place.
-void match_one(MatchCycle& cycle, JobId job_id, CycleOutcome& outcome) {
-  const JobRecord& rec = cycle.schedd.record(job_id);
-  if (rec.state != JobState::kPending) return;  // hook may have acted
-  const classad::ClassAd& job_ad = rec.ad;
+/// Claims one slot in the cycle-local machine ad copy. Custom Phi
+/// attributes stay as advertised until the next snapshot, as in vanilla
+/// Condor: surplus matches fail at dispatch and retry next cycle.
+void claim_slot(classad::ClassAd& machine) {
+  if (!machine.has(kAttrFreeSlots)) return;
+  machine.insert_integer(kAttrFreeSlots,
+                         machine.eval_integer(kAttrFreeSlots).value_or(0) - 1);
+}
 
-  const auto chosen =
-      choose_machine(job_ad, cycle.machines, cycle.order, cycle.rng);
-  if (!chosen.has_value()) return;
-
-  const NodeId node = cycle.machines[*chosen].first;
+/// Marks `job_id` matched to `node` and dispatches it: a success claims a
+/// slot from `machine`, a refusal puts the job back to pending.
+void enact(MatchCycle& cycle, JobId job_id, NodeId node,
+           classad::ClassAd& machine, CycleOutcome& outcome) {
   cycle.schedd.mark_matched(job_id, node);
   if (cycle.dispatch(job_id, node)) {
     ++outcome.matches;
-    deduct_from_ad(cycle.machines[*chosen].second, job_ad,
-                   cycle.deduct_custom_resources);
+    claim_slot(machine);
     if (cycle.want_latencies) {
-      outcome.match_latencies.push_back(cycle.now - rec.submit_time);
+      outcome.match_latencies.push_back(
+          cycle.now - cycle.schedd.record(job_id).submit_time);
     }
   } else {
     ++outcome.rejected_dispatches;
     cycle.schedd.release_match(job_id);
   }
+}
+
+/// One FIFO-style match attempt for `job_id` against the machine
+/// snapshot, net of this cycle's slot claims — the shared per-job path:
+/// FifoStrategy's whole loop, and BatchStrategy's fallback for gang jobs
+/// the packer cannot place.
+void match_one(MatchCycle& cycle, JobId job_id, CycleOutcome& outcome) {
+  const JobRecord& rec = cycle.schedd.record(job_id);
+  if (rec.state != JobState::kPending) return;  // hook may have acted
+  const auto chosen =
+      choose_machine(rec.ad, cycle.machines, cycle.order, cycle.rng);
+  if (!chosen.has_value()) return;
+  auto& [node, machine] = cycle.machines[*chosen];
+  enact(cycle, job_id, node, machine, outcome);
 }
 
 class FifoStrategy final : public MatchStrategy {
@@ -56,45 +70,35 @@ class FifoStrategy final : public MatchStrategy {
   }
 };
 
-/// Per-device packing budgets derived from one machine ad under the
-/// occupancy thresholds: budget = floor(occ * total) - (total - free),
-/// clamped to [0, free] — i.e. the headroom the threshold leaves once
-/// residents (and this cycle's earlier claims) are accounted.
-struct DeviceBudget {
-  MiB mem = 0;
+/// The declared threads and memory the occupancy thresholds allow on
+/// one card: floor(occ * hw_threads) and floor(occ-mem * total memory).
+struct OccupancyCap {
   ThreadCount threads = 0;
-  /// Unreserved bandwidth headroom; < 0 when the machine does not
-  /// publish PhiFreeBandwidth<d> (contention model off).
-  double bw = -1.0;
+  MiB mem = 0;
 };
 
-DeviceBudget device_budget(const classad::ClassAd& machine, DeviceId d,
+OccupancyCap occupancy_cap(const DeviceAd& card,
                            const BatchNegotiationConfig& config) {
-  // Heterogeneous fleets publish per-device geometry; the node-level
-  // attributes (the fleet max) remain the fallback for older ads.
-  const auto hw = static_cast<ThreadCount>(
-      machine.eval_integer(per_device_hw_threads_attr(d))
-          .value_or(machine.eval_integer(kAttrPhiHwThreads).value_or(240)));
-  const auto free_threads = static_cast<ThreadCount>(
-      machine.eval_integer(per_device_threads_attr(d)).value_or(hw));
-  const MiB free_mem =
-      machine.eval_integer(per_device_memory_attr(d))
-          .value_or(machine.eval_integer(kAttrPhiFreeMemory).value_or(0));
-  const MiB total_mem =
-      machine.eval_integer(per_device_total_memory_attr(d))
-          .value_or(machine.eval_integer(kAttrPhiTotalMemory).value_or(free_mem));
+  return {static_cast<ThreadCount>(config.occupancy_threads *
+                                   static_cast<double>(card.hw_threads)),
+          static_cast<MiB>(config.occupancy_memory *
+                           static_cast<double>(card.total_memory_mib))};
+}
 
-  DeviceBudget budget;
-  budget.bw = machine.eval_real(per_device_free_bw_attr(d)).value_or(-1.0);
-  const auto thread_cap = static_cast<ThreadCount>(
-      config.occupancy_threads * static_cast<double>(hw));
-  budget.threads = std::clamp(thread_cap - (hw - free_threads),
-                              ThreadCount{0}, std::max(ThreadCount{0}, free_threads));
-  const auto mem_cap = static_cast<MiB>(config.occupancy_memory *
-                                        static_cast<double>(total_mem));
-  budget.mem =
-      std::clamp(mem_cap - (total_mem - free_mem), MiB{0}, std::max(MiB{0}, free_mem));
-  return budget;
+/// A card's packing bin: the headroom its occupancy cap leaves once
+/// residents are accounted, clamped to [0, free].
+knapsack::BatchBin device_bin(const DeviceAd& card,
+                              const BatchNegotiationConfig& config) {
+  const OccupancyCap cap = occupancy_cap(card, config);
+  knapsack::BatchBin bin;
+  bin.mem_capacity_mib =
+      std::clamp(cap.mem - (card.total_memory_mib - card.free_memory_mib),
+                 MiB{0}, std::max(MiB{0}, card.free_memory_mib));
+  bin.thread_capacity =
+      std::clamp(cap.threads - (card.hw_threads - card.free_threads),
+                 ThreadCount{0}, std::max(ThreadCount{0}, card.free_threads));
+  bin.bw_capacity = card.free_bw;
+  return bin;
 }
 
 class BatchStrategy final : public MatchStrategy {
@@ -132,25 +136,32 @@ class BatchStrategy final : public MatchStrategy {
     outcome.batch_jobs = batch.size();
     if (batch.empty()) return outcome;
 
+    // Claims change only FreeSlots, so each machine's cards are decoded
+    // once per cycle.
+    std::vector<std::vector<DeviceAd>> cards;
+    cards.reserve(cycle.machines.size());
+    for (const auto& [node, ad] : cycle.machines) {
+      cards.push_back(device_ads(ad));
+    }
+
     // Two classes bypass the per-device packer and take the per-job FIFO
     // path after the batch is placed: gang jobs (devices_req > 1, which a
     // per-bin knapsack cannot co-schedule) and oversized jobs whose
-    // declaration alone exceeds the occupancy budget of an IDLE device on
-    // every machine — the threshold could never admit them, so without
-    // the fallback they would starve forever.
-    std::vector<JobId> singles;
+    // declaration alone exceeds the occupancy cap of every card in the
+    // pool — the threshold could never admit them, so without the
+    // fallback they would starve forever.
+    std::vector<std::pair<JobId, JobRequest>> singles;
     std::vector<JobId> fallback;
     for (const JobId job_id : batch) {
-      const classad::ClassAd& ad = cycle.schedd.record(job_id).ad;
-      if (ad.eval_integer(kAttrRequestPhiDevices).value_or(1) > 1 ||
-          oversized(ad, cycle.machines)) {
+      const JobRequest request = job_request(cycle.schedd.record(job_id).ad);
+      if (request.devices > 1 || oversized(request, cards)) {
         fallback.push_back(job_id);
       } else {
-        singles.push_back(job_id);
+        singles.emplace_back(job_id, request);
       }
     }
 
-    if (!singles.empty()) pack_singles(cycle, singles, outcome);
+    if (!singles.empty()) pack_singles(cycle, cards, singles, outcome);
     for (const JobId job_id : fallback) match_one(cycle, job_id, outcome);
     return outcome;
   }
@@ -160,9 +171,8 @@ class BatchStrategy final : public MatchStrategy {
   }
 
  private:
-  [[nodiscard]] static bool matches_somewhere(
-      const classad::ClassAd& job_ad,
-      const std::vector<std::pair<NodeId, classad::ClassAd>>& machines) {
+  [[nodiscard]] static bool matches_somewhere(const classad::ClassAd& job_ad,
+                                              const MachineAds& machines) {
     if (classad::requirements_never_met(job_ad)) return false;
     for (const auto& [node, ad] : machines) {
       if (classad::symmetric_match(job_ad, ad)) return true;
@@ -170,59 +180,41 @@ class BatchStrategy final : public MatchStrategy {
     return false;
   }
 
-  /// True when no machine's idle-device occupancy budget could ever hold
-  /// this declaration (threads over floor(occ * hw) or memory over
-  /// floor(occ-mem * total) everywhere).
+  /// True when no card's occupancy cap could ever hold this declaration.
   [[nodiscard]] bool oversized(
-      const classad::ClassAd& job_ad,
-      const std::vector<std::pair<NodeId, classad::ClassAd>>& machines) const {
-    const MiB mem = job_ad.eval_integer(kAttrRequestPhiMemory).value_or(0);
-    const auto threads = static_cast<ThreadCount>(
-        job_ad.eval_integer(kAttrRequestPhiThreads).value_or(0));
-    for (const auto& [node, ad] : machines) {
-      const auto hw = static_cast<ThreadCount>(
-          ad.eval_integer(kAttrPhiHwThreads).value_or(240));
-      const MiB total = ad.eval_integer(kAttrPhiTotalMemory)
-                            .value_or(ad.eval_integer(kAttrPhiFreeMemory)
-                                          .value_or(0));
-      const auto thread_cap = static_cast<ThreadCount>(
-          config_.occupancy_threads * static_cast<double>(hw));
-      const auto mem_cap = static_cast<MiB>(config_.occupancy_memory *
-                                            static_cast<double>(total));
-      if (threads <= thread_cap && mem <= mem_cap) return false;
+      const JobRequest& request,
+      const std::vector<std::vector<DeviceAd>>& cards) const {
+    for (const auto& machine_cards : cards) {
+      for (const DeviceAd& card : machine_cards) {
+        const OccupancyCap cap = occupancy_cap(card, config_);
+        if (request.threads <= cap.threads && request.mem_mib <= cap.mem) {
+          return false;
+        }
+      }
     }
     return true;
   }
 
-  void pack_singles(MatchCycle& cycle, const std::vector<JobId>& singles,
+  void pack_singles(MatchCycle& cycle,
+                    const std::vector<std::vector<DeviceAd>>& cards,
+                    const std::vector<std::pair<JobId, JobRequest>>& singles,
                     CycleOutcome& outcome) {
     // Bins: every (machine, device) pair under its occupancy budget.
-    knapsack::BatchProblem problem;
-    std::vector<std::pair<std::size_t, DeviceId>> bin_addr;
-    std::vector<std::size_t> first_bin_of_machine;
-    std::vector<int> devices_of_machine;
-    first_bin_of_machine.reserve(cycle.machines.size());
-    for (std::size_t m = 0; m < cycle.machines.size(); ++m) {
-      const classad::ClassAd& ad = cycle.machines[m].second;
-      const auto devices =
-          static_cast<int>(ad.eval_integer(kAttrPhiDevices).value_or(1));
-      first_bin_of_machine.push_back(problem.bins.size());
-      devices_of_machine.push_back(devices);
-      for (DeviceId d = 0; d < devices; ++d) {
-        const DeviceBudget budget = device_budget(ad, d, config_);
-        problem.bins.push_back(
-            knapsack::BatchBin{budget.mem, budget.threads, budget.bw});
-        bin_addr.emplace_back(m, d);
-      }
-    }
-
     // Value normalization: the paper's quadratic uses the hardware thread
     // count; on a mixed fleet, normalize against the largest card so a
     // job's value is comparable across every bin it may land in.
+    knapsack::BatchProblem problem;
+    std::vector<std::pair<std::size_t, DeviceId>> bin_addr;
+    std::vector<std::size_t> first_bin_of_machine;
+    first_bin_of_machine.reserve(cards.size());
     ThreadCount fleet_hw = 0;
-    for (const auto& [node, ad] : cycle.machines) {
-      fleet_hw = std::max(fleet_hw, static_cast<ThreadCount>(
-          ad.eval_integer(kAttrPhiHwThreads).value_or(240)));
+    for (std::size_t m = 0; m < cards.size(); ++m) {
+      first_bin_of_machine.push_back(problem.bins.size());
+      for (std::size_t d = 0; d < cards[m].size(); ++d) {
+        problem.bins.push_back(device_bin(cards[m][d], config_));
+        bin_addr.emplace_back(m, static_cast<DeviceId>(d));
+        fleet_hw = std::max(fleet_hw, cards[m][d].hw_threads);
+      }
     }
     if (fleet_hw <= 0) fleet_hw = 240;
 
@@ -230,35 +222,30 @@ class BatchStrategy final : public MatchStrategy {
     // eligibility; a pre-pinned device (the add-on's qedit) restricts the
     // job to that device's bin.
     for (std::size_t j = 0; j < singles.size(); ++j) {
-      const classad::ClassAd& job_ad = cycle.schedd.record(singles[j]).ad;
+      const auto& [job_id, request] = singles[j];
+      const classad::ClassAd& job_ad = cycle.schedd.record(job_id).ad;
       knapsack::BatchJob job;
       job.tag = j;
-      job.mem_mib = job_ad.eval_integer(kAttrRequestPhiMemory).value_or(0);
-      job.threads = static_cast<ThreadCount>(
-          job_ad.eval_integer(kAttrRequestPhiThreads).value_or(0));
-      job.bw = job_ad.eval_real(kAttrRequestPhiMemBandwidth).value_or(0.0);
+      job.mem_mib = request.mem_mib;
+      job.threads = request.threads;
+      job.bw = request.bw;
       job.value = knapsack::job_value(knapsack::ValueFunction::kPaperQuadratic,
                                       job.threads, fleet_hw);
       const auto pinned = job_ad.eval_integer(kAttrPinnedDevice);
       for (std::size_t m = 0; m < cycle.machines.size(); ++m) {
-        const classad::ClassAd& machine_ad = cycle.machines[m].second;
-        if (!classad::symmetric_match(job_ad, machine_ad)) {
+        if (!classad::symmetric_match(job_ad, cycle.machines[m].second)) {
           continue;
         }
-        for (DeviceId d = 0; d < devices_of_machine[m]; ++d) {
-          if (pinned.has_value() && static_cast<DeviceId>(*pinned) != d) {
+        for (std::size_t d = 0; d < cards[m].size(); ++d) {
+          if (pinned.has_value() &&
+              static_cast<DeviceId>(*pinned) != static_cast<DeviceId>(d)) {
             continue;
           }
           // Mixed fleets: a job declaring more threads than this card
           // has can never run an offload there — keep the bin out of
           // its eligibility list (no-op on homogeneous fleets).
-          const auto dev_hw = static_cast<ThreadCount>(
-              machine_ad.eval_integer(per_device_hw_threads_attr(d))
-                  .value_or(machine_ad.eval_integer(kAttrPhiHwThreads)
-                                .value_or(240)));
-          if (job.threads > dev_hw) continue;
-          job.eligible.push_back(first_bin_of_machine[m] +
-                                 static_cast<std::size_t>(d));
+          if (job.threads > cards[m][d].hw_threads) continue;
+          job.eligible.push_back(first_bin_of_machine[m] + d);
         }
       }
       problem.jobs.push_back(std::move(job));
@@ -269,12 +256,12 @@ class BatchStrategy final : public MatchStrategy {
     outcome.occupancy_rejected += packed.rejected.size();
 
     // Enact placements in the packer's deterministic order. The two-way
-    // match re-check against the *deducted* snapshot keeps the slot
+    // match re-check against the slot-claimed snapshot keeps the slot
     // budget honest: a placement that no longer matches (earlier
     // placements consumed the node's last slot) stays pending and counts
     // as an occupancy reject for this cycle.
     for (const knapsack::BatchPlacement& placement : packed.placed) {
-      const JobId job_id = singles[placement.job_tag];
+      const JobId job_id = singles[placement.job_tag].first;
       const auto [m, device] = bin_addr[placement.bin];
       auto& [node, machine_ad] = cycle.machines[m];
       const JobRecord& rec = cycle.schedd.record(job_id);
@@ -290,17 +277,7 @@ class BatchStrategy final : public MatchStrategy {
         cycle.schedd.qedit_expr(job_id, kAttrPinnedDevice,
                                 std::to_string(device));
       }
-      cycle.schedd.mark_matched(job_id, node);
-      if (cycle.dispatch(job_id, node)) {
-        ++outcome.matches;
-        deduct_from_ad(machine_ad, rec.ad, cycle.deduct_custom_resources);
-        if (cycle.want_latencies) {
-          outcome.match_latencies.push_back(cycle.now - rec.submit_time);
-        }
-      } else {
-        ++outcome.rejected_dispatches;
-        cycle.schedd.release_match(job_id);
-      }
+      enact(cycle, job_id, node, machine_ad, outcome);
     }
   }
 
@@ -327,14 +304,19 @@ double parse_real(const std::string& key, const std::string& value) {
   return parsed;
 }
 
+/// A whole number in [1, kMaxCount]. Sign, range and integrality are
+/// checked on the double: converting a negative or out-of-range double
+/// to an integer is undefined behaviour.
 std::size_t parse_count(const std::string& key, const std::string& value) {
+  constexpr std::size_t kMaxCount = 1'000'000;
   const double real = parse_real(key, value);
-  const auto count = static_cast<std::size_t>(real);
-  if (static_cast<double>(count) != real) {
-    throw std::invalid_argument("negotiation: '" + key +
-                                "' wants a whole number, got '" + value + "'");
+  if (real < 1.0 || real > static_cast<double>(kMaxCount) ||
+      std::floor(real) != real) {
+    throw std::invalid_argument(
+        "negotiation: '" + key + "' wants a whole number in [1, " +
+        std::to_string(kMaxCount) + "], got '" + value + "'");
   }
-  return count;
+  return static_cast<std::size_t>(real);
 }
 
 }  // namespace
@@ -397,9 +379,6 @@ NegotiationConfig parse_negotiation(const std::string& spec) {
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
-  if (config.batch.batch_size == 0) {
-    throw std::invalid_argument("negotiation: size must be positive");
-  }
   if (config.batch.occupancy_threads <= 0.0 ||
       config.batch.occupancy_memory <= 0.0) {
     throw std::invalid_argument("negotiation: occupancy must be positive");
@@ -445,26 +424,9 @@ std::vector<JobId> ordered_pending(const Schedd& schedd,
   return pending;
 }
 
-void deduct_from_ad(classad::ClassAd& machine, const classad::ClassAd& job,
-                    bool custom_resources) {
-  auto deduct_attr = [&](const char* machine_attr, const char* job_attr,
-                         std::int64_t fallback) {
-    if (!machine.has(machine_attr)) return;
-    const auto have = machine.eval_integer(machine_attr).value_or(0);
-    const auto want = job.eval_integer(job_attr).value_or(fallback);
-    machine.insert_integer(machine_attr, have - want);
-  };
-  deduct_attr(kAttrFreeSlots, "RequestSlots", 1);
-  if (custom_resources) {
-    deduct_attr(kAttrPhiFreeMemory, kAttrRequestPhiMemory, 0);
-    deduct_attr(kAttrPhiFreeDevices, kAttrRequestPhiDevices, 1);
-  }
-}
-
-std::optional<std::size_t> choose_machine(
-    const classad::ClassAd& job_ad,
-    const std::vector<std::pair<NodeId, classad::ClassAd>>& machines,
-    MachineOrder order, Rng& rng) {
+std::optional<std::size_t> choose_machine(const classad::ClassAd& job_ad,
+                                          const MachineAds& machines,
+                                          MachineOrder order, Rng& rng) {
   // A constant Requirements other than true (MCCK's parked jobs) matches
   // nothing; an empty candidate set draws no RNG, so skipping the scan
   // changes no decision.

@@ -1,13 +1,13 @@
 // Matchmaking strategies: the pluggable core of the negotiator.
 //
 // Negotiator::run_cycle() owns the cycle mechanics every strategy shares —
-// the pre-cycle hook, the machine-ad snapshot, the priority-then-FIFO job
+// the machine-ad snapshot, the pre-cycle hook, the priority-then-FIFO job
 // order, queue telemetry, and the cycle event — and delegates the actual
 // matchmaking to a MatchStrategy:
 //
 //   FifoStrategy   the paper's Section II-D walk: one job at a time in
 //                  order, candidates via the two-way Requirements check,
-//                  one machine chosen per MachineOrder, resources deducted
+//                  one machine chosen per MachineOrder, one slot claimed
 //                  from the cycle-local ad copy. Bit-identical to the
 //                  pre-refactor negotiator (pinned by
 //                  tests/cluster/test_fifo_equivalence.cpp).
@@ -34,6 +34,7 @@
 #include "classad/classad.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "condor/collector.hpp"
 #include "condor/schedd.hpp"
 #include "knapsack/solver.hpp"
 
@@ -90,14 +91,13 @@ struct NegotiationConfig {
 [[nodiscard]] std::string negotiation_to_string(const NegotiationConfig& c);
 
 /// Everything one negotiation cycle exposes to its strategy. `machines`
-/// is the cycle-local snapshot; strategies deduct claimed resources from
-/// it as they match so one cycle never oversubscribes an advertisement.
+/// is the cycle-local snapshot; strategies claim a slot from it per match
+/// so one cycle never claims more slots than a machine advertises.
 struct MatchCycle {
   Schedd& schedd;
   Rng& rng;
   MachineOrder order;
-  bool deduct_custom_resources;
-  std::vector<std::pair<NodeId, classad::ClassAd>>& machines;
+  MachineAds& machines;
   /// Pending job ids in priority-then-FIFO order (see ordered_pending).
   const std::vector<JobId>& pending;
   const std::function<bool(JobId, NodeId)>& dispatch;
@@ -124,7 +124,7 @@ class MatchStrategy {
   virtual ~MatchStrategy() = default;
 
   /// Runs one cycle's matchmaking. May edit pending jobs' ads (qedit),
-  /// mark/release matches, and deduct from the machine snapshot.
+  /// mark/release matches, and claim slots from the machine snapshot.
   virtual CycleOutcome run(MatchCycle& cycle) = 0;
 
   [[nodiscard]] virtual MatchStrategyKind kind() const = 0;
@@ -135,21 +135,13 @@ class MatchStrategy {
 [[nodiscard]] std::vector<JobId> ordered_pending(const Schedd& schedd,
                                                  std::vector<JobId> pending);
 
-/// Deducts the job's requests from a cycle-local machine ad copy:
-/// FreeSlots always; the custom Phi attributes (PhiFreeMemory,
-/// PhiFreeDevices) only when `custom_resources` (see
-/// NegotiatorConfig::deduct_custom_resources).
-void deduct_from_ad(classad::ClassAd& machine, const classad::ClassAd& job,
-                    bool custom_resources);
-
 /// Chooses one machine for `job_ad` among those matching both ways, per
 /// `order` (kRandom draws exactly one rng.index per call with a nonempty
 /// candidate set; kBestRank breaks ties toward the lowest index). Returns
 /// nullopt when nothing matches, without a scan when the job's
 /// Requirements is a literal other than true.
 [[nodiscard]] std::optional<std::size_t> choose_machine(
-    const classad::ClassAd& job_ad,
-    const std::vector<std::pair<NodeId, classad::ClassAd>>& machines,
+    const classad::ClassAd& job_ad, const MachineAds& machines,
     MachineOrder order, Rng& rng);
 
 [[nodiscard]] std::unique_ptr<MatchStrategy> make_match_strategy(

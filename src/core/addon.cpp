@@ -9,91 +9,67 @@ namespace phisched::core {
 
 namespace {
 
-/// Reads one pending job's declared requirements out of its ClassAd.
-PendingJobView job_view(const condor::JobRecord& rec) {
+PendingJobView job_view(JobId id, const condor::JobRequest& request) {
   PendingJobView v;
-  v.id = rec.id;
-  v.mem_req_mib = rec.ad.eval_integer(condor::kAttrRequestPhiMemory).value_or(0);
-  v.threads_req = static_cast<ThreadCount>(
-      rec.ad.eval_integer(condor::kAttrRequestPhiThreads).value_or(0));
-  v.devices_req = static_cast<int>(
-      rec.ad.eval_integer(condor::kAttrRequestPhiDevices).value_or(1));
-  v.bw_req =
-      rec.ad.eval_real(condor::kAttrRequestPhiMemBandwidth).value_or(0.0);
+  v.id = id;
+  v.mem_req_mib = request.mem_mib;
+  v.threads_req = request.threads;
+  v.devices_req = request.devices;
+  v.bw_req = request.bw;
   return v;
 }
 
 }  // namespace
 
 SharingAwareScheduler::SharingAwareScheduler(
-    condor::Schedd& schedd, condor::Collector& collector,
-    std::unique_ptr<AssignmentPolicy> policy, AddonConfig config)
-    : schedd_(schedd),
-      collector_(collector),
-      policy_(std::move(policy)),
-      config_(config) {
+    condor::Schedd& schedd, std::unique_ptr<AssignmentPolicy> policy,
+    AddonConfig config)
+    : schedd_(schedd), policy_(std::move(policy)), config_(config) {
   PHISCHED_REQUIRE(policy_ != nullptr, "SharingAwareScheduler: null policy");
 }
 
 std::vector<DeviceView> SharingAwareScheduler::device_views(
-    const std::vector<condor::JobRecord>& pinned_pending) const {
+    const condor::MachineAds& machines,
+    const std::vector<std::pair<DeviceAddress, condor::JobRequest>>&
+        in_flight) const {
   std::vector<DeviceView> views;
-  for (const auto& [node, ad] : collector_.machine_ads()) {
-    const auto device_count =
-        ad.eval_integer(condor::kAttrPhiDevices).value_or(0);
-    const auto node_hw_threads = static_cast<ThreadCount>(
-        ad.eval_integer(condor::kAttrPhiHwThreads).value_or(240));
-    for (DeviceId d = 0; d < device_count; ++d) {
+  for (const auto& [node, ad] : machines) {
+    const std::vector<condor::DeviceAd> cards = condor::device_ads(ad);
+    for (std::size_t d = 0; d < cards.size(); ++d) {
+      const condor::DeviceAd& card = cards[d];
       DeviceView v;
-      v.addr = DeviceAddress{node, d};
-      v.free_memory_mib =
-          ad.eval_integer(condor::per_device_memory_attr(d)).value_or(0);
-      // Heterogeneous fleets advertise each card's geometry; homogeneous
-      // ads carry the same value at both levels, so the fallback is the
-      // legacy behaviour exactly.
-      const auto hw_threads = static_cast<ThreadCount>(
-          ad.eval_integer(condor::per_device_hw_threads_attr(d))
-              .value_or(node_hw_threads));
-      v.hw_threads = hw_threads;
-      if (config_.bandwidth_aware) {
-        // Absent (contention model off) means unconstrained (-1).
-        v.bw_budget =
-            ad.eval_real(condor::per_device_free_bw_attr(d)).value_or(-1.0);
-      }
+      v.addr = DeviceAddress{node, static_cast<DeviceId>(d)};
+      v.free_memory_mib = card.free_memory_mib;
+      v.hw_threads = card.hw_threads;
+      if (config_.bandwidth_aware) v.bw_budget = card.free_bw;
       if (config_.deduct_resident_threads) {
-        // PhiFreeThreads = hw - resident declared threads (may be
-        // negative when packs have stacked up).
-        const auto free_threads = static_cast<ThreadCount>(
-            ad.eval_integer(condor::per_device_threads_attr(d))
-                .value_or(hw_threads));
-        const ThreadCount resident = hw_threads - free_threads;
+        // Free threads = hw - resident declared threads (may be negative
+        // when packs have stacked up).
+        const ThreadCount resident = card.hw_threads - card.free_threads;
         const auto budget = static_cast<ThreadCount>(
-            static_cast<double>(hw_threads) * config_.thread_overcommit) -
+            static_cast<double>(card.hw_threads) * config_.thread_overcommit) -
                             resident;
         v.thread_budget = std::max<ThreadCount>(0, budget);
       } else {
-        v.thread_budget = hw_threads;
+        v.thread_budget = card.hw_threads;
       }
       views.push_back(v);
     }
   }
 
   // In-flight pins: pinned jobs not yet dispatched still consume capacity.
-  for (const condor::JobRecord& rec : pinned_pending) {
-    const auto pin = pins_.find(rec.id);
-    PHISCHED_CHECK(pin != pins_.end(), "pinned_pending without a pin");
-    const PendingJobView jv = job_view(rec);
-    if (pin->second.device >= 0) {
+  for (const auto& [pin, request] : in_flight) {
+    if (pin.device >= 0) {
       for (DeviceView& v : views) {
-        if (v.addr == pin->second) {
+        if (v.addr == pin) {
           v.free_memory_mib =
-              std::max<MiB>(0, v.free_memory_mib - jv.mem_req_mib);
+              std::max<MiB>(0, v.free_memory_mib - request.mem_mib);
           if (config_.deduct_resident_threads) {
             v.thread_budget =
-                std::max<ThreadCount>(0, v.thread_budget - jv.threads_req);
+                std::max<ThreadCount>(0, v.thread_budget - request.threads);
           }
           if (v.bw_budget >= 0.0) {
-            v.bw_budget = std::max(0.0, v.bw_budget - jv.bw_req);
+            v.bw_budget = std::max(0.0, v.bw_budget - request.bw);
           }
           break;
         }
@@ -103,24 +79,24 @@ std::vector<DeviceView> SharingAwareScheduler::device_views(
       // that node (COSMIC will pick some such set at admission).
       std::vector<DeviceView*> node_views;
       for (DeviceView& v : views) {
-        if (v.addr.node == pin->second.node) node_views.push_back(&v);
+        if (v.addr.node == pin.node) node_views.push_back(&v);
       }
       std::stable_sort(node_views.begin(), node_views.end(),
                        [](const DeviceView* a, const DeviceView* b) {
                          return a->free_memory_mib > b->free_memory_mib;
                        });
       const auto k = std::min<std::size_t>(
-          node_views.size(), static_cast<std::size_t>(jv.devices_req));
+          node_views.size(), static_cast<std::size_t>(request.devices));
       for (std::size_t i = 0; i < k; ++i) {
         node_views[i]->free_memory_mib =
-            std::max<MiB>(0, node_views[i]->free_memory_mib - jv.mem_req_mib);
+            std::max<MiB>(0, node_views[i]->free_memory_mib - request.mem_mib);
       }
     }
   }
   return views;
 }
 
-void SharingAwareScheduler::pre_cycle() {
+void SharingAwareScheduler::pre_cycle(const condor::MachineAds& machines) {
   ++stats_.runs;
 
   const std::vector<JobId> pending_ids = schedd_.pending();
@@ -130,16 +106,17 @@ void SharingAwareScheduler::pre_cycle() {
   // the machine ads), finished, or was requeued with a fresh ad (a
   // retried job must be re-packed from scratch).
   std::map<JobId, DeviceAddress> live_pins;
-  std::vector<condor::JobRecord> pinned_pending;
+  std::vector<std::pair<DeviceAddress, condor::JobRequest>> in_flight;
   std::vector<PendingJobView> unpinned;
   for (JobId id : pending_ids) {
     const condor::JobRecord& rec = schedd_.record(id);
+    const condor::JobRequest request = condor::job_request(rec.ad);
     auto it = pins_.find(id);
     if (it != pins_.end() && rec.ad.has(condor::kAttrPinnedNode)) {
       live_pins.emplace(id, it->second);
-      pinned_pending.push_back(rec);
+      in_flight.emplace_back(it->second, request);
     } else {
-      unpinned.push_back(job_view(rec));
+      unpinned.push_back(job_view(id, request));
     }
   }
   pins_ = std::move(live_pins);
@@ -152,7 +129,7 @@ void SharingAwareScheduler::pre_cycle() {
     }
   }
 
-  std::vector<DeviceView> views = device_views(pinned_pending);
+  std::vector<DeviceView> views = device_views(machines, in_flight);
 
   auto publish_pin = [&](JobId job, NodeId node,
                          std::optional<DeviceId> device) {

@@ -2,7 +2,8 @@
 // (paper Section IV-D1).
 //
 // The add-on requires no changes to the mini-Condor components: it reads
-// the pending queue from the schedd and machine state from the collector,
+// the pending queue from the schedd and machine state from the
+// negotiator's per-cycle snapshot of the collector's machine ads,
 // computes a job→coprocessor mapping with an AssignmentPolicy (the
 // knapsack policy for MCCK), and publishes its decisions exclusively by
 // condor_qedit-ing each chosen job's Requirements to name the selected
@@ -65,27 +66,30 @@ struct AddonStats {
 
 class SharingAwareScheduler {
  public:
-  SharingAwareScheduler(condor::Schedd& schedd, condor::Collector& collector,
+  SharingAwareScheduler(condor::Schedd& schedd,
                         std::unique_ptr<AssignmentPolicy> policy,
                         AddonConfig config = {});
 
   SharingAwareScheduler(const SharingAwareScheduler&) = delete;
   SharingAwareScheduler& operator=(const SharingAwareScheduler&) = delete;
 
-  /// One scheduling pass: pin as many pending jobs as capacity allows.
-  /// Intended as the negotiator pre-cycle hook.
-  void pre_cycle();
+  /// One scheduling pass over the cycle's machine ads: pin as many
+  /// pending jobs as capacity allows. Intended as the negotiator
+  /// pre-cycle hook.
+  void pre_cycle(const condor::MachineAds& machines);
 
   [[nodiscard]] const AddonStats& stats() const { return stats_; }
   [[nodiscard]] const AssignmentPolicy& policy() const { return *policy_; }
 
  private:
-  /// Builds device views from the collector's machine ads, net of pins.
+  /// Builds device views from the machine ads, net of the requests of
+  /// pinned jobs that have not dispatched yet.
   [[nodiscard]] std::vector<DeviceView> device_views(
-      const std::vector<condor::JobRecord>& pinned_pending) const;
+      const condor::MachineAds& machines,
+      const std::vector<std::pair<DeviceAddress, condor::JobRequest>>&
+          in_flight) const;
 
   condor::Schedd& schedd_;
-  condor::Collector& collector_;
   std::unique_ptr<AssignmentPolicy> policy_;
   AddonConfig config_;
   /// Jobs we have pinned that are still pending dispatch.

@@ -285,9 +285,7 @@ void NodeMiddleware::submit_job(JobId job, std::vector<DeviceId> pinned,
   w.base_memory = decl.base_memory;
   w.on_kill = std::move(on_kill);
   w.on_admitted = std::move(on_admitted);
-  const bool must_queue = config_.job_admission == DrainPolicy::kFifoStrict &&
-                          !job_queue_.empty();
-  if (must_queue || !try_admit(w)) {
+  if (!job_queue_.empty() || !try_admit(w)) {
     stats_.jobs_parked += 1;
     w.parked_at = sim_.now();
     if (obs_.rec != nullptr) {
@@ -324,19 +322,8 @@ void NodeMiddleware::admit_waiting() {
   admitting_ = true;
   do {
     admit_again_ = false;
-    if (config_.job_admission == DrainPolicy::kFifoStrict) {
-      while (!job_queue_.empty() && try_admit(job_queue_.front())) {
-        job_queue_.pop_front();
-      }
-    } else {
-      // kFifoSkip: a big waiting job does not block smaller ones behind it.
-      for (auto it = job_queue_.begin(); it != job_queue_.end();) {
-        if (try_admit(*it)) {
-          it = job_queue_.erase(it);
-        } else {
-          ++it;
-        }
-      }
+    while (!job_queue_.empty() && try_admit(job_queue_.front())) {
+      job_queue_.pop_front();
     }
   } while (admit_again_);
   admitting_ = false;

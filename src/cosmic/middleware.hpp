@@ -53,10 +53,6 @@ struct MiddlewareConfig {
   /// Queue offloads that would oversubscribe device threads.
   bool serialize_offloads = true;
   DrainPolicy drain = DrainPolicy::kFifoStrict;
-  /// Discipline of the node-level JOB admission queue. Strict FIFO (the
-  /// default) avoids starving big jobs: a parked job whose declared
-  /// memory does not fit blocks arrivals behind it until it is admitted.
-  DrainPolicy job_admission = DrainPolicy::kFifoStrict;
   /// Extra execution time paid by an offload that had to WAIT in the
   /// queue before admission: the COI helper is woken, its input buffers
   /// re-staged over PCIe, and thread affinities re-established. This is
@@ -159,8 +155,10 @@ class NodeMiddleware {
   /// its whole gang exists (honouring `pinned` when non-empty), otherwise
   /// parked in the node's admission queue until capacity frees — this is
   /// how COSMIC lets arbitrarily-packed jobs compete safely for the
-  /// devices. `on_admitted` fires exactly once, when the job becomes
-  /// resident on every gang member.
+  /// devices. The queue is strict FIFO, so big jobs never starve: a
+  /// parked job blocks arrivals behind it until it is admitted.
+  /// `on_admitted` fires exactly once, when the job becomes resident on
+  /// every gang member.
   void submit_job(JobId job, std::vector<DeviceId> pinned, int gang_size,
                   MiB declared_mem_per_device, ThreadCount declared_threads,
                   MiB base_memory, KillCallback on_kill,

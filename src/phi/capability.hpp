@@ -3,11 +3,11 @@
 // The paper's testbed is homogeneous — every card a 5110P — but real
 // deployments mixed KNC steppings with different core counts, memory
 // sizes, and link speeds. Each Device carries a DeviceCapability naming
-// its generation and its bandwidth envelope; the cluster surfaces these
-// as ClassAd machine-ad attributes (PhiGeneration<d>, PhiMemBandwidth<d>,
-// ...) so job Requirements can constrain placement, and the knapsack
-// policies use the aggregate memory bandwidth as a third packing
-// dimension (see MemBwConfig below).
+// its generation and its bandwidth envelope; the cluster publishes each
+// card's geometry and free bandwidth as machine-ad attributes
+// (PhiHwThreads<d>, PhiTotalMemory<d>, PhiFreeBandwidth<d>), and the
+// knapsack policies use the aggregate memory bandwidth as a third
+// packing dimension (see MemBwConfig below).
 //
 // The spec-table idiom (one named constant per shipping SKU, the default
 // generation exactly matching PhiHardware's defaults) follows the

@@ -100,18 +100,6 @@ TEST_F(NegotiatorTest, CustomResourceStaleWithinCycleByDefault) {
   EXPECT_EQ(dispatched_.size(), 2u);
 }
 
-TEST_F(NegotiatorTest, CustomResourceDeductionOptIn) {
-  add_machine(0, 2000, 8);
-  submit_job(1, 1500, sharing_requirements());
-  submit_job(2, 1500, sharing_requirements());
-  NegotiatorConfig config;
-  config.deduct_custom_resources = true;
-  auto negotiator = make(config);
-  negotiator.run_cycle();
-  // After job 1 claims 1500 of 2000, job 2 no longer fits this cycle.
-  EXPECT_EQ(dispatched_.size(), 1u);
-}
-
 TEST_F(NegotiatorTest, RejectedDispatchReturnsJobToPending) {
   add_machine(0, 10000, 4);
   submit_job(1, 100, sharing_requirements());
@@ -127,7 +115,7 @@ TEST_F(NegotiatorTest, PreCycleHookRunsBeforeMatching) {
   add_machine(0, 10000, 4);
   submit_job(1, 100, "false");  // unmatchable until the hook pins it
   auto negotiator = make();
-  negotiator.set_pre_cycle_hook([this] {
+  negotiator.set_pre_cycle_hook([this](const MachineAds&) {
     schedd_.qedit_expr(1, kAttrRequirements, "TARGET.FreeSlots >= 1");
   });
   negotiator.run_cycle();
@@ -226,33 +214,9 @@ TEST_F(NegotiatorTest, BestRankWithoutRankActsLikeFirstFit) {
   EXPECT_EQ(dispatched_[0].second, 0);
 }
 
-TEST_F(NegotiatorTest, DeviceDeductionPreventsSameCycleOversubscription) {
-  // One advertised free device; two exclusive jobs in the same cycle.
-  collector_.advertise(0, [] {
-    classad::ClassAd ad;
-    ad.insert_string(kAttrName, machine_name(0));
-    ad.insert_integer(kAttrFreeSlots, 8);
-    ad.insert_integer(kAttrPhiFreeDevices, 1);
-    ad.insert_expr(kAttrRequirements, "MY.FreeSlots >= 1");
-    return ad;
-  });
-  submit_job(1, 100, exclusive_requirements());
-  submit_job(2, 100, exclusive_requirements());
-
-  NegotiatorConfig config;
-  config.deduct_custom_resources = true;
-  auto negotiator = make(config);
-  negotiator.run_cycle();
-  // Job 1 claims the device in the cycle-local ad copy; job 2 no longer
-  // matches TARGET.PhiFreeDevices >= 1 this cycle.
-  EXPECT_EQ(dispatched_.size(), 1u);
-  EXPECT_EQ(schedd_.pending_count(), 1u);
-}
-
 TEST_F(NegotiatorTest, StaleDeviceCountOversubscribesWithoutDeduction) {
-  // The vanilla-Condor contrast for the test above: custom attributes
-  // stay stale within the cycle, so both exclusive jobs match the single
-  // advertised device.
+  // Vanilla Condor: custom attributes stay stale within the cycle, so
+  // both exclusive jobs match the single advertised device.
   collector_.advertise(0, [] {
     classad::ClassAd ad;
     ad.insert_string(kAttrName, machine_name(0));

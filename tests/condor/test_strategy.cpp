@@ -89,6 +89,25 @@ TEST(ParseNegotiation, RejectsOccupancyAboveSaneBound) {
                    16.0);
 }
 
+TEST(ParseNegotiation, RejectsSizeOutsideItsRangeBeforeTheCast) {
+  // Regression: a size outside [1, 1e6] must be rejected before the
+  // double -> size_t cast (undefined for negative or huge values), with
+  // an error naming the key and its range.
+  for (const char* spec : {"batch:size=-1", "batch:size=1e20", "batch:size=0",
+                           "batch:size=2.5", "batch:size=1000001"}) {
+    try {
+      (void)parse_negotiation(spec);
+      ADD_FAILURE() << "expected std::invalid_argument for " << spec;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'size'"), std::string::npos) << what;
+      EXPECT_NE(what.find("[1, 1000000]"), std::string::npos) << what;
+    }
+  }
+  EXPECT_EQ(parse_negotiation("batch:size=1").batch.batch_size, 1u);
+  EXPECT_EQ(parse_negotiation("batch:size=1e6").batch.batch_size, 1000000u);
+}
+
 TEST(ParseNegotiation, RejectsDuplicateKeysNamingTheKey) {
   try {
     (void)parse_negotiation("batch:size=4,size=8");
@@ -144,8 +163,8 @@ class StrategyTest : public ::testing::Test {
     auto strategy = make_match_strategy(config);
     std::vector<JobId> pending =
         ordered_pending(schedd_, schedd_.pending());
-    MatchCycle cycle{schedd_,  rng_,     order, false,
-                     machines_, pending, dispatch_, 0.0,  false};
+    MatchCycle cycle{schedd_, rng_,      order, machines_,
+                     pending, dispatch_, 0.0, false};
     return strategy->run(cycle);
   }
 

@@ -4,6 +4,7 @@
 
 #include <map>
 
+#include "condor/negotiator.hpp"
 #include "sim/simulator.hpp"
 
 namespace phisched::core {
@@ -17,6 +18,7 @@ class AddonTest : public ::testing::Test {
     free_mem_[node] = free0;
     free_threads_[node] = free_threads0;
     collector_.advertise(node, [this, node] {
+      ++ads_built_[node];
       classad::ClassAd ad;
       ad.insert_string(condor::kAttrName, condor::machine_name(node));
       ad.insert_integer(condor::kAttrFreeSlots, 16);
@@ -39,8 +41,12 @@ class AddonTest : public ::testing::Test {
   }
 
   SharingAwareScheduler make_addon(AddonConfig config = {}) {
-    return SharingAwareScheduler(schedd_, collector_,
-                                 make_knapsack_policy({}), config);
+    return SharingAwareScheduler(schedd_, make_knapsack_policy({}), config);
+  }
+
+  /// One add-on pass over a fresh snapshot of the collector.
+  void run(SharingAwareScheduler& addon) {
+    addon.pre_cycle(collector_.machine_ads());
   }
 
   Simulator sim_;
@@ -48,13 +54,14 @@ class AddonTest : public ::testing::Test {
   condor::Collector collector_;
   std::map<NodeId, MiB> free_mem_;
   std::map<NodeId, ThreadCount> free_threads_;
+  std::map<NodeId, int> ads_built_;
 };
 
 TEST_F(AddonTest, PinsJobsViaQedit) {
   add_machine(0, 7680);
   submit(1, 2000, 60);
   auto addon = make_addon();
-  addon.pre_cycle();
+  run(addon);
   EXPECT_EQ(addon.stats().pins, 1u);
   const auto& ad = schedd_.record(1).ad;
   EXPECT_EQ(ad.eval_integer(condor::kAttrPinnedDevice), 0);
@@ -66,7 +73,7 @@ TEST_F(AddonTest, UnpinnedJobsRemainUnmatchable) {
   add_machine(0, 1000);
   submit(1, 2000, 60);  // does not fit anywhere
   auto addon = make_addon();
-  addon.pre_cycle();
+  run(addon);
   EXPECT_EQ(addon.stats().pins, 0u);
   EXPECT_FALSE(
       classad::requirements_met(schedd_.record(1).ad, collector_.machine_ad(0)));
@@ -77,11 +84,11 @@ TEST_F(AddonTest, PacksMemoryAcrossCycleBoundaries) {
   submit(1, 3000, 60);
   submit(2, 3000, 60);
   auto addon = make_addon();
-  addon.pre_cycle();
+  run(addon);
   EXPECT_EQ(addon.stats().pins, 1u);
   // Second pre-cycle: job 1 still pending (in-flight pin) → its memory is
   // deducted, so job 2 must NOT be pinned onto the same node.
-  addon.pre_cycle();
+  run(addon);
   EXPECT_EQ(addon.stats().pins, 1u);
 }
 
@@ -90,13 +97,13 @@ TEST_F(AddonTest, RepinsAfterJobLeavesQueue) {
   submit(1, 3000, 60);
   submit(2, 3000, 60);
   auto addon = make_addon();
-  addon.pre_cycle();
+  run(addon);
   // Job 1 dispatches and completes; the machine ad shows the memory free
   // again (we never changed free_mem_), so job 2 can be pinned now.
   schedd_.mark_matched(1, 0);
   schedd_.mark_running(1);
   schedd_.mark_completed(1);
-  addon.pre_cycle();
+  run(addon);
   EXPECT_EQ(addon.stats().pins, 2u);
   EXPECT_EQ(schedd_.record(2).ad.eval_integer(condor::kAttrPinnedDevice), 0);
 }
@@ -106,7 +113,7 @@ TEST_F(AddonTest, SpreadsAcrossNodes) {
   add_machine(1, 7680);
   for (JobId id = 0; id < 6; ++id) submit(id, 3500, 60);
   auto addon = make_addon();
-  addon.pre_cycle();
+  run(addon);
   // 2 jobs fit per device by memory → 4 pins over the two nodes.
   EXPECT_EQ(addon.stats().pins, 4u);
   std::map<std::int64_t, int> per_node;
@@ -133,7 +140,7 @@ TEST_F(AddonTest, DeductResidentThreadsUsesAdvertisedThreads) {
   submit(1, 1000, 120);
   submit(2, 1000, 60);
   auto addon = make_addon(config);
-  addon.pre_cycle();
+  run(addon);
   // Budget 60: only the 60-thread job can be pinned.
   EXPECT_EQ(addon.stats().pins, 1u);
   EXPECT_TRUE(schedd_.record(2).ad.has(condor::kAttrPinnedDevice));
@@ -147,7 +154,7 @@ TEST_F(AddonTest, OvercommitExpandsBudget) {
   add_machine(0, 7680, /*free_threads0=*/0);  // 240 resident
   submit(1, 1000, 120);
   auto addon = make_addon(config);
-  addon.pre_cycle();
+  run(addon);
   EXPECT_EQ(addon.stats().pins, 1u);  // 360 - 240 = 120 budget fits it
 }
 
@@ -158,20 +165,46 @@ TEST_F(AddonTest, NegativeFreeThreadsShrinkBudget) {
   add_machine(0, 7680, /*free_threads0=*/-120);  // 360 resident already
   submit(1, 1000, 60);
   auto addon = make_addon(config);
-  addon.pre_cycle();
+  run(addon);
   EXPECT_EQ(addon.stats().pins, 0u);
 }
 
 TEST_F(AddonTest, RunsCounted) {
   add_machine(0, 7680);
   auto addon = make_addon();
-  addon.pre_cycle();
-  addon.pre_cycle();
+  run(addon);
+  run(addon);
   EXPECT_EQ(addon.stats().runs, 2u);
 }
 
+TEST_F(AddonTest, HookReadsTheNegotiatorSnapshot) {
+  // Installed as the pre-cycle hook, the add-on reads the negotiator's
+  // snapshot, so each node's ad is built once per cycle, not once for
+  // the add-on and again for matchmaking.
+  add_machine(0, 7680);
+  add_machine(1, 7680);
+  submit(1, 2000, 60);
+  submit(2, 99999, 60);  // fits nowhere: unpinned work every cycle
+  auto addon = make_addon();
+  condor::Negotiator negotiator(
+      sim_, schedd_, collector_, [](JobId, NodeId) { return true; }, {},
+      Rng(5));
+  negotiator.set_pre_cycle_hook([&addon](const condor::MachineAds& machines) {
+    addon.pre_cycle(machines);
+  });
+  negotiator.run_cycle();
+  EXPECT_EQ(addon.stats().pins, 1u);
+  EXPECT_EQ(negotiator.stats().matches, 1u);
+  EXPECT_EQ(ads_built_[0], 1);
+  EXPECT_EQ(ads_built_[1], 1);
+  negotiator.run_cycle();
+  EXPECT_EQ(addon.stats().runs, 2u);
+  EXPECT_EQ(ads_built_[0], 2);
+  EXPECT_EQ(ads_built_[1], 2);
+}
+
 TEST_F(AddonTest, NullPolicyRejected) {
-  EXPECT_THROW(SharingAwareScheduler(schedd_, collector_, nullptr, {}),
+  EXPECT_THROW(SharingAwareScheduler(schedd_, nullptr, {}),
                std::invalid_argument);
 }
 

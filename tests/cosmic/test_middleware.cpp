@@ -88,19 +88,6 @@ TEST_F(MiddlewareTest, StrictAdmissionBlocksBehindBigJob) {
   EXPECT_TRUE(small);
 }
 
-TEST_F(MiddlewareTest, SkipAdmissionOvertakesBigJob) {
-  MiddlewareConfig config;
-  config.job_admission = DrainPolicy::kFifoSkip;
-  build(config);
-  admit(1, 5000, 60);
-  bool big = false;
-  bool small = false;
-  mw_->submit_job(2, std::nullopt, 4000, 60, 16, nullptr, [&] { big = true; });
-  mw_->submit_job(3, std::nullopt, 100, 60, 16, nullptr, [&] { small = true; });
-  EXPECT_FALSE(big);
-  EXPECT_TRUE(small);  // overtook the parked big job
-}
-
 TEST_F(MiddlewareTest, PinnedSubmitWaitsForThatDevice) {
   build({}, /*devices=*/2);
   admit(1, 5000, 60, /*pin=*/0);
