@@ -68,4 +68,25 @@ struct Expr {
 [[nodiscard]] std::string to_string(const Expr& expr);
 [[nodiscard]] inline std::string to_string(const ExprPtr& e) { return to_string(*e); }
 
+/// Calls `visit(ref)` for every attribute-reference node of `expr`, left
+/// to right. A match reads exactly the attributes these name, in the
+/// scopes they name, plus whatever the referenced expressions reach.
+template <typename Visit>
+void for_each_reference(const Expr& expr, Visit&& visit) {
+  if (expr.kind == Expr::Kind::kAttrRef) {
+    visit(expr);
+    return;
+  }
+  for (const ExprPtr& child : expr.children) for_each_reference(*child, visit);
+}
+
+/// Structural identity: the same tree of operators, scopes, reference
+/// and function names (case-insensitively, as lookups see them) and
+/// literals of the same type and value (reals by bit pattern, strings
+/// byte for byte). Identical expressions evaluate alike in every context.
+[[nodiscard]] bool same_expr(const Expr& a, const Expr& b);
+
+/// A hash of `expr` consistent with same_expr.
+[[nodiscard]] std::uint64_t expr_hash(const Expr& expr);
+
 }  // namespace phisched::classad

@@ -56,6 +56,12 @@ class ClassAd {
   /// spelling it was first inserted with.
   [[nodiscard]] std::vector<std::string> attribute_names() const;
 
+  /// Calls `visit(expr)` for every attribute's expression, in slot order.
+  template <typename Visit>
+  void for_each_expr(Visit&& visit) const {
+    for (const Slot& slot : slots_) visit(*slot.expr);
+  }
+
   /// Multi-line `Name = expr` rendering, in attribute_names() order.
   [[nodiscard]] std::string to_string() const;
 

@@ -3,6 +3,8 @@
 #include "classad/lexer.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -337,6 +339,102 @@ std::string to_string(const Expr& expr) {
     }
   }
   return "error";
+}
+
+namespace {
+
+bool same_literal(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case ValueType::kUndefined:
+    case ValueType::kError: return true;
+    case ValueType::kBoolean: return a.as_boolean() == b.as_boolean();
+    case ValueType::kInteger: return a.as_integer() == b.as_integer();
+    case ValueType::kReal:
+      return std::bit_cast<std::uint64_t>(a.as_real()) ==
+             std::bit_cast<std::uint64_t>(b.as_real());
+    case ValueType::kString: return a.as_string() == b.as_string();
+  }
+  return false;
+}
+
+/// Folds `x` into `h` (splitmix64 finalizer on the sum).
+std::uint64_t mix(std::uint64_t h, std::uint64_t x) {
+  x += h + 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+std::uint64_t literal_hash(const Value& v) {
+  const auto type = static_cast<std::uint64_t>(v.type());
+  switch (v.type()) {
+    case ValueType::kUndefined:
+    case ValueType::kError: return type;
+    case ValueType::kBoolean: return mix(type, v.as_boolean() ? 1 : 0);
+    case ValueType::kInteger:
+      return mix(type, static_cast<std::uint64_t>(v.as_integer()));
+    case ValueType::kReal:
+      return mix(type, std::bit_cast<std::uint64_t>(v.as_real()));
+    case ValueType::kString:
+      return mix(type, std::hash<std::string>{}(v.as_string()));
+  }
+  return type;
+}
+
+}  // namespace
+
+bool same_expr(const Expr& a, const Expr& b) {
+  if (&a == &b) return true;
+  if (a.kind != b.kind || a.children.size() != b.children.size()) {
+    return false;
+  }
+  switch (a.kind) {
+    case Expr::Kind::kLiteral:
+      return same_literal(a.literal, b.literal);
+    case Expr::Kind::kAttrRef:
+      return a.scope == b.scope && a.attr_hash == b.attr_hash &&
+             iequals(a.attr, b.attr);
+    case Expr::Kind::kUnary:
+      if (a.unary_op != b.unary_op) return false;
+      break;
+    case Expr::Kind::kBinary:
+      if (a.binary_op != b.binary_op) return false;
+      break;
+    case Expr::Kind::kTernary:
+      break;
+    case Expr::Kind::kCall:
+      if (!iequals(a.function, b.function)) return false;
+      break;
+  }
+  for (std::size_t i = 0; i < a.children.size(); ++i) {
+    if (!same_expr(*a.children[i], *b.children[i])) return false;
+  }
+  return true;
+}
+
+std::uint64_t expr_hash(const Expr& expr) {
+  std::uint64_t h = static_cast<std::uint64_t>(expr.kind);
+  switch (expr.kind) {
+    case Expr::Kind::kLiteral:
+      return mix(h, literal_hash(expr.literal));
+    case Expr::Kind::kAttrRef:
+      return mix(mix(h, static_cast<std::uint64_t>(expr.scope)),
+                 expr.attr_hash);
+    case Expr::Kind::kUnary:
+      h = mix(h, static_cast<std::uint64_t>(expr.unary_op));
+      break;
+    case Expr::Kind::kBinary:
+      h = mix(h, static_cast<std::uint64_t>(expr.binary_op));
+      break;
+    case Expr::Kind::kTernary:
+      break;
+    case Expr::Kind::kCall:
+      h = mix(h, name_hash(expr.function));
+      break;
+  }
+  for (const ExprPtr& child : expr.children) h = mix(h, expr_hash(*child));
+  return h;
 }
 
 }  // namespace phisched::classad

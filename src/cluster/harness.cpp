@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/quantize.hpp"
 
@@ -35,6 +36,12 @@ Harness::Harness(const ExperimentConfig& config)
                      ? condor::Collector(sim_, config.ad_update_interval)
                      : condor::Collector()) {
   PHISCHED_REQUIRE(config_.node_count > 0, "experiment: need nodes");
+  // Node ids are NodeId (int): a larger count wraps when cast, so no
+  // node would be built.
+  PHISCHED_REQUIRE(
+      config_.node_count <=
+          static_cast<std::size_t>(std::numeric_limits<NodeId>::max()),
+      "experiment: node_count does not fit a NodeId");
   PHISCHED_REQUIRE(config_.dispatch_latency >= 0.0 &&
                        config_.dispatch_latency < config_.negotiation_interval,
                    "experiment: dispatch latency must be below the "

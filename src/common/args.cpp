@@ -1,6 +1,8 @@
 #include "common/args.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -54,10 +56,16 @@ std::int64_t ArgParser::get_int_or(const std::string& name,
   const auto v = get(name);
   if (!v.has_value()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const std::int64_t out = std::strtoll(v->c_str(), &end, 10);
   PHISCHED_REQUIRE(end != nullptr && *end == '\0' && !v->empty(),
                    "ArgParser: --" + name + " expects an integer, got '" + *v +
                        "'");
+  // strtoll clamps an out-of-range value to INT64_MIN/MAX and says so
+  // only through errno.
+  PHISCHED_REQUIRE(errno != ERANGE, "ArgParser: --" + name +
+                                        " is out of the 64-bit range: '" + *v +
+                                        "'");
   return out;
 }
 
@@ -69,6 +77,11 @@ double ArgParser::get_real_or(const std::string& name, double fallback) const {
   PHISCHED_REQUIRE(end != nullptr && *end == '\0' && !v->empty(),
                    "ArgParser: --" + name + " expects a number, got '" + *v +
                        "'");
+  // strtod reads "nan" and "inf", and overflows "1e400" to inf: none is
+  // a usable knob, and a NaN silently fails every comparison against it.
+  PHISCHED_REQUIRE(std::isfinite(out), "ArgParser: --" + name +
+                                           " expects a finite number, got '" +
+                                           *v + "'");
   return out;
 }
 

@@ -82,6 +82,7 @@ void Negotiator::run_cycle() {
   stats_.batch_jobs += outcome.batch_jobs;
   stats_.packed += outcome.packed;
   stats_.occupancy_rejected += outcome.occupancy_rejected;
+  stats_.match_evaluations += cycle.candidates.evaluations();
 
   if (obs_.rec != nullptr) {
     obs_.matches->inc(outcome.matches);

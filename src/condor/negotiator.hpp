@@ -48,6 +48,8 @@ struct NegotiatorStats {
   std::uint64_t batch_jobs = 0;
   std::uint64_t packed = 0;
   std::uint64_t occupancy_rejected = 0;
+  /// Two-way (job, machine) matches evaluated. Not exported as telemetry.
+  std::uint64_t match_evaluations = 0;
 };
 
 class Negotiator {

@@ -64,6 +64,7 @@ void Schedd::qedit(JobId id, const std::string& attr, classad::ExprPtr expr) {
   PHISCHED_REQUIRE(rec.state == JobState::kPending,
                    "qedit: job is no longer pending");
   rec.ad.insert(attr, std::move(expr));
+  rec.autocluster = 0;
 }
 
 void Schedd::qedit_expr(JobId id, const std::string& attr,
@@ -86,6 +87,95 @@ std::vector<JobId> Schedd::pending() const {
     if (rec->state == JobState::kPending) out.push_back(rec->id);
   }
   return out;
+}
+
+void Schedd::set_machine_side_names(AttrNames names) {
+  if (names == machine_side_names_) return;
+  machine_side_names_ = std::move(names);
+  autoclusters_.clear();
+  for (auto& [id, rec] : jobs_) rec.autocluster = 0;
+}
+
+AutoclusterId Schedd::autocluster(const JobRecord& rec) {
+  return rec.autocluster != 0 ? rec.autocluster
+                              : classify(mutable_record(rec.id));
+}
+
+AutoclusterId Schedd::classify(JobRecord& rec) {
+  // The significant names, each once: Requirements, Rank, the
+  // machine-side names, then every MY. or bare reference of the job's
+  // expressions for names already listed. Each name's expression decides
+  // which names follow it, so signatures that agree expression by
+  // expression also agree name by name, and comparing the expressions
+  // in order compares the whole key. The views point into
+  // machine_side_names_ and into the job's ad, which outlive this call.
+  static constexpr std::string_view kRequirements = "Requirements";
+  static constexpr std::string_view kRank = "Rank";
+  auto& names = classify_names_;
+  auto& exprs = classify_exprs_;
+  names.clear();
+  exprs.clear();
+  const auto add = [&names](std::uint64_t hash, std::string_view name) {
+    for (const auto& [h, n] : names) {
+      if (h == hash && classad::iequals(n, name)) return;
+    }
+    names.emplace_back(hash, name);
+  };
+  add(classad::name_hash(kRequirements), kRequirements);
+  add(classad::name_hash(kRank), kRank);
+  for (const auto& [hash, name] : machine_side_names_) add(hash, name);
+
+  std::uint64_t key = 0;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const classad::Expr* expr = rec.ad.find(names[i].first, names[i].second);
+    key = (key ^ (expr != nullptr ? classad::expr_hash(*expr) : 0)) *
+          1099511628211ULL;
+    if (expr != nullptr) {
+      classad::for_each_reference(*expr, [&add](const classad::Expr& ref) {
+        if (ref.scope != classad::AttrScope::kTarget) {
+          add(ref.attr_hash, ref.attr);
+        }
+      });
+    }
+    exprs.push_back(expr);
+  }
+
+  const auto same = [](const classad::Expr* a, const classad::ExprPtr& b) {
+    return a == nullptr ? b == nullptr
+                        : b != nullptr && classad::same_expr(*a, *b);
+  };
+  const auto [first, last] = autoclusters_.equal_range(key);
+  for (auto it = first; it != last; ++it) {
+    if (std::equal(exprs.begin(), exprs.end(), it->second.signature.begin(),
+                   it->second.signature.end(), same)) {
+      return rec.autocluster = it->second.id;
+    }
+  }
+  compact_autoclusters();
+  Autocluster added{{}, next_autocluster_++};
+  added.signature.reserve(names.size());
+  for (const auto& [hash, name] : names) {
+    added.signature.push_back(rec.ad.lookup(name));
+  }
+  rec.autocluster = added.id;
+  autoclusters_.emplace(key, std::move(added));
+  return rec.autocluster;
+}
+
+void Schedd::compact_autoclusters() {
+  const std::size_t live = jobs_.size() - completed_ - failed_;
+  if (autoclusters_.size() < 2 * live + 8) return;
+  std::vector<AutoclusterId> held;
+  for (const JobRecord* rec : live_) {
+    if (rec->state != JobState::kCompleted &&
+        rec->state != JobState::kFailed && rec->autocluster != 0) {
+      held.push_back(rec->autocluster);
+    }
+  }
+  std::sort(held.begin(), held.end());
+  std::erase_if(autoclusters_, [&held](const auto& entry) {
+    return !std::binary_search(held.begin(), held.end(), entry.second.id);
+  });
 }
 
 const JobRecord& Schedd::record(JobId id) const {
@@ -151,6 +241,7 @@ void Schedd::requeue(JobId id, classad::ClassAd new_ad) {
   rec.node = -1;
   rec.start_time = -1.0;
   rec.ad = std::move(new_ad);
+  rec.autocluster = 0;
   rec.retries += 1;
   if (obs_.rec != nullptr) obs_.jobs_requeued->inc();
 }

@@ -3,11 +3,17 @@
 // Jobs are submitted as ClassAds, examined by the negotiator in FIFO
 // order, and may be edited in place with qedit (the mechanism the paper's
 // add-on uses, via condor_qedit, to pin jobs to nodes). The schedd also
-// records the lifecycle timestamps experiments report on.
+// records the lifecycle timestamps experiments report on, and groups jobs
+// into autoclusters: jobs that must match the same machines, so the
+// negotiator scans the machines once per group (docs/negotiation.md).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "classad/classad.hpp"
@@ -27,6 +33,13 @@ enum class JobState {
 
 [[nodiscard]] const char* job_state_name(JobState s);
 
+/// Jobs with equal autocluster ids match the same machines against any
+/// snapshot (see Schedd::autocluster). 0 means "not classified yet".
+using AutoclusterId = std::uint64_t;
+
+/// Attribute names with their classad::name_hash.
+using AttrNames = std::vector<std::pair<std::uint64_t, std::string>>;
+
 struct JobRecord {
   JobId id = 0;
   classad::ClassAd ad;
@@ -36,6 +49,8 @@ struct JobRecord {
   SimTime start_time = -1.0;
   SimTime finish_time = -1.0;
   int retries = 0;  ///< times the job was requeued after a failure
+  /// Cached by Schedd::autocluster; reset to 0 by qedit and requeue.
+  AutoclusterId autocluster = 0;
 };
 
 class Schedd {
@@ -56,6 +71,26 @@ class Schedd {
 
   /// Pending job ids in FIFO order.
   [[nodiscard]] std::vector<JobId> pending() const;
+
+  /// The job-side names the machine ads reach: every TARGET.x and bare x
+  /// in any of their expressions. Autocluster ids cover the job's value
+  /// of each, so a different list reclassifies every job.
+  void set_machine_side_names(AttrNames names);
+
+  /// The job's autocluster id, assigned the first time it is asked for
+  /// after a submit, qedit or requeue. Two jobs share an id only when
+  /// their expressions are structurally identical (classad::same_expr)
+  /// for Requirements, Rank, every machine-side name, and every name
+  /// those reach through MY. or bare references, followed transitively.
+  /// Together these are everything a two-way match or a Rank evaluation
+  /// reads from the job, so jobs that share an id match the same
+  /// machines, with the same Ranks, against any snapshot.
+  [[nodiscard]] AutoclusterId autocluster(const JobRecord& rec);
+
+  /// Distinct autoclusters held, live jobs' and not yet compacted ones.
+  [[nodiscard]] std::size_t autocluster_count() const {
+    return autoclusters_.size();
+  }
 
   [[nodiscard]] const JobRecord& record(JobId id) const;
   [[nodiscard]] bool known(JobId id) const;
@@ -116,6 +151,16 @@ class Schedd {
 
   JobRecord& mutable_record(JobId id);
 
+  /// One autocluster: the job's expression (or null) for each
+  /// significant name, in the order classify() discovers the names.
+  struct Autocluster {
+    std::vector<classad::ExprPtr> signature;
+    AutoclusterId id = 0;
+  };
+  AutoclusterId classify(JobRecord& rec);
+  /// Drops autoclusters no live job holds, once they outnumber live jobs.
+  void compact_autoclusters();
+
   Simulator& sim_;
   std::map<JobId, JobRecord> jobs_;
   /// Non-terminal jobs in submission order (map nodes never move), plus
@@ -128,6 +173,14 @@ class Schedd {
   SimTime last_finish_ = 0.0;
   std::function<void(const JobRecord&)> on_terminal_;
   Telemetry obs_;
+  AttrNames machine_side_names_;
+  /// Keyed by the hash of the signature's expressions.
+  std::multimap<std::uint64_t, Autocluster> autoclusters_;
+  AutoclusterId next_autocluster_ = 1;
+  /// classify()'s working lists, kept so a call allocates nothing unless
+  /// it adds an autocluster.
+  std::vector<std::pair<std::uint64_t, std::string_view>> classify_names_;
+  std::vector<const classad::Expr*> classify_exprs_;
 };
 
 }  // namespace phisched::condor

@@ -14,6 +14,36 @@ namespace phisched::condor {
 
 namespace {
 
+/// Every name a machine ad's expressions reach on the job side: TARGET.x,
+/// and bare x (which falls back to the job when the machine lacks x).
+/// Sorted by hash, each once whatever its spelling.
+AttrNames machine_side_names(const MachineAds& machines) {
+  AttrNames names;
+  for (const auto& [node, ad] : machines) {
+    ad.for_each_expr([&names](const classad::Expr& expr) {
+      if (expr.kind == classad::Expr::Kind::kLiteral) return;  // most slots
+      classad::for_each_reference(expr, [&names](const classad::Expr& ref) {
+        if (ref.scope != classad::AttrScope::kMy) {
+          names.emplace_back(ref.attr_hash, ref.attr);
+        }
+      });
+    });
+  }
+  std::stable_sort(names.begin(), names.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first != b.first ? a.first < b.first
+                                               : classad::iless(a.second,
+                                                                b.second);
+                   });
+  names.erase(std::unique(names.begin(), names.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.first == b.first &&
+                                   classad::iequals(a.second, b.second);
+                          }),
+              names.end());
+  return names;
+}
+
 /// Claims one slot in the cycle-local machine ad copy. Custom Phi
 /// attributes stay as advertised until the next snapshot, as in vanilla
 /// Condor: surplus matches fail at dispatch and retry next cycle.
@@ -31,6 +61,7 @@ void enact(MatchCycle& cycle, JobId job_id, NodeId node,
   if (cycle.dispatch(job_id, node)) {
     ++outcome.matches;
     claim_slot(machine);
+    cycle.candidates.claimed();
     if (cycle.want_latencies) {
       outcome.match_latencies.push_back(
           cycle.now - cycle.schedd.record(job_id).submit_time);
@@ -48,8 +79,7 @@ void enact(MatchCycle& cycle, JobId job_id, NodeId node,
 void match_one(MatchCycle& cycle, JobId job_id, CycleOutcome& outcome) {
   const JobRecord& rec = cycle.schedd.record(job_id);
   if (rec.state != JobState::kPending) return;  // hook may have acted
-  const auto chosen =
-      choose_machine(rec.ad, cycle.machines, cycle.order, cycle.rng);
+  const auto chosen = cycle.candidates.choose(rec, cycle.order, cycle.rng);
   if (!chosen.has_value()) return;
   auto& [node, machine] = cycle.machines[*chosen];
   enact(cycle, job_id, node, machine, outcome);
@@ -130,7 +160,7 @@ class BatchStrategy final : public MatchStrategy {
       if (batch.size() >= config_.batch_size) break;
       const JobRecord& rec = cycle.schedd.record(job_id);
       if (rec.state != JobState::kPending) continue;
-      if (!matches_somewhere(rec.ad, cycle.machines)) continue;
+      if (cycle.candidates.candidates(rec).empty()) continue;
       batch.push_back(job_id);
     }
     outcome.batch_jobs = batch.size();
@@ -171,15 +201,6 @@ class BatchStrategy final : public MatchStrategy {
   }
 
  private:
-  [[nodiscard]] static bool matches_somewhere(const classad::ClassAd& job_ad,
-                                              const MachineAds& machines) {
-    if (classad::requirements_never_met(job_ad)) return false;
-    for (const auto& [node, ad] : machines) {
-      if (classad::symmetric_match(job_ad, ad)) return true;
-    }
-    return false;
-  }
-
   /// True when no card's occupancy cap could ever hold this declaration.
   [[nodiscard]] bool oversized(
       const JobRequest& request,
@@ -223,7 +244,7 @@ class BatchStrategy final : public MatchStrategy {
     // job to that device's bin.
     for (std::size_t j = 0; j < singles.size(); ++j) {
       const auto& [job_id, request] = singles[j];
-      const classad::ClassAd& job_ad = cycle.schedd.record(job_id).ad;
+      const JobRecord& rec = cycle.schedd.record(job_id);
       knapsack::BatchJob job;
       job.tag = j;
       job.mem_mib = request.mem_mib;
@@ -231,11 +252,8 @@ class BatchStrategy final : public MatchStrategy {
       job.bw = request.bw;
       job.value = knapsack::job_value(knapsack::ValueFunction::kPaperQuadratic,
                                       job.threads, fleet_hw);
-      const auto pinned = job_ad.eval_integer(kAttrPinnedDevice);
-      for (std::size_t m = 0; m < cycle.machines.size(); ++m) {
-        if (!classad::symmetric_match(job_ad, cycle.machines[m].second)) {
-          continue;
-        }
+      const auto pinned = rec.ad.eval_integer(kAttrPinnedDevice);
+      for (const std::size_t m : cycle.candidates.candidates(rec)) {
         for (std::size_t d = 0; d < cards[m].size(); ++d) {
           if (pinned.has_value() &&
               static_cast<DeviceId>(*pinned) != static_cast<DeviceId>(d)) {
@@ -266,7 +284,7 @@ class BatchStrategy final : public MatchStrategy {
       auto& [node, machine_ad] = cycle.machines[m];
       const JobRecord& rec = cycle.schedd.record(job_id);
       if (rec.state != JobState::kPending) continue;
-      if (!classad::symmetric_match(rec.ad, machine_ad)) {
+      if (!cycle.candidates.matches(rec.ad, m)) {
         ++outcome.occupancy_rejected;
         continue;
       }
@@ -424,46 +442,70 @@ std::vector<JobId> ordered_pending(const Schedd& schedd,
   return pending;
 }
 
-std::optional<std::size_t> choose_machine(const classad::ClassAd& job_ad,
-                                          const MachineAds& machines,
-                                          MachineOrder order, Rng& rng) {
-  // A constant Requirements other than true (MCCK's parked jobs) matches
-  // nothing; an empty candidate set draws no RNG, so skipping the scan
-  // changes no decision.
-  if (classad::requirements_never_met(job_ad)) return std::nullopt;
+CandidateMemo::CandidateMemo(Schedd& schedd, const MachineAds& machines)
+    : schedd_(schedd), machines_(machines) {
+  schedd_.set_machine_side_names(machine_side_names(machines_));
+}
 
-  // Candidate machines whose ads match the job both ways.
-  std::vector<std::size_t> candidates;
-  for (std::size_t m = 0; m < machines.size(); ++m) {
-    if (classad::symmetric_match(job_ad, machines[m].second)) {
-      candidates.push_back(m);
+bool CandidateMemo::matches(const classad::ClassAd& job_ad, std::size_t m) {
+  ++evaluations_;
+  return classad::symmetric_match(job_ad, machines_[m].second);
+}
+
+CandidateMemo::Entry* CandidateMemo::entry(const JobRecord& rec) {
+  // A constant Requirements other than true (MCCK's parked jobs) matches
+  // nothing; answering before classification keeps parked jobs out of
+  // the autocluster table.
+  if (classad::requirements_never_met(rec.ad)) return nullptr;
+  Entry& entry = entries_[schedd_.autocluster(rec)];
+  if (entry.version != version_) {
+    entry.version = version_;
+    entry.best_rank.reset();
+    entry.machines.clear();
+    for (std::size_t m = 0; m < machines_.size(); ++m) {
+      if (matches(rec.ad, m)) entry.machines.push_back(m);
     }
   }
-  if (candidates.empty()) return std::nullopt;
+  return &entry;
+}
 
-  std::size_t chosen = candidates.front();
+const std::vector<std::size_t>& CandidateMemo::candidates(
+    const JobRecord& rec) {
+  static const std::vector<std::size_t> kNone;
+  const Entry* found = entry(rec);
+  return found != nullptr ? found->machines : kNone;
+}
+
+std::optional<std::size_t> CandidateMemo::choose(const JobRecord& rec,
+                                                 MachineOrder order,
+                                                 Rng& rng) {
+  Entry* found = entry(rec);
+  // An empty candidate set draws no RNG.
+  if (found == nullptr || found->machines.empty()) return std::nullopt;
+  const std::vector<std::size_t>& list = found->machines;
   switch (order) {
     case MachineOrder::kFirstFit:
-      break;
+      return list.front();
     case MachineOrder::kRandom:
-      chosen = candidates[rng.index(candidates.size())];
-      break;
-    case MachineOrder::kBestRank: {
-      // Strictly-greater updates over candidates in ascending machine
-      // order: equal-Rank ties resolve to the lowest node id (the
-      // candidate list is ordered by node id).
-      double best_rank = classad::eval_rank(job_ad, machines[chosen].second);
-      for (const std::size_t m : candidates) {
-        const double rank = classad::eval_rank(job_ad, machines[m].second);
-        if (rank > best_rank) {
-          best_rank = rank;
-          chosen = m;
+      return list[rng.index(list.size())];
+    case MachineOrder::kBestRank:
+      if (!found->best_rank.has_value()) {
+        // Strictly-greater updates over candidates in ascending machine
+        // order: equal-Rank ties resolve to the lowest node id.
+        std::size_t best = list.front();
+        double best_rank = classad::eval_rank(rec.ad, machines_[best].second);
+        for (const std::size_t m : list) {
+          const double rank = classad::eval_rank(rec.ad, machines_[m].second);
+          if (rank > best_rank) {
+            best_rank = rank;
+            best = m;
+          }
         }
+        found->best_rank = best;
       }
-      break;
-    }
+      return found->best_rank;
   }
-  return chosen;
+  return std::nullopt;
 }
 
 std::unique_ptr<MatchStrategy> make_match_strategy(

@@ -18,6 +18,10 @@
 //                  only jobs whose placement keeps declared thread/memory
 //                  occupancy under the configured thresholds.
 //
+// Both strategies read their candidate machines from the cycle's
+// CandidateMemo: one scan per autocluster and snapshot version, not one
+// per job (docs/negotiation.md, "Autoclusters").
+//
 // Determinism contract: a strategy's decisions are a pure function of the
 // cycle snapshot (machine ads + pending queue) and the cycle's RNG draws.
 // No wall clock, no pointer identity, no hash order — bit-identical across
@@ -29,6 +33,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "classad/classad.hpp"
@@ -90,6 +95,57 @@ struct NegotiationConfig {
 /// Round-trips parse_negotiation (batch configs print every key).
 [[nodiscard]] std::string negotiation_to_string(const NegotiationConfig& c);
 
+/// The machines each pending job matches both ways, memoized per
+/// autocluster (Schedd::autocluster) for one version of the snapshot.
+/// Every slot claim starts a new version. Jobs that share an autocluster
+/// match the same machines, so between two claims the machines are
+/// scanned once per autocluster, not once per job. The never-met check
+/// stays per job, and so do the choice's RNG draw and the dispatch.
+class CandidateMemo {
+ public:
+  /// Hands the snapshot's machine-side names to `schedd`, which keys its
+  /// autoclusters by them.
+  CandidateMemo(Schedd& schedd, const MachineAds& machines);
+
+  /// Indices of the snapshot machines matching the job both ways, in
+  /// ascending order. Empty, without a scan, when the job's Requirements
+  /// is a literal other than true.
+  [[nodiscard]] const std::vector<std::size_t>& candidates(
+      const JobRecord& rec);
+
+  /// One candidate per `order`: kRandom draws exactly one rng.index when
+  /// there is a candidate and none otherwise; kBestRank keeps the first
+  /// candidate of highest Rank. nullopt when nothing matches.
+  [[nodiscard]] std::optional<std::size_t> choose(const JobRecord& rec,
+                                                  MachineOrder order, Rng& rng);
+
+  /// The two-way match of one job against snapshot machine `m`.
+  [[nodiscard]] bool matches(const classad::ClassAd& job_ad, std::size_t m);
+
+  /// A slot was claimed from the snapshot: every memoized list is stale.
+  void claimed() { ++version_; }
+
+  /// Two-way matches evaluated so far.
+  [[nodiscard]] std::uint64_t evaluations() const { return evaluations_; }
+
+ private:
+  struct Entry {
+    std::uint64_t version = 0;
+    std::vector<std::size_t> machines;
+    std::optional<std::size_t> best_rank;  ///< kBestRank's pick, on demand
+  };
+
+  /// The job's autocluster entry, rescanned if its version is stale;
+  /// null, without classifying the job, when it can match nothing.
+  Entry* entry(const JobRecord& rec);
+
+  Schedd& schedd_;
+  const MachineAds& machines_;
+  std::uint64_t version_ = 1;
+  std::uint64_t evaluations_ = 0;
+  std::unordered_map<AutoclusterId, Entry> entries_;
+};
+
 /// Everything one negotiation cycle exposes to its strategy. `machines`
 /// is the cycle-local snapshot; strategies claim a slot from it per match
 /// so one cycle never claims more slots than a machine advertises.
@@ -106,6 +162,8 @@ struct MatchCycle {
   /// (only the batch telemetry registers the histogram, so the FIFO
   /// default pays nothing and exports byte-identical JSON).
   bool want_latencies = false;
+  /// Where strategies read candidates from; enact() bumps its version.
+  CandidateMemo candidates{schedd, machines};
 };
 
 /// What one strategy pass did. The batch counters stay zero under FIFO.
@@ -134,15 +192,6 @@ class MatchStrategy {
 /// within equal priorities — the order every strategy consumes.
 [[nodiscard]] std::vector<JobId> ordered_pending(const Schedd& schedd,
                                                  std::vector<JobId> pending);
-
-/// Chooses one machine for `job_ad` among those matching both ways, per
-/// `order` (kRandom draws exactly one rng.index per call with a nonempty
-/// candidate set; kBestRank breaks ties toward the lowest index). Returns
-/// nullopt when nothing matches, without a scan when the job's
-/// Requirements is a literal other than true.
-[[nodiscard]] std::optional<std::size_t> choose_machine(
-    const classad::ClassAd& job_ad, const MachineAds& machines,
-    MachineOrder order, Rng& rng);
 
 [[nodiscard]] std::unique_ptr<MatchStrategy> make_match_strategy(
     const NegotiationConfig& config);

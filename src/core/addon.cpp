@@ -1,6 +1,7 @@
 #include "core/addon.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "classad/parser.hpp"
 #include "common/check.hpp"
@@ -26,6 +27,14 @@ SharingAwareScheduler::SharingAwareScheduler(
     AddonConfig config)
     : schedd_(schedd), policy_(std::move(policy)), config_(config) {
   PHISCHED_REQUIRE(policy_ != nullptr, "SharingAwareScheduler: null policy");
+  // The budget casts hw_threads * overcommit to an integer: NaN, inf or
+  // a huge factor would make that cast undefined. 16 is the bound the
+  // batch strategy's occupancy knobs use.
+  PHISCHED_REQUIRE(std::isfinite(config_.thread_overcommit) &&
+                       config_.thread_overcommit > 0.0 &&
+                       config_.thread_overcommit <= 16.0,
+                   "SharingAwareScheduler: thread_overcommit must be in "
+                   "(0, 16]");
 }
 
 std::vector<DeviceView> SharingAwareScheduler::device_views(

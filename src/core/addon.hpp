@@ -43,7 +43,8 @@ struct AddonConfig {
   /// 1.0 is the paper's literal rule ("the number of threads of all
   /// concurrent jobs must not exceed the number of hardware threads");
   /// 1.5 recovers the utilization the paper reports for offload jobs
-  /// whose duty cycle is ~0.5. See the ablation bench.
+  /// whose duty cycle is ~0.5. See the ablation bench. Must be finite
+  /// and in (0, 16].
   double thread_overcommit = 1.5;
   /// Interference awareness (heterogeneous fleets): when true (default),
   /// device views carry each card's advertised memory-bandwidth headroom

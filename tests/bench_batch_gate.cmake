@@ -2,8 +2,8 @@
 # BENCH_batch.json with the freshly built bench_batch and diff it against
 # the committed golden. Every metric is a deterministic simulation output
 # (fifo vs batched makespan / wait / turnaround / utilization per stack
-# and Fig. 7 distribution), so any drift beyond bench_diff's default
-# threshold fails the build. bench_batch itself hard-fails if a batched
+# and Fig. 7 distribution), so bench_diff --exact fails the build on any
+# change, in either direction, down to one ulp. bench_batch itself hard-fails if a batched
 # MCCK run is not bit-identical across a repeat, so a green gate also
 # certifies batch-mode determinism.
 set(CANDIDATE ${WORKDIR}/BENCH_batch_candidate.json)
@@ -16,7 +16,7 @@ if(NOT rc EQUAL 0)
 endif()
 
 execute_process(
-  COMMAND ${BENCH_DIFF} ${GOLDEN} ${CANDIDATE}
+  COMMAND ${BENCH_DIFF} ${GOLDEN} ${CANDIDATE} --exact
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "batch negotiation gate failed (rc=${rc}):\n${out}\n${err}")

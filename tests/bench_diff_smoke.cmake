@@ -184,3 +184,91 @@ endif()
 if(NOT err MATCHES "parse error")
   message(FATAL_ERROR "truncated report missing the parse diagnostic:\n${err}")
 endif()
+
+# A bad option value is a usage error (exit 2). --threshold nan used to
+# print "no regressions." for any candidate (every `bad > NaN` is false),
+# and --threshold abc aborted on an uncaught exception.
+foreach(bad nan inf abc)
+  execute_process(COMMAND ${BENCH_DIFF} ${BASE} ${WORSE} --threshold ${bad}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "--threshold ${bad} exited ${rc}, expected 2:\n${out}${err}")
+  endif()
+  if(NOT err MATCHES "threshold")
+    message(FATAL_ERROR "--threshold ${bad} diagnostic does not name the option:\n${err}")
+  endif()
+endforeach()
+
+# --exact: same seeds, same keys, bit-equal values; host-time keys
+# (events_per_sec) are skipped.
+set(EXACT_BASE ${WORKDIR}/bench_diff_exact_base.json)
+set(EXACT_SAME ${WORKDIR}/bench_diff_exact_same.json)
+set(EXACT_ULP ${WORKDIR}/bench_diff_exact_ulp.json)
+set(EXACT_BETTER ${WORKDIR}/bench_diff_exact_better.json)
+set(EXACT_MISSING ${WORKDIR}/bench_diff_exact_missing.json)
+set(EXACT_EXTRA ${WORKDIR}/bench_diff_exact_extra.json)
+set(EXACT_SEED ${WORKDIR}/bench_diff_exact_seed.json)
+file(WRITE ${EXACT_BASE} [=[
+{"bench":"scale","wall_time_s":1.0,"environment":{"compiler":"x"},"results":[
+  {"seed":42,"metrics":{"scale.makespan_s":1234.5678901234567,"scale.events":1000,"scale.seq_events_per_sec":35000.0}},
+  {"seed":43,"metrics":{"scale.makespan_s":1200.0,"scale.events":990,"scale.seq_events_per_sec":34000.0}}
+ ]}
+]=])
+# Same simulation outputs; host time, wall time and environment differ.
+file(WRITE ${EXACT_SAME} [=[
+{"bench":"scale","wall_time_s":9.0,"environment":{"compiler":"y"},"results":[
+  {"seed":42,"metrics":{"scale.makespan_s":1234.5678901234567,"scale.events":1000,"scale.seq_events_per_sec":71000.0}},
+  {"seed":43,"metrics":{"scale.makespan_s":1200.0,"scale.events":990,"scale.seq_events_per_sec":70000.0}}
+ ]}
+]=])
+# One ulp above 1234.5678901234567.
+file(WRITE ${EXACT_ULP} [=[
+{"bench":"scale","results":[
+  {"seed":42,"metrics":{"scale.makespan_s":1234.5678901234569,"scale.events":1000,"scale.seq_events_per_sec":35000.0}},
+  {"seed":43,"metrics":{"scale.makespan_s":1200.0,"scale.events":990,"scale.seq_events_per_sec":34000.0}}
+ ]}
+]=])
+# A shorter makespan is still a difference.
+file(WRITE ${EXACT_BETTER} [=[
+{"bench":"scale","results":[
+  {"seed":42,"metrics":{"scale.makespan_s":1000.0,"scale.events":1000,"scale.seq_events_per_sec":35000.0}},
+  {"seed":43,"metrics":{"scale.makespan_s":1200.0,"scale.events":990,"scale.seq_events_per_sec":34000.0}}
+ ]}
+]=])
+file(WRITE ${EXACT_MISSING} [=[
+{"bench":"scale","results":[
+  {"seed":42,"metrics":{"scale.makespan_s":1234.5678901234567,"scale.seq_events_per_sec":35000.0}},
+  {"seed":43,"metrics":{"scale.makespan_s":1200.0,"scale.events":990,"scale.seq_events_per_sec":34000.0}}
+ ]}
+]=])
+file(WRITE ${EXACT_EXTRA} [=[
+{"bench":"scale","results":[
+  {"seed":42,"metrics":{"scale.makespan_s":1234.5678901234567,"scale.events":1000,"scale.new_key":1.0,"scale.seq_events_per_sec":35000.0}},
+  {"seed":43,"metrics":{"scale.makespan_s":1200.0,"scale.events":990,"scale.seq_events_per_sec":34000.0}}
+ ]}
+]=])
+file(WRITE ${EXACT_SEED} [=[
+{"bench":"scale","results":[
+  {"seed":42,"metrics":{"scale.makespan_s":1234.5678901234567,"scale.events":1000,"scale.seq_events_per_sec":35000.0}}
+ ]}
+]=])
+
+execute_process(COMMAND ${BENCH_DIFF} ${EXACT_BASE} ${EXACT_SAME} --exact
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "--exact flagged a host-time-only difference (rc=${rc}):\n${out}")
+endif()
+if(NOT out MATCHES "bit-identical")
+  message(FATAL_ERROR "--exact clean run missing its verdict:\n${out}")
+endif()
+
+foreach(case ULP BETTER MISSING EXTRA SEED)
+  execute_process(COMMAND ${BENCH_DIFF} ${EXACT_BASE} ${EXACT_${case}} --exact
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "--exact passed the ${case} candidate (rc=${rc}):\n${out}")
+  endif()
+  if(NOT out MATCHES "DIFFERENCES")
+    message(FATAL_ERROR "--exact ${case} report missing DIFFERENCES:\n${out}")
+  endif()
+endforeach()

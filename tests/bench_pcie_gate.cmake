@@ -1,9 +1,9 @@
 # Perf-regression gate: regenerate BENCH_pcie.json with the freshly
 # built bench_pcie_hier and diff it against the committed golden. The
-# metrics are deterministic (pure simulation), so any drift beyond the
-# 2% default threshold — per-card throughput, recovered Table 1
-# constants, or the full-stack makespan/wait/turnaround/utilization —
-# fails the build.
+# metrics are deterministic (pure simulation), so bench_diff --exact
+# fails the build on any change at all — per-card throughput, recovered
+# Table 1 constants, or the full-stack makespan/wait/turnaround/
+# utilization, in either direction, down to one ulp.
 set(CANDIDATE ${WORKDIR}/BENCH_pcie_candidate.json)
 
 execute_process(
@@ -14,7 +14,7 @@ if(NOT rc EQUAL 0)
 endif()
 
 execute_process(
-  COMMAND ${BENCH_DIFF} ${GOLDEN} ${CANDIDATE}
+  COMMAND ${BENCH_DIFF} ${GOLDEN} ${CANDIDATE} --exact
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "PCIe perf gate failed (rc=${rc}):\n${out}\n${err}")

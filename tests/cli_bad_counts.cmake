@@ -1,0 +1,26 @@
+# phisched_cli rejects count and number options it cannot use, with exit
+# 2 and a message naming the option, before anything is built. `--nodes
+# -1` used to wrap to SIZE_MAX and segfault; `--overcommit nan` reached
+# an undefined float-to-int cast; `--seed 99999999999999999999` was
+# silently clamped to INT64_MAX.
+foreach(case
+    "--nodes;-1;nodes"
+    "--jobs;-5;jobs"
+    "--devices;99999999999;devices"
+    "--overcommit;nan;overcommit"
+    "--overcommit;1e300;overcommit"
+    "--seed;99999999999999999999;seed"
+    "--serve;--tenants;-2;tenants"
+    "--serve;--admit-queue;-1;admit-queue"
+    "--serve;--admit-max-defers;-3;admit-max-defers")
+  list(POP_BACK case option)
+  # --jobs 1 comes first so a case that sets --jobs overrides it.
+  execute_process(COMMAND ${CLI} --jobs 1 ${case}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "${case} exited ${rc}, expected 2:\n${out}${err}")
+  endif()
+  if(NOT err MATCHES "${option}")
+    message(FATAL_ERROR "${case}: the message does not name --${option}:\n${err}")
+  endif()
+endforeach()

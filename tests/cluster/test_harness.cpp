@@ -183,6 +183,15 @@ TEST(Harness, SnapshotUnderActiveTransfersWithSwitchOn) {
   expect_identical(one_shot, harness.run_to_completion());
 }
 
+TEST(Harness, NodeCountMustFitANodeId) {
+  // 2^32 nodes used to cast to NodeId -1: no node was built, and the
+  // constructor then read the first node of an empty vector. This count
+  // builds no node before the check either, so the test starts no work.
+  ExperimentConfig config = small_cluster(StackConfig::kMCC, 1);
+  config.node_count = std::size_t{1} << 32;
+  EXPECT_THROW(Harness{config}, std::invalid_argument);
+}
+
 TEST(Harness, SwitchRequiresLinkContention) {
   ExperimentConfig config = small_cluster(StackConfig::kMCC, 1);
   config.pcie_switch.enabled = true;  // without pcie.contention

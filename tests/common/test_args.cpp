@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace phisched {
 namespace {
 
@@ -91,6 +93,34 @@ TEST(Args, LaterValueWins) {
 
 TEST(Args, BareDashesThrow) {
   EXPECT_THROW(parse({"prog", "--"}), std::invalid_argument);
+}
+
+TEST(Args, NonFiniteRealsThrow) {
+  // strtod reads all of these; none is a usable knob, and a NaN
+  // threshold silently fails every comparison against it.
+  for (const char* value : {"nan", "NAN", "inf", "-inf", "infinity", "1e400",
+                            "-1e400"}) {
+    const auto args = parse({"prog", "--x", value});
+    EXPECT_THROW((void)args.get_real_or("x", 0.0), std::invalid_argument)
+        << value;
+  }
+  const auto args = parse({"prog", "--x", "1e300", "--y", "-0.5"});
+  EXPECT_DOUBLE_EQ(args.get_real_or("x", 0.0), 1e300);
+  EXPECT_DOUBLE_EQ(args.get_real_or("y", 0.0), -0.5);
+}
+
+TEST(Args, OutOfRangeIntegersThrow) {
+  // strtoll would clamp these to INT64_MAX / INT64_MIN.
+  for (const char* value : {"99999999999999999999", "-99999999999999999999",
+                            "9223372036854775808"}) {
+    const auto args = parse({"prog", "--n", value});
+    EXPECT_THROW((void)args.get_int_or("n", 0), std::invalid_argument)
+        << value;
+  }
+  const auto args = parse({"prog", "--max", "9223372036854775807", "--min",
+                           "-9223372036854775808"});
+  EXPECT_EQ(args.get_int_or("max", 0), INT64_MAX);
+  EXPECT_EQ(args.get_int_or("min", 0), INT64_MIN);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
 #include "condor/ads.hpp"
+#include "workload/jobset.hpp"
 
 namespace phisched::condor {
 namespace {
@@ -66,6 +68,46 @@ TEST_F(NegotiatorTest, MatchesJobToOnlyFittingMachine) {
   EXPECT_EQ(dispatched_[0], (std::pair<JobId, NodeId>{1, 1}));
   EXPECT_EQ(schedd_.record(1).state, JobState::kMatched);
   EXPECT_EQ(negotiator.stats().matches, 1u);
+}
+
+TEST_F(NegotiatorTest, McCycleScansOncePerAutoclusterAndClaim) {
+  // One MC cycle over 1,000 pending Table I jobs on 8 nodes. The snapshot's
+  // PhiFreeDevices stays stale for the whole cycle, so every job matches
+  // every machine and all but one dispatch per node are refused. A
+  // per-job scan evaluates 8 x 1,000 two-way matches; the memo rescans
+  // only after a claim, once per autocluster.
+  for (NodeId n = 0; n < 8; ++n) {
+    collector_.advertise(n, [n] {
+      classad::ClassAd ad;
+      ad.insert_string(kAttrName, machine_name(n));
+      ad.insert_integer(kAttrFreeSlots, 16);
+      ad.insert_integer(kAttrPhiDevices, 1);
+      ad.insert_integer(kAttrPhiFreeDevices, 1);
+      ad.insert_expr(kAttrRequirements, "MY.FreeSlots >= 1");
+      return ad;
+    });
+  }
+  const workload::JobSet jobs =
+      workload::make_real_jobset(1000, Rng(42).child("jobs"));
+  for (const workload::JobSpec& spec : jobs) {
+    schedd_.submit(spec.id, make_job_ad(spec, exclusive_requirements()));
+  }
+  std::set<NodeId> busy;
+  auto negotiator = make({}, [&busy](JobId, NodeId node) {
+    return busy.insert(node).second;
+  });
+  negotiator.run_cycle();
+
+  std::set<AutoclusterId> autoclusters;
+  for (const workload::JobSpec& spec : jobs) {
+    autoclusters.insert(schedd_.record(spec.id).autocluster);
+  }
+  EXPECT_EQ(autoclusters.count(0), 0u);  // every job was classified
+  const NegotiatorStats& stats = negotiator.stats();
+  EXPECT_EQ(stats.matches, 8u);
+  EXPECT_EQ(stats.rejected_dispatches, 992u);
+  EXPECT_LE(stats.match_evaluations,
+            8 * (stats.matches + 1) * autoclusters.size());
 }
 
 TEST_F(NegotiatorTest, FifoOrderRespected) {

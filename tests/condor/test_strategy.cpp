@@ -393,52 +393,59 @@ TEST_F(StrategyTest, BatchRespectsPriorityOrderWhenCapacityIsShort) {
 
 TEST_F(StrategyTest, ChooseMachineDrawsNoRngWhenNothingMatches) {
   add_machine(0, machine_ad(0, 0, 7600, 7600, 240));  // no free slots
-  workload::JobSpec spec;
-  spec.id = 9;
-  spec.mem_req_mib = 10;
-  spec.threads_req = 10;
-  const classad::ClassAd job = make_job_ad(spec, arbitrary_requirements());
+  submit(9, 10, 10);
 
+  CandidateMemo memo(schedd_, machines_);
   Rng a(77);
   Rng b(77);
   EXPECT_FALSE(
-      choose_machine(job, machines_, MachineOrder::kRandom, a).has_value());
+      memo.choose(schedd_.record(9), MachineOrder::kRandom, a).has_value());
   // a must be untouched: same next draw as the pristine twin.
   EXPECT_EQ(a.index(1000), b.index(1000));
 }
 
 TEST_F(StrategyTest, ConstantRequirementsFoldBeforeTheScan) {
   // MCCK parks unpinned jobs at `Requirements = false`. A literal other
-  // than true accepts no machine, so choose_machine answers without a
-  // scan and without touching the RNG, whatever the order.
+  // than true accepts no machine, so the memo answers without a scan,
+  // without classifying the job and without touching the RNG, whatever
+  // the order.
   for (NodeId n = 0; n < 4; ++n) {
     add_machine(n, machine_ad(n, 16, 7600, 7600, 240));
   }
   workload::JobSpec spec;
-  spec.id = 9;
   spec.mem_req_mib = 10;
   spec.threads_req = 10;
+  JobId next = 0;
+  const auto submit_with = [&](const char* requirements) {
+    spec.id = next++;
+    schedd_.submit(spec.id, make_job_ad(spec, requirements));
+    return spec.id;
+  };
+  CandidateMemo memo(schedd_, machines_);
   for (const char* literal : {"false", "undefined", "error", "1", "\"yes\""}) {
-    const classad::ClassAd job = make_job_ad(spec, literal);
-    EXPECT_TRUE(classad::requirements_never_met(job)) << literal;
+    const JobRecord& job = schedd_.record(submit_with(literal));
+    EXPECT_TRUE(classad::requirements_never_met(job.ad)) << literal;
     for (const MachineOrder order :
          {MachineOrder::kFirstFit, MachineOrder::kRandom,
           MachineOrder::kBestRank}) {
       Rng rng(77);
       Rng pristine = rng;
-      EXPECT_EQ(choose_machine(job, machines_, order, rng), std::nullopt)
-          << literal;
+      EXPECT_EQ(memo.choose(job, order, rng), std::nullopt) << literal;
       EXPECT_TRUE(rng.engine() == pristine.engine()) << literal;
     }
+    EXPECT_TRUE(memo.candidates(job).empty()) << literal;
+    EXPECT_EQ(job.autocluster, 0u) << literal;
   }
+  EXPECT_EQ(memo.evaluations(), 0u);
   // `true` and a non-literal expression still scan.
   for (const char* reqs : {"true", "TARGET.FreeSlots >= 1"}) {
-    const classad::ClassAd job = make_job_ad(spec, reqs);
-    EXPECT_FALSE(classad::requirements_never_met(job)) << reqs;
-    EXPECT_EQ(choose_machine(job, machines_, MachineOrder::kFirstFit, rng_),
+    const JobRecord& job = schedd_.record(submit_with(reqs));
+    EXPECT_FALSE(classad::requirements_never_met(job.ad)) << reqs;
+    EXPECT_EQ(memo.choose(job, MachineOrder::kFirstFit, rng_),
               std::optional<std::size_t>{0})
         << reqs;
   }
+  EXPECT_EQ(memo.evaluations(), 8u);
 }
 
 TEST_F(StrategyTest, MakeStrategyRejectsBadBatchKnobs) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 #include "condor/negotiator.hpp"
@@ -206,6 +207,22 @@ TEST_F(AddonTest, HookReadsTheNegotiatorSnapshot) {
 TEST_F(AddonTest, NullPolicyRejected) {
   EXPECT_THROW(SharingAwareScheduler(schedd_, nullptr, {}),
                std::invalid_argument);
+}
+
+TEST_F(AddonTest, OvercommitMustBeFiniteAndBounded) {
+  // The budget casts hw_threads * overcommit to an integer; NaN, inf or
+  // a huge factor would make that cast undefined.
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, 0.0, -1.0,
+                           16.5, 1e300}) {
+    AddonConfig config;
+    config.thread_overcommit = bad;
+    EXPECT_THROW(make_addon(config), std::invalid_argument) << bad;
+  }
+  for (const double good : {0.5, 1.0, 16.0}) {
+    AddonConfig config;
+    config.thread_overcommit = good;
+    EXPECT_NO_THROW(make_addon(config)) << good;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,14 @@
 //
 //   bench_diff BASELINE.json CANDIDATE.json [--threshold 0.02]
 //              [--abs-threshold 1e-6] [--all]
+//   bench_diff BASELINE.json CANDIDATE.json --exact
+//
+// --exact is the golden gate for deterministic benches: both files must
+// list the same seeds and, per seed, the same results[].metrics keys,
+// and every value must be bit-equal — a 1-ulp drift and an
+// "improvement" fail alike. Host-time keys are skipped: every key
+// containing a kHostTimeKeys entry ("events_per_sec"). Top-level fields
+// such as wall_time_s and environment are never read in either mode.
 //
 // Per-metric means are taken across the seeds each file contains; seeds
 // present in both files are also compared pairwise so a single bad seed
@@ -13,8 +21,10 @@
 // load) a relative delta is undefined — the table prints "n/a" and the
 // verdict falls back to the absolute delta against --abs-threshold.
 // Other metrics are informational only. Exit codes: 0 clean,
-// 1 regression, 2 usage or parse failure.
+// 1 regression (or, with --exact, any difference), 2 usage or parse
+// failure, including a malformed or non-finite option value.
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -23,6 +33,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -343,6 +354,72 @@ int bad_direction(const std::string& metric) {
   return 0;
 }
 
+/// Wall-clock measurements, not simulation outputs: --exact skips every
+/// metric whose key contains one of these.
+constexpr const char* kHostTimeKeys[] = {"events_per_sec"};
+
+bool host_time_key(const std::string& metric) {
+  return std::any_of(std::begin(kHostTimeKeys), std::end(kHostTimeKeys),
+                     [&metric](const char* needle) {
+                       return metric.find(needle) != std::string::npos;
+                     });
+}
+
+/// --exact: the same seeds, the same metric keys per seed, and bit-equal
+/// values. Returns the exit code.
+int diff_exact(const BenchReport& baseline, const BenchReport& candidate) {
+  std::vector<std::string> mismatches;
+  std::size_t compared = 0;
+  const auto missing = [&mismatches](const std::string& what,
+                                     const char* side) {
+    mismatches.push_back(what + ": missing in " + side);
+  };
+  for (const auto& [seed, base_metrics] : baseline.runs) {
+    const std::string tag = "seed " + std::to_string(seed);
+    const auto run = candidate.runs.find(seed);
+    if (run == candidate.runs.end()) {
+      missing(tag, "candidate");
+      continue;
+    }
+    for (const auto& [metric, base] : base_metrics) {
+      if (host_time_key(metric)) continue;
+      const auto it = run->second.find(metric);
+      if (it == run->second.end()) {
+        missing(metric + " (" + tag + ")", "candidate");
+      } else if (std::bit_cast<std::uint64_t>(base) !=
+                 std::bit_cast<std::uint64_t>(it->second)) {
+        char values[96];
+        std::snprintf(values, sizeof values, "%.17g -> %.17g", base,
+                      it->second);
+        mismatches.push_back(metric + " (" + tag + "): " + values);
+      } else {
+        ++compared;
+      }
+    }
+    for (const auto& [metric, cand] : run->second) {
+      if (!host_time_key(metric) && base_metrics.count(metric) == 0) {
+        missing(metric + " (" + tag + ")", "baseline");
+      }
+    }
+  }
+  for (const auto& [seed, cand_metrics] : candidate.runs) {
+    if (baseline.runs.count(seed) == 0) {
+      missing("seed " + std::to_string(seed), "baseline");
+    }
+  }
+
+  std::printf("exact: %zu metric values compared over %zu seeds "
+              "(host-time keys skipped)\n",
+              compared, baseline.runs.size());
+  if (!mismatches.empty()) {
+    std::printf("\nDIFFERENCES (%zu):\n", mismatches.size());
+    for (const std::string& m : mismatches) std::printf("  %s\n", m.c_str());
+    return 1;
+  }
+  std::printf("bit-identical.\n");
+  return 0;
+}
+
 std::map<std::string, double> metric_means(const BenchReport& report) {
   std::map<std::string, double> sums;
   std::map<std::string, std::size_t> counts;
@@ -356,26 +433,28 @@ std::map<std::string, double> metric_means(const BenchReport& report) {
   return sums;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int diff_main(int argc, char** argv) {
   const phisched::ArgParser args(argc, argv);
   if (args.positional().size() != 2 || args.has("help")) {
     std::fprintf(stderr,
                  "usage: %s BASELINE.json CANDIDATE.json "
-                 "[--threshold FRACTION] [--abs-threshold UNITS] [--all]\n"
+                 "[--threshold FRACTION] [--abs-threshold UNITS] [--all] "
+                 "[--exact]\n"
                  "  --threshold      relative regression tolerance "
                  "(default 0.02 = 2%%)\n"
                  "  --abs-threshold  absolute tolerance used when the "
                  "baseline is 0 (default 1e-6)\n"
                  "  --all            also list metrics with no bad "
-                 "direction\n",
+                 "direction\n"
+                 "  --exact          same seeds and keys, every value "
+                 "bit-equal (host-time keys skipped)\n",
                  args.program().c_str());
     return 2;
   }
   const double threshold = args.get_real_or("threshold", 0.02);
   const double abs_threshold = args.get_real_or("abs-threshold", 1e-6);
   const bool show_all = args.get_bool_or("all", false);
+  const bool exact = args.get_bool_or("exact", false);
 
   const auto baseline = load_report(args.positional()[0]);
   const auto candidate = load_report(args.positional()[1]);
@@ -385,6 +464,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_diff: comparing different benches (%s vs %s)\n",
                  baseline->bench.c_str(), candidate->bench.c_str());
   }
+  if (exact) return diff_exact(*baseline, *candidate);
 
   const auto base_means = metric_means(*baseline);
   const auto cand_means = metric_means(*candidate);
@@ -456,4 +536,17 @@ int main(int argc, char** argv) {
   }
   std::printf("no regressions.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed or non-finite option value (--threshold nan) makes
+  // ArgParser throw: a usage error, exit 2, never an abort.
+  try {
+    return diff_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_diff: %s\n", e.what());
+    return 2;
+  }
 }

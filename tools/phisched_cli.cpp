@@ -8,6 +8,8 @@
 //   phisched_cli --help
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -173,18 +175,35 @@ workload::JobSet make_jobs(const std::string& name, std::size_t count,
   throw std::invalid_argument("unknown --workload '" + name + "'");
 }
 
+/// A count option in [0, max], checked before the caller casts it: a
+/// negative value would wrap to a huge size_t, and one past `max` would
+/// not fit the narrower type.
+std::int64_t count_arg(
+    const ArgParser& args, const std::string& name, std::int64_t fallback,
+    std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
+  const std::int64_t value = args.get_int_or(name, fallback);
+  if (value < 0 || value > max) {
+    throw std::invalid_argument("--" + name + " wants a count in [0, " +
+                                std::to_string(max) + "], got " +
+                                std::to_string(value));
+  }
+  return value;
+}
+
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
 /// The cluster knobs shared by batch and service mode.
 cluster::ExperimentConfig cluster_config_from_args(const ArgParser& args,
                                                    std::uint64_t seed) {
   cluster::ExperimentConfig config;
-  config.node_count = static_cast<std::size_t>(args.get_int_or("nodes", 8));
+  config.node_count = static_cast<std::size_t>(count_arg(args, "nodes", 8));
   // --devices: a bare count keeps the homogeneous default card; anything
   // else is a fleet spec ("2x5110P+2x7120P", phi::parse_device_spec).
   const std::string devices = args.get_or("devices", "1");
   if (devices.find_first_not_of("0123456789") == std::string::npos &&
       !devices.empty()) {
     config.node_hw.phi_devices =
-        static_cast<int>(args.get_int_or("devices", 1));
+        static_cast<int>(count_arg(args, "devices", 1, kIntMax));
   } else {
     config.devices = phi::parse_device_spec(devices);
     config.node_hw.phi_devices = static_cast<int>(config.devices.size());
@@ -241,15 +260,15 @@ int run_serve(const ArgParser& args, std::uint64_t seed,
   config.horizon_s = args.get_real_or("horizon", 600.0);
   config.window_s = args.get_real_or("sla-interval", 60.0);
   config.drain = !args.get_bool_or("no-drain", false);
-  config.max_jobs = static_cast<std::size_t>(args.get_int_or("jobs", 0));
-  config.tenants = static_cast<std::size_t>(args.get_int_or("tenants", 1));
+  config.max_jobs = static_cast<std::size_t>(count_arg(args, "jobs", 0));
+  config.tenants = static_cast<std::size_t>(count_arg(args, "tenants", 1));
   config.tenant_skew = args.get_real_or("tenant-skew", 0.0);
   config.admission.max_queue_depth =
-      static_cast<std::size_t>(args.get_int_or("admit-queue", 0));
+      static_cast<std::size_t>(count_arg(args, "admit-queue", 0));
   config.admission.max_occupancy = args.get_real_or("admit-occupancy", 0.0);
   config.admission.defer_delay_s = args.get_real_or("admit-defer", 0.0);
   config.admission.max_defers =
-      static_cast<int>(args.get_int_or("admit-max-defers", 3));
+      static_cast<int>(count_arg(args, "admit-max-defers", 3, kIntMax));
   if (const auto packer = args.get("admit-packer"); packer.has_value()) {
     config.admission.consult_packer = true;
     config.admission.packer = knapsack::solver_kind_from_name(*packer);
@@ -336,7 +355,7 @@ int main(int argc, char** argv) {
       return run_serve(args, seed, workload_name);
     }
     const auto job_count =
-        static_cast<std::size_t>(args.get_int_or("jobs", 1000));
+        static_cast<std::size_t>(count_arg(args, "jobs", 1000));
 
     workload::JobSet jobs;
     if (const auto path = args.get("load-jobs"); path.has_value()) {
