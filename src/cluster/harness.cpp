@@ -130,7 +130,7 @@ void Harness::build_condor() {
       case StackConfig::kMCCOracle:
         policy = core::make_oracle_lpt_policy();
         addon_config.duration_oracle = [this](JobId id) {
-          return specs_.at(id).profile.total_duration();
+          return jobs_.at(id).spec.profile.total_duration();
         };
         break;
       default:
@@ -218,29 +218,28 @@ void Harness::submit(const workload::JobSpec& job) {
   PHISCHED_REQUIRE(job.submit_time >= 0.0, "negative submit time");
   PHISCHED_REQUIRE(job.devices_req >= 1 && job.devices_req <= holding,
                    "job's gang does not fit one node's devices");
-  PHISCHED_REQUIRE(specs_.find(job.id) == specs_.end(),
-                   "harness: duplicate job id");
-
   // Submitting into a drained harness re-opens the run: the negotiator
   // (stopped by the terminal hook) must be re-armed, and any finalized
   // result is stale.
   const bool resume = started_ && complete();
-  specs_.emplace(job.id, job);
+  const auto [it, added] = jobs_.try_emplace(job.id);
+  PHISCHED_REQUIRE(added, "harness: duplicate job id");
+  Job& entry = it->second;
+  entry.spec = job;
   total_jobs_ += 1;
   final_.reset();
 
   const std::string reqs = requirements_for_stack();
   if (job.submit_time <= sim_.now()) {
-    schedd_.submit(job.id, condor::make_job_ad(job, reqs));
+    entry.record = &schedd_.submit(job.id, condor::make_job_ad(job, reqs));
   } else {
     // Dynamic arrival (the paper's "dynamic scenario with continuously
     // arriving jobs"): each negotiation cycle schedules a snapshot of
-    // whatever is pending at that moment. The spec is captured by value:
-    // re-reading specs_ at fire time would silently pick up whatever a
-    // later mutation (e.g. a retry's memory boost on a resubmitted id)
-    // left there instead of what this call submitted.
-    sim_.schedule_at(job.submit_time, [this, spec = job, reqs] {
-      schedd_.submit(spec.id, condor::make_job_ad(spec, reqs));
+    // whatever is pending at that moment. The spec is captured by value,
+    // so the ad is built from what this call submitted.
+    sim_.schedule_at(job.submit_time, [this, &entry, spec = job, reqs] {
+      entry.record =
+          &schedd_.submit(spec.id, condor::make_job_ad(spec, reqs));
     });
   }
 
@@ -312,7 +311,8 @@ bool Harness::dispatch(JobId job_id, NodeId node_id) {
   Node& node = *nodes_[static_cast<std::size_t>(node_id)];
   if (node.free_slots() <= 0) return false;
 
-  const workload::JobSpec& spec = specs_.at(job_id);
+  Job& job = jobs_.at(job_id);
+  const workload::JobSpec& spec = job.spec;
 
   // Device pinning: MC claims whole free devices (the job's entire
   // gang); add-on jobs carry the knapsack's choice in their ad; plain
@@ -339,63 +339,56 @@ bool Harness::dispatch(JobId job_id, NodeId node_id) {
     }
     for (DeviceId d : devices) {
       exclusive_claims_.insert(DeviceAddress{node_id, d});
-      exclusive_claims_of_[job_id].push_back(DeviceAddress{node_id, d});
+      job.exclusive_claims.push_back(DeviceAddress{node_id, d});
     }
   } else if (spec.devices_req == 1) {
-    const auto pinned =
-        schedd_.record(job_id).ad.eval_integer(condor::kAttrPinnedDevice);
+    const auto pinned = schedd_.view(*job.record).pinned_device;
     if (pinned.has_value()) devices.push_back(static_cast<DeviceId>(*pinned));
   }
 
-  auto run = std::make_unique<JobRun>(
+  // A retried job replaces its finished previous run, which holds no
+  // pending events by now.
+  job.run = std::make_unique<JobRun>(
       sim_, spec, node.middleware(), devices,
-      [this, node_id](const workload::JobSpec& s, bool success) {
-        on_job_done(s, node_id, success);
+      [this, &job](const workload::JobSpec&, bool success) {
+        on_job_done(job, success);
       });
   node.claim_slot();
-  JobRun* raw = run.get();
-  // Assignment (not emplace): a retried job replaces its finished
-  // previous run, which holds no pending events by now.
-  runs_[job_id] = std::move(run);
   // Shadow/starter latency: transfer the job and spawn it at the node.
-  sim_.schedule_in(config_.dispatch_latency, [this, job_id, raw] {
-    schedd_.mark_running(job_id);
-    raw->arrive();
-  });
+  sim_.schedule_in(config_.dispatch_latency,
+                   [this, &job, run = job.run.get()] {
+                     schedd_.mark_running(*job.record);
+                     run->arrive();
+                   });
   return true;
 }
 
-void Harness::on_job_done(const workload::JobSpec& spec, NodeId node_id,
-                          bool success) {
-  nodes_[static_cast<std::size_t>(node_id)]->release_slot();
-  if (const auto it = exclusive_claims_of_.find(spec.id);
-      it != exclusive_claims_of_.end()) {
-    for (const DeviceAddress& addr : it->second) {
-      exclusive_claims_.erase(addr);
-    }
-    exclusive_claims_of_.erase(it);
+void Harness::on_job_done(Job& job, bool success) {
+  nodes_[static_cast<std::size_t>(job.record->node)]->release_slot();
+  for (const DeviceAddress& addr : job.exclusive_claims) {
+    exclusive_claims_.erase(addr);
   }
+  job.exclusive_claims.clear();
   if (success) {
-    schedd_.mark_completed(spec.id);
+    schedd_.mark_completed(*job.record);
     return;
   }
-  if (schedd_.record(spec.id).retries < config_.max_retries) {
+  if (job.record->retries < config_.max_retries) {
     // Requeue with a boosted declaration: the kill told us the
     // estimate was too low.
-    workload::JobSpec& stored = specs_.at(spec.id);
     MiB usable = 0;
     for (const PhiHardware& card : cards_) {
       usable = std::max(usable, card.usable_memory_mib());
     }
     const auto boosted = static_cast<MiB>(
-        std::llround(static_cast<double>(stored.mem_req_mib) *
+        std::llround(static_cast<double>(job.spec.mem_req_mib) *
                      config_.retry_memory_boost));
-    stored.mem_req_mib = std::min(usable, quantize_up(boosted));
-    schedd_.requeue(spec.id,
-                    condor::make_job_ad(stored, requirements_for_stack()));
+    job.spec.mem_req_mib = std::min(usable, quantize_up(boosted));
+    schedd_.requeue(*job.record,
+                    condor::make_job_ad(job.spec, requirements_for_stack()));
     return;
   }
-  schedd_.mark_failed(spec.id);
+  schedd_.mark_failed(*job.record);
 }
 
 ExperimentResult Harness::gather(SimTime until) const {
@@ -427,10 +420,9 @@ ExperimentResult Harness::gather(SimTime until) const {
         util_sum / static_cast<double>(r.per_device_utilization.size());
   }
 
-  for (const auto& [id, _] : specs_) {
-    // Future arrivals are still in the event queue, not in the schedd.
-    if (!schedd_.known(id)) continue;
-    const condor::JobRecord& rec = schedd_.record(id);
+  // Id order: the Welford sums depend on the order of their samples.
+  // Future arrivals are still in the event queue, not in the schedd.
+  schedd_.for_each_by_id([&r](const condor::JobRecord& rec) {
     if (rec.finish_time >= 0.0) {
       r.turnaround.add(rec.finish_time - rec.submit_time);
     }
@@ -438,7 +430,7 @@ ExperimentResult Harness::gather(SimTime until) const {
       r.wait_time.add(rec.start_time - rec.submit_time);
     }
     r.job_retries += static_cast<std::size_t>(rec.retries);
-  }
+  });
   r.mean_turnaround = r.turnaround.mean();
   r.utilization_series = samples_;
   return r;
@@ -464,14 +456,12 @@ void Harness::roll_up(obs::Recorder& rec, const ExperimentResult& r) const {
   // finalization for the same idempotency.
   auto& slowdown = m.histogram("cluster.job_slowdown", 0.0, 20.0, 40);
   slowdown.reset();
-  for (const auto& [id, spec] : specs_) {
-    if (!schedd_.known(id)) continue;
-    const condor::JobRecord& jrec = schedd_.record(id);
-    const double solo = spec.profile.total_duration();
+  schedd_.for_each_by_id([this, &slowdown](const condor::JobRecord& jrec) {
+    const double solo = jobs_.at(jrec.id).spec.profile.total_duration();
     if (jrec.finish_time >= 0.0 && solo > 0.0) {
       slowdown.add((jrec.finish_time - jrec.submit_time) / solo);
     }
-  }
+  });
 }
 
 ExperimentResult Harness::snapshot() const {

@@ -24,11 +24,11 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/admission.hpp"
@@ -126,6 +126,8 @@ class Harness {
   void set_terminal_observer(
       std::function<void(const condor::JobRecord&)> observer);
   [[nodiscard]] const ExperimentConfig& config() const { return config_; }
+  /// The job queue, for inspection.
+  [[nodiscard]] const condor::Schedd& schedd() const { return schedd_; }
   /// Power-user access to the event loop (e.g. to interleave custom
   /// events with the cluster's); scheduling into the past is rejected.
   [[nodiscard]] Simulator& simulator() { return sim_; }
@@ -148,6 +150,17 @@ class Harness {
   [[nodiscard]] const ExperimentResult& result();
 
  private:
+  /// Everything the harness keeps per job.
+  struct Job {
+    workload::JobSpec spec;  ///< as submitted; a retry boosts its memory
+    /// The schedd's record, from the job's arrival on.
+    const condor::JobRecord* record = nullptr;
+    /// The current run; a retry replaces the finished one.
+    std::unique_ptr<JobRun> run;
+    /// Whole devices an MC dispatch claimed, until the run ends.
+    std::vector<DeviceAddress> exclusive_claims;
+  };
+
   void build_nodes();
   void build_condor();
   /// Arms the first negotiation cycle, the periodic negotiator, and the
@@ -158,8 +171,8 @@ class Harness {
   void take_sample();
   [[nodiscard]] std::string requirements_for_stack() const;
   bool dispatch(JobId job_id, NodeId node_id);
-  void on_job_done(const workload::JobSpec& spec, NodeId node_id,
-                   bool success);
+  /// The job's run ended on the node its record names.
+  void on_job_done(Job& job, bool success);
   /// Const core of result()/snapshot(): every field of ExperimentResult
   /// except .telemetry, with time-integrated metrics run to `until`.
   [[nodiscard]] ExperimentResult gather(SimTime until) const;
@@ -181,10 +194,10 @@ class Harness {
   std::vector<PhiHardware> cards_;
   std::unique_ptr<condor::Negotiator> negotiator_;
   std::unique_ptr<core::SharingAwareScheduler> addon_;
-  std::map<JobId, workload::JobSpec> specs_;
-  std::map<JobId, std::unique_ptr<JobRun>> runs_;
+  /// Every submitted job, arrived or not. Only ever looked up by id:
+  /// gather() and roll_up() walk the schedd's records in id order.
+  std::unordered_map<JobId, Job> jobs_;
   std::set<DeviceAddress> exclusive_claims_;
-  std::map<JobId, std::vector<DeviceAddress>> exclusive_claims_of_;
   std::size_t total_jobs_ = 0;
   std::unique_ptr<PeriodicTimer> sampler_;
   std::vector<std::pair<SimTime, double>> samples_;

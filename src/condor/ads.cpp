@@ -94,4 +94,14 @@ JobRequest job_request(const classad::ClassAd& job) {
   return request;
 }
 
+JobView job_view(const classad::ClassAd& job) {
+  JobView view;
+  view.request = job_request(job);
+  view.prio = job.eval_integer(kAttrJobPrio).value_or(0);
+  view.never_met = classad::requirements_never_met(job);
+  view.pinned_device = job.eval_integer(kAttrPinnedDevice);
+  view.pinned_node = job.has(kAttrPinnedNode);
+  return view;
+}
+
 }  // namespace phisched::condor

@@ -6,11 +6,13 @@
 // user-declared requirements (memory, threads) plus the Requirements
 // expression that gates matchmaking.
 //
-// The schedulers read those resources through the two decoders at the
-// bottom (device_ads, job_request), never attribute by attribute, so each
-// attribute has exactly one fallback rule.
+// The schedulers read those resources through the decoders at the bottom
+// (device_ads, job_request, job_view), never attribute by attribute, so
+// each attribute has exactly one fallback rule.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -121,8 +123,23 @@ struct JobRequest {
   ThreadCount threads = 0;  ///< RequestPhiThreads, else 0
   int devices = 1;          ///< RequestPhiDevices, else 1
   double bw = 0.0;          ///< RequestPhiMemBandwidth, else 0 (none)
+
+  friend bool operator==(const JobRequest&, const JobRequest&) = default;
 };
 
 [[nodiscard]] JobRequest job_request(const classad::ClassAd& job);
+
+/// Everything the negotiation cycle reads from a job ad besides the
+/// two-way match itself. The schedd caches one per job (Schedd::view).
+struct JobView {
+  JobRequest request;  ///< job_request(job)
+  std::int64_t prio = 0;  ///< JobPrio, else 0
+  /// classad::requirements_never_met(job): no machine can match.
+  bool never_met = false;
+  std::optional<std::int64_t> pinned_device;  ///< PinnedDevice
+  bool pinned_node = false;                   ///< PinnedNode is set
+};
+
+[[nodiscard]] JobView job_view(const classad::ClassAd& job);
 
 }  // namespace phisched::condor

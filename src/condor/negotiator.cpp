@@ -53,19 +53,19 @@ void Negotiator::run_cycle() {
   MachineAds machines = collector_.machine_ads();
   if (pre_cycle_) pre_cycle_(machines);
 
-  std::vector<JobId> pending = schedd_.pending();
+  PendingJobs pending = schedd_.pending();
 
   if (obs_.rec != nullptr) {
     obs_.cycles->inc();
     obs_.pending_jobs->set(sim_.now(), static_cast<double>(pending.size()));
-    for (JobId id : pending) {
-      const double age = sim_.now() - schedd_.record(id).submit_time;
+    for (const JobRecord* rec : pending) {
+      const double age = sim_.now() - rec->submit_time;
       obs_.pending_age_max_s->set_max(age);
       obs_.pending_age_hist->add(age);
     }
   }
 
-  pending = ordered_pending(schedd_, std::move(pending));
+  pending = by_priority(schedd_, std::move(pending));
 
   MatchCycle cycle{schedd_,
                    rng_,

@@ -19,14 +19,17 @@ const char* job_state_name(JobState s) {
   return "?";
 }
 
-void Schedd::submit(JobId id, classad::ClassAd ad) {
-  PHISCHED_REQUIRE(jobs_.find(id) == jobs_.end(), "submit: duplicate job id");
-  JobRecord rec;
+const JobRecord& Schedd::submit(JobId id, classad::ClassAd ad) {
+  const bool added = by_id_.emplace(id, table_.size()).second;
+  PHISCHED_REQUIRE(added, "submit: duplicate job id");
+  JobRecord& rec = table_.emplace_back();
   rec.id = id;
   rec.ad = std::move(ad);
   rec.submit_time = sim_.now();
-  live_.push_back(&jobs_.emplace(id, std::move(rec)).first->second);
+  rec.seq_ = table_.size() - 1;
+  live_.push_back(&rec);
   if (obs_.rec != nullptr) obs_.jobs_submitted->inc();
+  return rec;
 }
 
 void Schedd::attach_telemetry(obs::Recorder& recorder,
@@ -53,18 +56,19 @@ void Schedd::note_terminal(const JobRecord& rec, const char* type) {
                    {"turnaround_s", json_number(turnaround)}});
 }
 
-JobRecord& Schedd::mutable_record(JobId id) {
-  auto it = jobs_.find(id);
-  PHISCHED_REQUIRE(it != jobs_.end(), "schedd: unknown job");
-  return it->second;
+JobRecord& Schedd::mutable_record(const JobRecord& rec) {
+  JobRecord* own = rec.seq_ < table_.size() ? &table_[rec.seq_] : nullptr;
+  PHISCHED_REQUIRE(own == &rec, "schedd: record of another schedd");
+  return *own;
 }
 
 void Schedd::qedit(JobId id, const std::string& attr, classad::ExprPtr expr) {
-  JobRecord& rec = mutable_record(id);
+  JobRecord& rec = mutable_record(record(id));
   PHISCHED_REQUIRE(rec.state == JobState::kPending,
                    "qedit: job is no longer pending");
   rec.ad.insert(attr, std::move(expr));
   rec.autocluster = 0;
+  rec.view_stale_ = true;
 }
 
 void Schedd::qedit_expr(JobId id, const std::string& attr,
@@ -81,24 +85,32 @@ void Schedd::retire_from_live() {
   terminal_in_live_ = 0;
 }
 
-std::vector<JobId> Schedd::pending() const {
-  std::vector<JobId> out;
+PendingJobs Schedd::pending() const {
+  PendingJobs out;
   for (const JobRecord* rec : live_) {
-    if (rec->state == JobState::kPending) out.push_back(rec->id);
+    if (rec->state == JobState::kPending) out.push_back(rec);
   }
   return out;
+}
+
+const JobView& Schedd::decode_view(const JobRecord& rec) {
+  JobRecord& own = mutable_record(rec);
+  own.view_ = job_view(own.ad);
+  own.view_stale_ = false;
+  ++view_decodes_;
+  return own.view_;
 }
 
 void Schedd::set_machine_side_names(AttrNames names) {
   if (names == machine_side_names_) return;
   machine_side_names_ = std::move(names);
   autoclusters_.clear();
-  for (auto& [id, rec] : jobs_) rec.autocluster = 0;
+  for (JobRecord& rec : table_) rec.autocluster = 0;
 }
 
 AutoclusterId Schedd::autocluster(const JobRecord& rec) {
   return rec.autocluster != 0 ? rec.autocluster
-                              : classify(mutable_record(rec.id));
+                              : classify(mutable_record(rec));
 }
 
 AutoclusterId Schedd::classify(JobRecord& rec) {
@@ -163,7 +175,7 @@ AutoclusterId Schedd::classify(JobRecord& rec) {
 }
 
 void Schedd::compact_autoclusters() {
-  const std::size_t live = jobs_.size() - completed_ - failed_;
+  const std::size_t live = table_.size() - completed_ - failed_;
   if (autoclusters_.size() < 2 * live + 8) return;
   std::vector<AutoclusterId> held;
   for (const JobRecord* rec : live_) {
@@ -179,29 +191,29 @@ void Schedd::compact_autoclusters() {
 }
 
 const JobRecord& Schedd::record(JobId id) const {
-  auto it = jobs_.find(id);
-  PHISCHED_REQUIRE(it != jobs_.end(), "schedd: unknown job");
-  return it->second;
+  auto it = by_id_.find(id);
+  PHISCHED_REQUIRE(it != by_id_.end(), "schedd: unknown job");
+  return table_[it->second];
 }
 
-bool Schedd::known(JobId id) const { return jobs_.find(id) != jobs_.end(); }
+bool Schedd::known(JobId id) const { return by_id_.find(id) != by_id_.end(); }
 
-void Schedd::mark_matched(JobId id, NodeId node) {
-  JobRecord& rec = mutable_record(id);
+void Schedd::mark_matched(const JobRecord& job, NodeId node) {
+  JobRecord& rec = mutable_record(job);
   PHISCHED_REQUIRE(rec.state == JobState::kPending, "mark_matched: not pending");
   rec.state = JobState::kMatched;
   rec.node = node;
 }
 
-void Schedd::mark_running(JobId id) {
-  JobRecord& rec = mutable_record(id);
+void Schedd::mark_running(const JobRecord& job) {
+  JobRecord& rec = mutable_record(job);
   PHISCHED_REQUIRE(rec.state == JobState::kMatched, "mark_running: not matched");
   rec.state = JobState::kRunning;
   rec.start_time = sim_.now();
 }
 
-void Schedd::mark_completed(JobId id) {
-  JobRecord& rec = mutable_record(id);
+void Schedd::mark_completed(const JobRecord& job) {
+  JobRecord& rec = mutable_record(job);
   PHISCHED_REQUIRE(rec.state == JobState::kRunning, "mark_completed: not running");
   rec.state = JobState::kCompleted;
   rec.finish_time = sim_.now();
@@ -215,8 +227,8 @@ void Schedd::mark_completed(JobId id) {
   if (on_terminal_) on_terminal_(rec);
 }
 
-void Schedd::mark_failed(JobId id) {
-  JobRecord& rec = mutable_record(id);
+void Schedd::mark_failed(const JobRecord& job) {
+  JobRecord& rec = mutable_record(job);
   PHISCHED_REQUIRE(rec.state == JobState::kRunning ||
                        rec.state == JobState::kMatched,
                    "mark_failed: job not active");
@@ -232,8 +244,8 @@ void Schedd::mark_failed(JobId id) {
   if (on_terminal_) on_terminal_(rec);
 }
 
-void Schedd::requeue(JobId id, classad::ClassAd new_ad) {
-  JobRecord& rec = mutable_record(id);
+void Schedd::requeue(const JobRecord& job, classad::ClassAd new_ad) {
+  JobRecord& rec = mutable_record(job);
   PHISCHED_REQUIRE(rec.state == JobState::kRunning ||
                        rec.state == JobState::kMatched,
                    "requeue: job not active");
@@ -242,12 +254,13 @@ void Schedd::requeue(JobId id, classad::ClassAd new_ad) {
   rec.start_time = -1.0;
   rec.ad = std::move(new_ad);
   rec.autocluster = 0;
+  rec.view_stale_ = true;
   rec.retries += 1;
   if (obs_.rec != nullptr) obs_.jobs_requeued->inc();
 }
 
-void Schedd::release_match(JobId id) {
-  JobRecord& rec = mutable_record(id);
+void Schedd::release_match(const JobRecord& job) {
+  JobRecord& rec = mutable_record(job);
   PHISCHED_REQUIRE(rec.state == JobState::kMatched, "release_match: not matched");
   rec.state = JobState::kPending;
   rec.node = -1;

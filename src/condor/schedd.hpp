@@ -6,9 +6,16 @@
 // records the lifecycle timestamps experiments report on, and groups jobs
 // into autoclusters: jobs that must match the same machines, so the
 // negotiator scans the machines once per group (docs/negotiation.md).
+//
+// One job table holds every record in submission order, and records never
+// move. Each record caches its decoded JobView, which a submit, qedit or
+// requeue marks stale and view() decodes on the next read; the
+// negotiation cycle carries record pointers and reads the views, so only
+// the boundary (qedit, record(id)) looks a job up by id.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -18,6 +25,7 @@
 
 #include "classad/classad.hpp"
 #include "common/types.hpp"
+#include "condor/ads.hpp"
 #include "obs/recorder.hpp"
 #include "sim/simulator.hpp"
 
@@ -51,7 +59,19 @@ struct JobRecord {
   int retries = 0;  ///< times the job was requeued after a failure
   /// Cached by Schedd::autocluster; reset to 0 by qedit and requeue.
   AutoclusterId autocluster = 0;
+
+ private:
+  friend class Schedd;
+  /// Position in the schedd's table: the submission order.
+  std::size_t seq_ = 0;
+  /// Read through Schedd::view only, which decodes it when stale.
+  JobView view_;
+  bool view_stale_ = true;
 };
+
+/// Pending records in negotiation order. The pointers stay valid for the
+/// schedd's lifetime.
+using PendingJobs = std::vector<const JobRecord*>;
 
 class Schedd {
  public:
@@ -60,17 +80,26 @@ class Schedd {
   Schedd(const Schedd&) = delete;
   Schedd& operator=(const Schedd&) = delete;
 
-  /// Enqueues a job ad. `id` must be unique; FIFO order is submission
-  /// order (ties by id).
-  void submit(JobId id, classad::ClassAd ad);
+  /// Enqueues a job ad and returns its record. `id` must be unique; FIFO
+  /// order is submission order.
+  const JobRecord& submit(JobId id, classad::ClassAd ad);
 
   /// condor_qedit: replaces one attribute of a PENDING job's ad.
   void qedit(JobId id, const std::string& attr, classad::ExprPtr expr);
   void qedit_expr(JobId id, const std::string& attr,
                   const std::string& expr_source);
 
-  /// Pending job ids in FIFO order.
-  [[nodiscard]] std::vector<JobId> pending() const;
+  /// Pending records in FIFO (submission) order.
+  [[nodiscard]] PendingJobs pending() const;
+
+  /// The record's decoded ad, job_view(rec.ad), decoded here on the first
+  /// read after a submit, qedit or requeue and cached until the next.
+  [[nodiscard]] const JobView& view(const JobRecord& rec) {
+    return rec.view_stale_ ? decode_view(rec) : rec.view_;
+  }
+
+  /// Views decoded so far. Not exported as telemetry.
+  [[nodiscard]] std::uint64_t view_decodes() const { return view_decodes_; }
 
   /// The job-side names the machine ads reach: every TARGET.x and bare x
   /// in any of their expressions. Autocluster ids cover the job's value
@@ -95,28 +124,43 @@ class Schedd {
   [[nodiscard]] const JobRecord& record(JobId id) const;
   [[nodiscard]] bool known(JobId id) const;
 
-  // Lifecycle transitions (driven by negotiator / starter / node).
-  void mark_matched(JobId id, NodeId node);
-  void mark_running(JobId id);
-  void mark_completed(JobId id);
-  void mark_failed(JobId id);
+  /// Calls `fn` on every record, in JobId order.
+  template <typename Fn>
+  void for_each_by_id(Fn&& fn) const {
+    for (const auto& [id, seq] : by_id_) fn(table_[seq]);
+  }
+
+  // Lifecycle transitions (driven by negotiator / starter / node). Each
+  // takes one of this schedd's records; the JobId forms look it up.
+  void mark_matched(const JobRecord& rec, NodeId node);
+  void mark_running(const JobRecord& rec);
+  void mark_completed(const JobRecord& rec);
+  void mark_failed(const JobRecord& rec);
   /// Returns a matched-but-not-running job to the pending queue (its
   /// dispatch was refused).
-  void release_match(JobId id);
-
+  void release_match(const JobRecord& rec);
   /// Requeues a killed job for another attempt instead of failing it
   /// (Condor's on-failure retry): the job returns to the pending queue
   /// with a fresh ad (e.g. a boosted memory declaration) and its retry
   /// counter incremented. Does NOT count as a terminal transition.
-  void requeue(JobId id, classad::ClassAd new_ad);
+  void requeue(const JobRecord& rec, classad::ClassAd new_ad);
 
-  [[nodiscard]] std::size_t submitted_count() const { return jobs_.size(); }
+  void mark_matched(JobId id, NodeId node) { mark_matched(record(id), node); }
+  void mark_running(JobId id) { mark_running(record(id)); }
+  void mark_completed(JobId id) { mark_completed(record(id)); }
+  void mark_failed(JobId id) { mark_failed(record(id)); }
+  void release_match(JobId id) { release_match(record(id)); }
+  void requeue(JobId id, classad::ClassAd new_ad) {
+    requeue(record(id), std::move(new_ad));
+  }
+
+  [[nodiscard]] std::size_t submitted_count() const { return table_.size(); }
   [[nodiscard]] std::size_t completed_count() const { return completed_; }
   [[nodiscard]] std::size_t failed_count() const { return failed_; }
   [[nodiscard]] std::size_t pending_count() const;
   /// True when every submitted job reached a terminal state.
   [[nodiscard]] bool drained() const {
-    return completed_ + failed_ == jobs_.size();
+    return completed_ + failed_ == table_.size();
   }
 
   /// Invoked after every terminal transition (completed or failed).
@@ -149,7 +193,9 @@ class Schedd {
   /// terminal jobs make up more than half of it.
   void retire_from_live();
 
-  JobRecord& mutable_record(JobId id);
+  /// The table's own, writable copy of `rec`, which must be one of ours.
+  JobRecord& mutable_record(const JobRecord& rec);
+  const JobView& decode_view(const JobRecord& rec);
 
   /// One autocluster: the job's expression (or null) for each
   /// significant name, in the order classify() discovers the names.
@@ -162,10 +208,13 @@ class Schedd {
   void compact_autoclusters();
 
   Simulator& sim_;
-  std::map<JobId, JobRecord> jobs_;
-  /// Non-terminal jobs in submission order (map nodes never move), plus
-  /// terminal ones not yet compacted away: walks cost O(live jobs), not
-  /// O(history). A released or requeued job keeps its place.
+  /// Every record in submission order; a deque never moves its elements.
+  std::deque<JobRecord> table_;
+  /// JobId -> position in table_, for the lookups at the boundary.
+  std::map<JobId, std::size_t> by_id_;
+  /// Non-terminal jobs in submission order, plus terminal ones not yet
+  /// compacted away: walks cost O(live jobs), not O(history). A released
+  /// or requeued job keeps its place.
   std::vector<const JobRecord*> live_;
   std::size_t terminal_in_live_ = 0;
   std::size_t completed_ = 0;
@@ -177,6 +226,7 @@ class Schedd {
   /// Keyed by the hash of the signature's expressions.
   std::multimap<std::uint64_t, Autocluster> autoclusters_;
   AutoclusterId next_autocluster_ = 1;
+  std::uint64_t view_decodes_ = 0;
   /// classify()'s working lists, kept so a call allocates nothing unless
   /// it adds an autocluster.
   std::vector<std::pair<std::uint64_t, std::string_view>> classify_names_;

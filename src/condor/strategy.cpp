@@ -53,44 +53,43 @@ void claim_slot(classad::ClassAd& machine) {
                          machine.eval_integer(kAttrFreeSlots).value_or(0) - 1);
 }
 
-/// Marks `job_id` matched to `node` and dispatches it: a success claims a
+/// Marks `rec` matched to `node` and dispatches it: a success claims a
 /// slot from `machine`, a refusal puts the job back to pending.
-void enact(MatchCycle& cycle, JobId job_id, NodeId node,
+void enact(MatchCycle& cycle, const JobRecord& rec, NodeId node,
            classad::ClassAd& machine, CycleOutcome& outcome) {
-  cycle.schedd.mark_matched(job_id, node);
-  if (cycle.dispatch(job_id, node)) {
+  cycle.schedd.mark_matched(rec, node);
+  if (cycle.dispatch(rec.id, node)) {
     ++outcome.matches;
     claim_slot(machine);
     cycle.candidates.claimed();
     if (cycle.want_latencies) {
-      outcome.match_latencies.push_back(
-          cycle.now - cycle.schedd.record(job_id).submit_time);
+      outcome.match_latencies.push_back(cycle.now - rec.submit_time);
     }
   } else {
     ++outcome.rejected_dispatches;
-    cycle.schedd.release_match(job_id);
+    cycle.schedd.release_match(rec);
   }
 }
 
-/// One FIFO-style match attempt for `job_id` against the machine
-/// snapshot, net of this cycle's slot claims — the shared per-job path:
+/// One FIFO-style match attempt for `rec` against the machine snapshot,
+/// net of this cycle's slot claims — the shared per-job path:
 /// FifoStrategy's whole loop, and BatchStrategy's fallback for gang jobs
 /// the packer cannot place.
-void match_one(MatchCycle& cycle, JobId job_id, CycleOutcome& outcome) {
-  const JobRecord& rec = cycle.schedd.record(job_id);
+void match_one(MatchCycle& cycle, const JobRecord& rec,
+               CycleOutcome& outcome) {
   if (rec.state != JobState::kPending) return;  // hook may have acted
   const auto chosen = cycle.candidates.choose(rec, cycle.order, cycle.rng);
   if (!chosen.has_value()) return;
   auto& [node, machine] = cycle.machines[*chosen];
-  enact(cycle, job_id, node, machine, outcome);
+  enact(cycle, rec, node, machine, outcome);
 }
 
 class FifoStrategy final : public MatchStrategy {
  public:
   CycleOutcome run(MatchCycle& cycle) override {
     CycleOutcome outcome;
-    for (const JobId job_id : cycle.pending) {
-      match_one(cycle, job_id, outcome);
+    for (const JobRecord* rec : cycle.pending) {
+      match_one(cycle, *rec, outcome);
     }
     return outcome;
   }
@@ -155,13 +154,12 @@ class BatchStrategy final : public MatchStrategy {
     // parked jobs at the head of the queue would starve every pinned
     // (matchable) job behind them forever. The FIFO walk has no such
     // hazard because it visits the whole queue.
-    std::vector<JobId> batch;
-    for (const JobId job_id : cycle.pending) {
+    PendingJobs batch;
+    for (const JobRecord* rec : cycle.pending) {
       if (batch.size() >= config_.batch_size) break;
-      const JobRecord& rec = cycle.schedd.record(job_id);
-      if (rec.state != JobState::kPending) continue;
-      if (cycle.candidates.candidates(rec).empty()) continue;
-      batch.push_back(job_id);
+      if (rec->state != JobState::kPending) continue;
+      if (cycle.candidates.candidates(*rec).empty()) continue;
+      batch.push_back(rec);
     }
     outcome.batch_jobs = batch.size();
     if (batch.empty()) return outcome;
@@ -180,19 +178,19 @@ class BatchStrategy final : public MatchStrategy {
     // declaration alone exceeds the occupancy cap of every card in the
     // pool — the threshold could never admit them, so without the
     // fallback they would starve forever.
-    std::vector<std::pair<JobId, JobRequest>> singles;
-    std::vector<JobId> fallback;
-    for (const JobId job_id : batch) {
-      const JobRequest request = job_request(cycle.schedd.record(job_id).ad);
+    PendingJobs singles;
+    PendingJobs fallback;
+    for (const JobRecord* rec : batch) {
+      const JobRequest& request = cycle.schedd.view(*rec).request;
       if (request.devices > 1 || oversized(request, cards)) {
-        fallback.push_back(job_id);
+        fallback.push_back(rec);
       } else {
-        singles.emplace_back(job_id, request);
+        singles.push_back(rec);
       }
     }
 
     if (!singles.empty()) pack_singles(cycle, cards, singles, outcome);
-    for (const JobId job_id : fallback) match_one(cycle, job_id, outcome);
+    for (const JobRecord* rec : fallback) match_one(cycle, *rec, outcome);
     return outcome;
   }
 
@@ -218,8 +216,7 @@ class BatchStrategy final : public MatchStrategy {
 
   void pack_singles(MatchCycle& cycle,
                     const std::vector<std::vector<DeviceAd>>& cards,
-                    const std::vector<std::pair<JobId, JobRequest>>& singles,
-                    CycleOutcome& outcome) {
+                    const PendingJobs& singles, CycleOutcome& outcome) {
     // Bins: every (machine, device) pair under its occupancy budget.
     // Value normalization: the paper's quadratic uses the hardware thread
     // count; on a mixed fleet, normalize against the largest card so a
@@ -243,16 +240,16 @@ class BatchStrategy final : public MatchStrategy {
     // eligibility; a pre-pinned device (the add-on's qedit) restricts the
     // job to that device's bin.
     for (std::size_t j = 0; j < singles.size(); ++j) {
-      const auto& [job_id, request] = singles[j];
-      const JobRecord& rec = cycle.schedd.record(job_id);
+      const JobRecord& rec = *singles[j];
+      const JobView& view = cycle.schedd.view(rec);
       knapsack::BatchJob job;
       job.tag = j;
-      job.mem_mib = request.mem_mib;
-      job.threads = request.threads;
-      job.bw = request.bw;
+      job.mem_mib = view.request.mem_mib;
+      job.threads = view.request.threads;
+      job.bw = view.request.bw;
       job.value = knapsack::job_value(knapsack::ValueFunction::kPaperQuadratic,
                                       job.threads, fleet_hw);
-      const auto pinned = rec.ad.eval_integer(kAttrPinnedDevice);
+      const std::optional<std::int64_t> pinned = view.pinned_device;
       for (const std::size_t m : cycle.candidates.candidates(rec)) {
         for (std::size_t d = 0; d < cards[m].size(); ++d) {
           if (pinned.has_value() &&
@@ -279,10 +276,9 @@ class BatchStrategy final : public MatchStrategy {
     // placements consumed the node's last slot) stays pending and counts
     // as an occupancy reject for this cycle.
     for (const knapsack::BatchPlacement& placement : packed.placed) {
-      const JobId job_id = singles[placement.job_tag].first;
+      const JobRecord& rec = *singles[placement.job_tag];
       const auto [m, device] = bin_addr[placement.bin];
       auto& [node, machine_ad] = cycle.machines[m];
-      const JobRecord& rec = cycle.schedd.record(job_id);
       if (rec.state != JobState::kPending) continue;
       if (!cycle.candidates.matches(rec.ad, m)) {
         ++outcome.occupancy_rejected;
@@ -292,10 +288,10 @@ class BatchStrategy final : public MatchStrategy {
         // Publish the packer's device choice the way the add-on does —
         // through the job ad — so the dispatch path pins the container
         // to the chosen coprocessor under the sharing stacks.
-        cycle.schedd.qedit_expr(job_id, kAttrPinnedDevice,
+        cycle.schedd.qedit_expr(rec.id, kAttrPinnedDevice,
                                 std::to_string(device));
       }
-      enact(cycle, job_id, node, machine_ad, outcome);
+      enact(cycle, rec, node, machine_ad, outcome);
     }
   }
 
@@ -424,21 +420,13 @@ std::string negotiation_to_string(const NegotiationConfig& c) {
          ",packer=" + knapsack::solver_kind_name(c.batch.packer);
 }
 
-std::vector<JobId> ordered_pending(const Schedd& schedd,
-                                   std::vector<JobId> pending) {
-  // Higher JobPrio first; FIFO (the schedd's order) within equal
-  // priorities. Jobs without the attribute have priority 0. Priorities
-  // are evaluated once per job per cycle.
-  std::vector<std::pair<std::int64_t, JobId>> ordered;
-  ordered.reserve(pending.size());
-  for (const JobId id : pending) {
-    ordered.emplace_back(
-        schedd.record(id).ad.eval_integer(kAttrJobPrio).value_or(0), id);
+PendingJobs by_priority(Schedd& schedd, PendingJobs pending) {
+  const auto higher = [&schedd](const JobRecord* a, const JobRecord* b) {
+    return schedd.view(*a).prio > schedd.view(*b).prio;
+  };
+  if (!std::is_sorted(pending.begin(), pending.end(), higher)) {
+    std::stable_sort(pending.begin(), pending.end(), higher);
   }
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const auto& a, const auto& b) { return a.first > b.first; });
-  pending.clear();
-  for (const auto& [prio, id] : ordered) pending.push_back(id);
   return pending;
 }
 
@@ -456,7 +444,7 @@ CandidateMemo::Entry* CandidateMemo::entry(const JobRecord& rec) {
   // A constant Requirements other than true (MCCK's parked jobs) matches
   // nothing; answering before classification keeps parked jobs out of
   // the autocluster table.
-  if (classad::requirements_never_met(rec.ad)) return nullptr;
+  if (schedd_.view(rec).never_met) return nullptr;
   Entry& entry = entries_[schedd_.autocluster(rec)];
   if (entry.version != version_) {
     entry.version = version_;

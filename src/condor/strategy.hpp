@@ -108,8 +108,8 @@ class CandidateMemo {
   CandidateMemo(Schedd& schedd, const MachineAds& machines);
 
   /// Indices of the snapshot machines matching the job both ways, in
-  /// ascending order. Empty, without a scan, when the job's Requirements
-  /// is a literal other than true.
+  /// ascending order. Empty, without a scan, when the job's view says its
+  /// Requirements is a literal other than true.
   [[nodiscard]] const std::vector<std::size_t>& candidates(
       const JobRecord& rec);
 
@@ -154,8 +154,8 @@ struct MatchCycle {
   Rng& rng;
   MachineOrder order;
   MachineAds& machines;
-  /// Pending job ids in priority-then-FIFO order (see ordered_pending).
-  const std::vector<JobId>& pending;
+  /// Pending records in priority-then-FIFO order (see by_priority).
+  const PendingJobs& pending;
   const std::function<bool(JobId, NodeId)>& dispatch;
   SimTime now = 0.0;
   /// True when the negotiator wants per-match latency samples collected
@@ -188,10 +188,11 @@ class MatchStrategy {
   [[nodiscard]] virtual MatchStrategyKind kind() const = 0;
 };
 
-/// Pending jobs sorted higher JobPrio first, FIFO (submission order)
-/// within equal priorities — the order every strategy consumes.
-[[nodiscard]] std::vector<JobId> ordered_pending(const Schedd& schedd,
-                                                 std::vector<JobId> pending);
+/// `pending` (FIFO, as Schedd::pending gives it) reordered higher JobPrio
+/// first, FIFO within equal priorities — the order every strategy
+/// consumes. Reads the cached priorities; a queue already in that order
+/// (no job sets JobPrio) costs one linear pass and no sort.
+[[nodiscard]] PendingJobs by_priority(Schedd& schedd, PendingJobs pending);
 
 [[nodiscard]] std::unique_ptr<MatchStrategy> make_match_strategy(
     const NegotiationConfig& config);

@@ -108,8 +108,6 @@ std::vector<DeviceView> SharingAwareScheduler::device_views(
 void SharingAwareScheduler::pre_cycle(const condor::MachineAds& machines) {
   ++stats_.runs;
 
-  const std::vector<JobId> pending_ids = schedd_.pending();
-
   // Keep pins only for jobs still pending AND whose ad still carries our
   // edit; everything else has dispatched (its reservation now shows in
   // the machine ads), finished, or was requeued with a fresh ad (a
@@ -117,15 +115,14 @@ void SharingAwareScheduler::pre_cycle(const condor::MachineAds& machines) {
   std::map<JobId, DeviceAddress> live_pins;
   std::vector<std::pair<DeviceAddress, condor::JobRequest>> in_flight;
   std::vector<PendingJobView> unpinned;
-  for (JobId id : pending_ids) {
-    const condor::JobRecord& rec = schedd_.record(id);
-    const condor::JobRequest request = condor::job_request(rec.ad);
-    auto it = pins_.find(id);
-    if (it != pins_.end() && rec.ad.has(condor::kAttrPinnedNode)) {
-      live_pins.emplace(id, it->second);
-      in_flight.emplace_back(it->second, request);
+  for (const condor::JobRecord* rec : schedd_.pending()) {
+    const condor::JobView& view = schedd_.view(*rec);
+    auto it = pins_.find(rec->id);
+    if (it != pins_.end() && view.pinned_node) {
+      live_pins.emplace(rec->id, it->second);
+      in_flight.emplace_back(it->second, view.request);
     } else {
-      unpinned.push_back(job_view(id, request));
+      unpinned.push_back(job_view(rec->id, view.request));
     }
   }
   pins_ = std::move(live_pins);

@@ -1,6 +1,9 @@
 #include "workload/io.hpp"
 
 #include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -49,18 +52,37 @@ std::map<std::string, std::string> parse_header(std::size_t line_no,
 
 std::int64_t to_int(std::size_t line_no, const std::string& s) {
   char* end = nullptr;
+  errno = 0;
   const std::int64_t v = std::strtoll(s.c_str(), &end, 10);
   if (end == nullptr || *end != '\0' || s.empty()) {
     fail(line_no, "expected integer, got '" + s + "'");
   }
+  // strtoll clamps an out-of-range value and says so only through errno.
+  if (errno == ERANGE) fail(line_no, "integer out of range: '" + s + "'");
   return v;
 }
 
+/// An integer that must fit an int (thread counts, device counts and
+/// indices): a wider value would wrap in the cast.
+int to_int32(std::size_t line_no, const std::string& s) {
+  const std::int64_t v = to_int(line_no, s);
+  if (v < INT_MIN || v > INT_MAX) {
+    fail(line_no, "integer out of range: '" + s + "'");
+  }
+  return static_cast<int>(v);
+}
+
+/// A finite decimal number. strtod alone also reads "inf", "nan" and hex
+/// ("0x10" is 16), and overflows "1e400" to inf.
 double to_real(std::size_t line_no, const std::string& s) {
+  if (s.empty() ||
+      s.find_first_not_of("0123456789+-.eE") != std::string::npos) {
+    fail(line_no, "expected a decimal number, got '" + s + "'");
+  }
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0' || s.empty()) {
-    fail(line_no, "expected number, got '" + s + "'");
+  if (end == nullptr || *end != '\0' || !std::isfinite(v)) {
+    fail(line_no, "expected a finite decimal number, got '" + s + "'");
   }
   return v;
 }
@@ -123,20 +145,21 @@ JobSet from_text(std::string_view text) {
       const auto fields = parse_header(line_no, in);
       for (const auto& [key, value] : fields) {
         if (key == "id") {
-          current.id = static_cast<JobId>(to_int(line_no, value));
+          const std::int64_t id = to_int(line_no, value);
+          if (id < 0) fail(line_no, "negative job id '" + value + "'");
+          current.id = static_cast<JobId>(id);
         } else if (key == "template") {
           current.template_name = value;
         } else if (key == "mem") {
           current.mem_req_mib = to_int(line_no, value);
         } else if (key == "threads") {
-          current.threads_req =
-              static_cast<ThreadCount>(to_int(line_no, value));
+          current.threads_req = to_int32(line_no, value);
         } else if (key == "base") {
           current.base_memory_mib = to_int(line_no, value);
         } else if (key == "submit") {
           current.submit_time = to_real(line_no, value);
         } else if (key == "devices") {
-          current.devices_req = static_cast<int>(to_int(line_no, value));
+          current.devices_req = to_int32(line_no, value);
         } else {
           fail(line_no, "unknown job field '" + key + "'");
         }
@@ -156,11 +179,11 @@ JobSet from_text(std::string_view text) {
       }
       int device_index = 0;
       if (std::string device; in >> device) {
-        device_index = static_cast<int>(to_int(line_no, device));
+        device_index = to_int32(line_no, device);
       }
       Segment seg = Segment::offload(
           to_real(line_no, duration),
-          static_cast<ThreadCount>(to_int(line_no, threads)),
+          to_int32(line_no, threads),
           to_int(line_no, memory), device_index);
       seg.async = keyword == "offload_async";
       segments.push_back(seg);

@@ -88,5 +88,36 @@ TEST(Table2Fingerprint, ThousandRealJobsOnEightNodesBitIdentical) {
   }
 }
 
+// The schedd decodes a job's view once per submit, qedit or requeue, not
+// once per cycle: MC and MCC never edit an ad (and this job set never
+// fails), and MCCK's add-on edits at most three attributes per pin.
+TEST(Table2Fingerprint, ViewDecodesDoNotGrowWithCycles) {
+  const workload::JobSet jobs =
+      workload::make_real_jobset(1000, Rng(42).child("jobs"));
+  for (const StackConfig stack :
+       {StackConfig::kMC, StackConfig::kMCC, StackConfig::kMCCK}) {
+    SCOPED_TRACE(stack_config_name(stack));
+    ExperimentConfig config;
+    config.node_count = 8;
+    config.stack = stack;
+    config.seed = 42;
+
+    Harness harness(config);
+    harness.submit(jobs);
+    const ExperimentResult r = harness.run_to_completion();
+    const std::uint64_t decodes = harness.schedd().view_decodes();
+
+    EXPECT_GT(r.negotiation_cycles, 900u);
+    EXPECT_EQ(r.job_retries, 0u);
+    if (stack == StackConfig::kMCCK) {
+      EXPECT_EQ(r.addon_pins, jobs.size());
+      EXPECT_GE(decodes, jobs.size());
+      EXPECT_LE(decodes, jobs.size() + 3 * r.addon_pins);  // 4,000
+    } else {
+      EXPECT_EQ(decodes, jobs.size());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace phisched::cluster

@@ -77,7 +77,8 @@ using DispatchFn = std::function<bool(JobId, NodeId)>;
 /// dispatch exactly as the strategy does.
 void reference_cycle(Schedd& schedd, MachineAds machines, MachineOrder order,
                      Rng& rng, const DispatchFn& dispatch) {
-  for (const JobId id : ordered_pending(schedd, schedd.pending())) {
+  for (const JobRecord* job : by_priority(schedd, schedd.pending())) {
+    const JobId id = job->id;
     const JobRecord& rec = schedd.record(id);
     if (rec.state != JobState::kPending) continue;
     const auto chosen = reference_choose(rec.ad, machines, order, rng);
@@ -101,7 +102,7 @@ std::uint64_t memo_cycle(Schedd& schedd, MachineAds machines,
                          MachineOrder order, Rng& rng,
                          const DispatchFn& dispatch) {
   const auto strategy = make_match_strategy(NegotiationConfig{});
-  const std::vector<JobId> pending = ordered_pending(schedd, schedd.pending());
+  const PendingJobs pending = by_priority(schedd, schedd.pending());
   MatchCycle cycle{schedd, rng, order, machines, pending, dispatch, 0.0, false};
   (void)strategy->run(cycle);
   return cycle.candidates.evaluations();

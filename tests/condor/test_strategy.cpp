@@ -161,8 +161,7 @@ class StrategyTest : public ::testing::Test {
   CycleOutcome run(const NegotiationConfig& config,
                    MachineOrder order = MachineOrder::kFirstFit) {
     auto strategy = make_match_strategy(config);
-    std::vector<JobId> pending =
-        ordered_pending(schedd_, schedd_.pending());
+    const PendingJobs pending = by_priority(schedd_, schedd_.pending());
     MatchCycle cycle{schedd_, rng_,      order, machines_,
                      pending, dispatch_, 0.0, false};
     return strategy->run(cycle);
@@ -367,12 +366,11 @@ TEST_F(StrategyTest, OrderedPendingSortsByPriorityThenFifo) {
   submit(2, 100, 30);
   schedd_.qedit_expr(1, kAttrJobPrio, "10");
 
-  const std::vector<JobId> ordered =
-      ordered_pending(schedd_, schedd_.pending());
+  const PendingJobs ordered = by_priority(schedd_, schedd_.pending());
   ASSERT_EQ(ordered.size(), 3u);
-  EXPECT_EQ(ordered[0], 1u);  // highest priority first
-  EXPECT_EQ(ordered[1], 0u);  // then FIFO
-  EXPECT_EQ(ordered[2], 2u);
+  EXPECT_EQ(ordered[0]->id, 1u);  // highest priority first
+  EXPECT_EQ(ordered[1]->id, 0u);  // then FIFO
+  EXPECT_EQ(ordered[2]->id, 2u);
 }
 
 TEST_F(StrategyTest, BatchRespectsPriorityOrderWhenCapacityIsShort) {

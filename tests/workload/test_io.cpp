@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "workload/jobset.hpp"
 
@@ -98,6 +99,73 @@ TEST(JobsetIo, ErrorsMentionLineNumbers) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
   }
+}
+
+/// `text` must be rejected with the reader's own error for `line`.
+void expect_parse_error(const std::string& text, std::size_t line) {
+  SCOPED_TRACE(text);
+  try {
+    (void)from_text(text);
+    ADD_FAILURE() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("jobset parse error on line " +
+                                         std::to_string(line) + ":"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// A one-job file: a header with `fields`, then `segment` on line 3.
+std::string one_job(const std::string& fields,
+                    const std::string& segment = "host 1") {
+  return "# jobset\njob id=1 mem=100 threads=60 base=0 submit=0 " + fields +
+         "\n  " + segment + "\nend\n";
+}
+
+TEST(JobsetIo, NonFiniteNumbersThrow) {
+  // Each of these used to load and then simulate forever.
+  expect_parse_error(one_job("submit=inf"), 2);
+  expect_parse_error(one_job("submit=-inf"), 2);
+  expect_parse_error(one_job("submit=nan"), 2);
+  expect_parse_error(one_job("submit=1e400"), 2);  // overflows to inf
+  expect_parse_error(one_job("", "host inf"), 3);
+  expect_parse_error(one_job("", "host nan"), 3);
+  expect_parse_error(one_job("", "offload inf 240 1023"), 3);
+  expect_parse_error(one_job("", "offload_async nan 240 1023"), 3);
+}
+
+TEST(JobsetIo, HexNumbersThrow) {
+  // strtod reads "0x10" as 16.
+  expect_parse_error(one_job("submit=0x10"), 2);
+  expect_parse_error(one_job("", "host 0x1p4"), 3);
+  expect_parse_error(one_job("", "offload 0x10 240 1023"), 3);
+}
+
+TEST(JobsetIo, OutOfRangeIntegersThrow) {
+  // 4294967536 used to wrap to 240 threads in the cast to int.
+  expect_parse_error(one_job("threads=4294967536"), 2);
+  expect_parse_error(one_job("devices=4294967297"), 2);
+  expect_parse_error(one_job("", "offload 1 4294967536 1023"), 3);
+  expect_parse_error(one_job("", "offload 1 240 1023 4294967296"), 3);
+  // strtoll clamps these to INT64_MAX and INT64_MIN.
+  expect_parse_error(one_job("mem=99999999999999999999"), 2);
+  expect_parse_error(one_job("base=-99999999999999999999"), 2);
+  expect_parse_error("job id=99999999999999999999\nend\n", 1);
+}
+
+TEST(JobsetIo, NegativeIdThrows) {
+  // -1 used to load as 18446744073709551615.
+  expect_parse_error("job id=-1\nend\n", 1);
+}
+
+TEST(JobsetIo, FiniteDecimalSpellingsLoad) {
+  const JobSet jobs =
+      from_text(one_job("submit=1.5e2", "offload 2.5E-1 240 1023 1"));
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_DOUBLE_EQ(jobs[0].submit_time, 150.0);
+  ASSERT_EQ(jobs[0].profile.segments().size(), 1u);
+  EXPECT_DOUBLE_EQ(jobs[0].profile.segments()[0].duration, 0.25);
+  EXPECT_EQ(jobs[0].profile.segments()[0].device_index, 1);
 }
 
 TEST(JobsetIo, LoadMissingFileThrows) {
