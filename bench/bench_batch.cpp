@@ -5,8 +5,8 @@
 // golden records the makespan / wait / turnaround / utilization deltas.
 //
 //  * Every metric here is a deterministic simulation output, so the CI
-//    gate (tests/bench_batch_gate.cmake) diffs them at bench_diff's
-//    default tolerance against bench/golden/BENCH_batch.json.
+//    gate and tests/bench_batch_gate.cmake diff them against
+//    bench/golden/BENCH_batch.json with bench_diff --exact: bit-equal.
 //  * The batch strategy's decisions must be pure functions of the cycle
 //    snapshot: this harness hard-fails if a batched MCCK run diverges
 //    from its own repeat, so the perf gate doubles as the determinism

@@ -6,7 +6,7 @@
 //
 //  * Simulation outputs (makespan, utilization, turnaround, event count)
 //    are deterministic. The CI perf gate diffs them against
-//    bench/golden/BENCH_scale.json at bench_diff's default tolerance.
+//    bench/golden/BENCH_scale.json with bench_diff --exact: bit-equal.
 //  * Events per wall-clock second depend on the machine; they are
 //    recorded for information and no gate reads them.
 #include <chrono>

@@ -16,6 +16,36 @@ constexpr std::string_view kRequirements = "Requirements";
 constexpr std::string_view kRank = "Rank";
 constexpr std::uint64_t kRequirementsHash = name_hash(kRequirements);
 constexpr std::uint64_t kRankHash = name_hash(kRank);
+constexpr std::string_view kName = "Name";
+constexpr std::uint64_t kNameHash = name_hash(kName);
+
+/// `s` when `expr` is `TARGET.Name == "s"` or `"s" == TARGET.Name`.
+const std::string* name_operand(const Expr& expr) {
+  if (expr.kind != Expr::Kind::kBinary || expr.binary_op != BinaryOp::kEq) {
+    return nullptr;
+  }
+  const auto target_name = [](const Expr& e) {
+    return e.kind == Expr::Kind::kAttrRef && e.scope == AttrScope::kTarget &&
+           e.attr_hash == kNameHash && iequals(e.attr, kName);
+  };
+  const auto string_literal = [](const Expr& e) {
+    return e.kind == Expr::Kind::kLiteral && e.literal.is_string();
+  };
+  const Expr& lhs = *expr.children[0];
+  const Expr& rhs = *expr.children[1];
+  if (target_name(lhs) && string_literal(rhs)) return &rhs.literal.as_string();
+  if (string_literal(lhs) && target_name(rhs)) return &lhs.literal.as_string();
+  return nullptr;
+}
+
+/// The leftmost name operand among the `&&` operands of `expr`.
+const std::string* and_name_operand(const Expr& expr) {
+  if (expr.kind == Expr::Kind::kBinary && expr.binary_op == BinaryOp::kAnd) {
+    const std::string* found = and_name_operand(*expr.children[0]);
+    return found != nullptr ? found : and_name_operand(*expr.children[1]);
+  }
+  return name_operand(expr);
+}
 }  // namespace
 
 std::vector<ClassAd::Slot>::const_iterator ClassAd::first_slot(
@@ -156,6 +186,13 @@ bool requirements_never_met(const ClassAd& ad) {
   const Expr* req = ad.find(kRequirementsHash, kRequirements);
   return req != nullptr && req->kind == Expr::Kind::kLiteral &&
          !(req->literal.is_boolean() && req->literal.as_boolean());
+}
+
+std::optional<std::string> required_name(const ClassAd& ad) {
+  const Expr* req = ad.find(kRequirementsHash, kRequirements);
+  const std::string* name = req != nullptr ? and_name_operand(*req) : nullptr;
+  if (name == nullptr) return std::nullopt;
+  return *name;
 }
 
 bool requirements_met(const ClassAd& ad, const ClassAd& target) {

@@ -89,6 +89,14 @@ class ClassAd {
 /// accepts no target, whatever the target holds.
 [[nodiscard]] bool requirements_never_met(const ClassAd& ad);
 
+/// The string `s` when `ad.Requirements` is a tree of `&&` with an
+/// operand `TARGET.Name == s` (either side, `s` a string literal); the
+/// leftmost such operand wins. The ad then accepts only a target whose
+/// Name evaluates to a string equal to `s` case-insensitively: an absent
+/// Name is undefined and a non-string one an error, and neither lets the
+/// `&&` tree be true. nullopt for any other shape.
+[[nodiscard]] std::optional<std::string> required_name(const ClassAd& ad);
+
 /// Evaluates `ad.Requirements` against `target`. A match requires the
 /// Requirements expression to evaluate to exactly true (undefined and
 /// error do NOT match, as in Condor).

@@ -80,7 +80,7 @@ void Harness::build_nodes() {
     nodes_.push_back(std::make_unique<Node>(
         sim_, n, nc, rng_.child("node" + std::to_string(n))));
     collector_.advertise(n, [this, n] {
-      return nodes_[static_cast<std::size_t>(n)]->machine_ad();
+      return nodes_[static_cast<std::size_t>(n)]->advertised_ad();
     });
     if (recorder_ != nullptr) {
       Node& node = *nodes_.back();
@@ -101,6 +101,12 @@ void Harness::build_nodes() {
   for (DeviceId d = 0; d < first.device_count(); ++d) {
     cards_.push_back(first.device(d).config().hw);
   }
+}
+
+std::uint64_t Harness::machine_ad_builds() const {
+  std::uint64_t builds = 0;
+  for (const auto& node : nodes_) builds += node->ad_builds();
+  return builds;
 }
 
 void Harness::build_condor() {

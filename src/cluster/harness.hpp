@@ -128,6 +128,9 @@ class Harness {
   [[nodiscard]] const ExperimentConfig& config() const { return config_; }
   /// The job queue, for inspection.
   [[nodiscard]] const condor::Schedd& schedd() const { return schedd_; }
+  /// Machine ads the nodes built for the collector (Node::ad_builds,
+  /// summed). Not exported as telemetry.
+  [[nodiscard]] std::uint64_t machine_ad_builds() const;
   /// Power-user access to the event loop (e.g. to interleave custom
   /// events with the cluster's); scheduling into the past is rejected.
   [[nodiscard]] Simulator& simulator() { return sim_; }

@@ -1,6 +1,7 @@
 #include "cluster/node.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "classad/parser.hpp"
 #include "common/check.hpp"
@@ -81,11 +82,26 @@ std::optional<DeviceId> Node::pick_exclusive_device() const {
   return std::nullopt;
 }
 
+void Node::read_ad_state(AdState& state) const {
+  state.free_slots = free_slots();
+  state.free_devices = free_exclusive_devices();
+  state.cards.resize(static_cast<std::size_t>(device_count()));
+  for (DeviceId d = 0; d < device_count(); ++d) {
+    AdState::Card& card = state.cards[static_cast<std::size_t>(d)];
+    card.free_memory = middleware_->unreserved_memory(d);
+    card.free_threads = middleware_->unreserved_threads(d);
+    card.free_bw_bits =
+        std::bit_cast<std::uint64_t>(middleware_->unreserved_bandwidth(d));
+  }
+}
+
 classad::ClassAd Node::machine_ad() const {
+  AdState state;
+  read_ad_state(state);
   classad::ClassAd ad;
   ad.insert_string(condor::kAttrName, condor::machine_name(id_));
   ad.insert_integer(condor::kAttrTotalSlots, total_slots());
-  ad.insert_integer(condor::kAttrFreeSlots, free_slots());
+  ad.insert_integer(condor::kAttrFreeSlots, state.free_slots);
   ad.insert_integer(condor::kAttrPhiDevices, device_count());
   // Node-level geometry is the max over the fleet so existing
   // Requirements stay satisfiable on mixed nodes; per-device attributes
@@ -99,17 +115,16 @@ classad::ClassAd Node::machine_ad() const {
   }
   ad.insert_integer(condor::kAttrPhiHwThreads, max_hw_threads);
   ad.insert_integer(condor::kAttrPhiTotalMemory, max_usable);
-  ad.insert_integer(condor::kAttrPhiFreeDevices, free_exclusive_devices());
+  ad.insert_integer(condor::kAttrPhiFreeDevices, state.free_devices);
 
   MiB best_free = 0;
   for (DeviceId d = 0; d < device_count(); ++d) {
-    const MiB free = middleware_->unreserved_memory(d);
-    best_free = std::max(best_free, free);
-    ad.insert_integer(condor::per_device_memory_attr(d), free);
+    const AdState::Card& card = state.cards[static_cast<std::size_t>(d)];
+    best_free = std::max(best_free, card.free_memory);
+    ad.insert_integer(condor::per_device_memory_attr(d), card.free_memory);
     // May go negative when declared threads stack beyond the hardware
     // budget; schedulers need the raw value to account residents.
-    ad.insert_integer(condor::per_device_threads_attr(d),
-                      middleware_->unreserved_threads(d));
+    ad.insert_integer(condor::per_device_threads_attr(d), card.free_threads);
     const PhiHardware& hw = device(d).capability().hw;
     ad.insert_integer(condor::per_device_hw_threads_attr(d), hw.hw_threads());
     ad.insert_integer(condor::per_device_total_memory_attr(d),
@@ -118,7 +133,7 @@ classad::ClassAd Node::machine_ad() const {
     // the contention model is on; absent when it is off.
     if (device(d).mem_bw_budget() >= 0.0) {
       ad.insert_real(condor::per_device_free_bw_attr(d),
-                     middleware_->unreserved_bandwidth(d));
+                     std::bit_cast<double>(card.free_bw_bits));
     }
   }
   ad.insert_integer(condor::kAttrPhiFreeMemory, best_free);
@@ -127,6 +142,16 @@ classad::ClassAd Node::machine_ad() const {
       classad::parse("MY.FreeSlots >= 1");
   ad.insert(condor::kAttrRequirements, kRequirements);
   return ad;
+}
+
+const classad::ClassAd& Node::advertised_ad() {
+  read_ad_state(live_state_);
+  if (ad_builds_ == 0 || live_state_ != kept_state_) {
+    kept_ad_ = machine_ad();
+    std::swap(kept_state_, live_state_);
+    ++ad_builds_;
+  }
+  return kept_ad_;
 }
 
 }  // namespace phisched::cluster

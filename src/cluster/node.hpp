@@ -2,6 +2,7 @@
 // the machine ClassAd it advertises to the collector.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -65,10 +66,38 @@ class Node {
   /// First device with no resident job, or nullopt.
   [[nodiscard]] std::optional<DeviceId> pick_exclusive_device() const;
 
-  /// The ClassAd the node's startd would push to the collector.
+  /// The ClassAd the node's startd would push to the collector, built
+  /// from the construction-time constants and the live AdState only.
   [[nodiscard]] classad::ClassAd machine_ad() const;
 
+  /// The node's last built ad, rebuilt by machine_ad() only when the
+  /// live state it advertises changed since the previous call. Equal
+  /// states build equal ads, so this always equals machine_ad().
+  [[nodiscard]] const classad::ClassAd& advertised_ad();
+
+  /// Ads advertised_ad() has built. Not exported as telemetry.
+  [[nodiscard]] std::uint64_t ad_builds() const { return ad_builds_; }
+
  private:
+  /// Everything machine_ad() reads that can change after construction.
+  struct AdState {
+    struct Card {
+      MiB free_memory = 0;
+      ThreadCount free_threads = 0;
+      /// Bit pattern of the unreserved bandwidth: a constant when the
+      /// card's contention model is off (the ad then omits it).
+      std::uint64_t free_bw_bits = 0;
+      friend bool operator==(const Card&, const Card&) = default;
+    };
+    int free_slots = 0;
+    int free_devices = 0;
+    std::vector<Card> cards;
+    friend bool operator==(const AdState&, const AdState&) = default;
+  };
+
+  /// Overwrites `state` with the node's live AdState.
+  void read_ad_state(AdState& state) const;
+
   Simulator& sim_;
   NodeId id_;
   NodeConfig config_;
@@ -76,6 +105,12 @@ class Node {
   std::unique_ptr<phi::PcieSwitch> pcie_switch_;
   std::unique_ptr<cosmic::NodeMiddleware> middleware_;
   int busy_slots_ = 0;
+  /// advertised_ad()'s kept ad, the state it was built from, and the
+  /// scratch state each call reads before comparing.
+  classad::ClassAd kept_ad_;
+  AdState kept_state_;
+  AdState live_state_;
+  std::uint64_t ad_builds_ = 0;
 };
 
 }  // namespace phisched::cluster

@@ -99,6 +99,7 @@ JobView job_view(const classad::ClassAd& job) {
   view.request = job_request(job);
   view.prio = job.eval_integer(kAttrJobPrio).value_or(0);
   view.never_met = classad::requirements_never_met(job);
+  view.required_name = classad::required_name(job);
   view.pinned_device = job.eval_integer(kAttrPinnedDevice);
   view.pinned_node = job.has(kAttrPinnedNode);
   return view;

@@ -136,6 +136,8 @@ struct JobView {
   std::int64_t prio = 0;  ///< JobPrio, else 0
   /// classad::requirements_never_met(job): no machine can match.
   bool never_met = false;
+  /// classad::required_name(job): the one machine Name it can match.
+  std::optional<std::string> required_name;
   std::optional<std::int64_t> pinned_device;  ///< PinnedDevice
   bool pinned_node = false;                   ///< PinnedNode is set
 };

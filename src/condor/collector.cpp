@@ -21,12 +21,8 @@ void Collector::advertise(NodeId node, AdSource source) {
 
 void Collector::withdraw(NodeId node) { sources_.erase(node); }
 
-const classad::ClassAd& Collector::resolve(const Entry& entry) const {
-  if (sim_ == nullptr) {
-    // Always fresh: regenerate every query.
-    entry.cached = entry.source();
-    return *entry.cached;
-  }
+classad::ClassAd Collector::resolve(const Entry& entry) const {
+  if (sim_ == nullptr) return entry.source();  // always fresh
   const SimTime epoch =
       std::floor(sim_->now() / update_interval_) * update_interval_;
   if (!entry.cached.has_value() || entry.cached_epoch < epoch) {

@@ -2,10 +2,10 @@
 //
 // Real Condor startds push updates on an interval (UPDATE_INTERVAL), so
 // the negotiator sees machine state that can be STALE. Nodes register a
-// generator callback; by default the collector materializes fresh ads on
-// demand ("the most recent update just arrived"), but an update interval
-// can be configured to model staleness: an ad fetched at time t reflects
-// the node's state at the last multiple of the interval.
+// generator callback; by default the collector asks it on every query
+// and keeps nothing ("the most recent update just arrived"), but an
+// update interval can be configured to model staleness: an ad fetched at
+// time t reflects the node's state at the last multiple of the interval.
 #pragma once
 
 #include <functional>
@@ -50,12 +50,13 @@ class Collector {
  private:
   struct Entry {
     AdSource source;
+    /// The staleness mode's ad as of cached_epoch; unused when fresh.
     mutable std::optional<classad::ClassAd> cached;
     mutable SimTime cached_epoch = -1.0;
   };
 
-  /// Returns the (possibly cached) ad for an entry.
-  [[nodiscard]] const classad::ClassAd& resolve(const Entry& entry) const;
+  /// The entry's ad: the source's, or the epoch's when stale.
+  [[nodiscard]] classad::ClassAd resolve(const Entry& entry) const;
 
   Simulator* sim_ = nullptr;
   SimTime update_interval_ = 0.0;

@@ -444,17 +444,64 @@ CandidateMemo::Entry* CandidateMemo::entry(const JobRecord& rec) {
   // A constant Requirements other than true (MCCK's parked jobs) matches
   // nothing; answering before classification keeps parked jobs out of
   // the autocluster table.
-  if (schedd_.view(rec).never_met) return nullptr;
+  const JobView& view = schedd_.view(rec);
+  if (view.never_met) return nullptr;
   Entry& entry = entries_[schedd_.autocluster(rec)];
   if (entry.version != version_) {
     entry.version = version_;
     entry.best_rank.reset();
     entry.machines.clear();
-    for (std::size_t m = 0; m < machines_.size(); ++m) {
-      if (matches(rec.ad, m)) entry.machines.push_back(m);
+    // Jobs of one autocluster have structurally identical Requirements,
+    // so they all require the same Name, if any.
+    if (view.required_name.has_value()) {
+      scan_named(rec, *view.required_name, entry.machines);
+    } else {
+      for (std::size_t m = 0; m < machines_.size(); ++m) {
+        if (matches(rec.ad, m)) entry.machines.push_back(m);
+      }
     }
   }
   return &entry;
+}
+
+void CandidateMemo::scan_named(const JobRecord& rec, const std::string& name,
+                               std::vector<std::size_t>& out) {
+  static constexpr std::uint64_t kNameHash = classad::name_hash(kAttrName);
+  const auto name_of = [this](std::size_t m) {
+    return machines_[m].second.find(kNameHash, kAttrName);
+  };
+  if (!indexed_) {
+    indexed_ = true;
+    for (std::size_t m = 0; m < machines_.size(); ++m) {
+      const classad::Expr* expr = name_of(m);
+      if (expr == nullptr) continue;
+      if (expr->kind != classad::Expr::Kind::kLiteral) {
+        computed_names_.push_back(m);
+      } else if (expr->literal.is_string()) {
+        by_name_.emplace_back(classad::name_hash(expr->literal.as_string()),
+                              m);
+      }
+    }
+    std::sort(by_name_.begin(), by_name_.end());
+  }
+  // The named machines merged with the computed names, in ascending
+  // order: the order the full scan lists candidates in.
+  const auto scan = [&](std::size_t m) {
+    if (matches(rec.ad, m)) out.push_back(m);
+  };
+  const std::uint64_t hash = classad::name_hash(name);
+  auto computed = computed_names_.begin();
+  for (auto it = std::lower_bound(by_name_.begin(), by_name_.end(),
+                                  std::pair{hash, std::size_t{0}});
+       it != by_name_.end() && it->first == hash; ++it) {
+    const std::size_t m = it->second;
+    if (!classad::iequals(name_of(m)->literal.as_string(), name)) continue;
+    for (; computed != computed_names_.end() && *computed < m; ++computed) {
+      scan(*computed);
+    }
+    scan(m);
+  }
+  for (; computed != computed_names_.end(); ++computed) scan(*computed);
 }
 
 const std::vector<std::size_t>& CandidateMemo::candidates(

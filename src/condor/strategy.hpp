@@ -101,6 +101,12 @@ struct NegotiationConfig {
 /// match the same machines, so between two claims the machines are
 /// scanned once per autocluster, not once per job. The never-met check
 /// stays per job, and so do the choice's RNG draw and the dispatch.
+///
+/// A job whose view names one machine (JobView::required_name, the
+/// add-on's pin) is matched only against the machines whose Name is that
+/// string literal, case-insensitively, and those whose Name is not a
+/// literal: no other machine can satisfy its Requirements. The name index
+/// is built once per cycle, on the first such scan.
 class CandidateMemo {
  public:
   /// Hands the snapshot's machine-side names to `schedd`, which keys its
@@ -139,11 +145,23 @@ class CandidateMemo {
   /// null, without classifying the job, when it can match nothing.
   Entry* entry(const JobRecord& rec);
 
+  /// Appends, in ascending order, the machines a job that requires the
+  /// Name `name` matches both ways.
+  void scan_named(const JobRecord& rec, const std::string& name,
+                  std::vector<std::size_t>& out);
+
   Schedd& schedd_;
   const MachineAds& machines_;
   std::uint64_t version_ = 1;
   std::uint64_t evaluations_ = 0;
   std::unordered_map<AutoclusterId, Entry> entries_;
+  /// Built by the cycle's first scan_named: (name_hash, machine) for
+  /// every machine whose Name is a string literal, sorted, and the
+  /// machines whose Name is not a literal, ascending. A machine in
+  /// neither has no Name or a non-string one, which no name pin accepts.
+  bool indexed_ = false;
+  std::vector<std::pair<std::uint64_t, std::size_t>> by_name_;
+  std::vector<std::size_t> computed_names_;
 };
 
 /// Everything one negotiation cycle exposes to its strategy. `machines`

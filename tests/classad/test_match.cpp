@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "classad/classad.hpp"
 
 namespace phisched::classad {
@@ -86,6 +89,52 @@ TEST(Match, PinnedNameIsCaseInsensitive) {
   ClassAd job;
   job.insert_expr("Requirements", "TARGET.Name == \"NODE0\"");
   EXPECT_TRUE(requirements_met(job, machine_ad(1, 1)));
+}
+
+std::optional<std::string> required_name_of(const std::string& requirements) {
+  ClassAd job;
+  job.insert_expr("Requirements", requirements);
+  return required_name(job);
+}
+
+TEST(Match, RequiredNameReadsANameOperandOfAnAndTree) {
+  EXPECT_EQ(required_name_of("TARGET.Name == \"node7\""), "node7");
+  EXPECT_EQ(required_name_of("\"node7\" == TARGET.Name"), "node7");
+  // First, last and nested operand; the literal keeps its case.
+  EXPECT_EQ(required_name_of("TARGET.Name == \"NODE7\" && TARGET.FreeSlots "
+                             ">= 1"),
+            "NODE7");
+  EXPECT_EQ(required_name_of("TARGET.FreeSlots >= 1 && \"node7\" == "
+                             "TARGET.Name"),
+            "node7");
+  EXPECT_EQ(required_name_of("TARGET.Mem > 1 && (TARGET.FreeSlots >= 1 && "
+                             "target.NAME == \"node7\") && MY.X"),
+            "node7");
+  // The leftmost of two operands: any true match satisfies both.
+  EXPECT_EQ(required_name_of("TARGET.Name == \"a\" && TARGET.Name == \"b\""),
+            "a");
+  // The add-on's pin.
+  EXPECT_EQ(required_name_of("TARGET.Name == \"node3\" && "
+                             "TARGET.PhiFreeMemory >= MY.RequestPhiMemory && "
+                             "TARGET.FreeSlots >= 1"),
+            "node3");
+}
+
+TEST(Match, RequiredNameIgnoresEveryOtherShape) {
+  ClassAd none;
+  EXPECT_EQ(required_name(none), std::nullopt);
+  for (const char* requirements :
+       {"true", "\"node7\"", "TARGET.FreeSlots >= 1",
+        "TARGET.Name == \"node7\" || TARGET.FreeSlots >= 1",
+        "!(TARGET.Name == \"node7\")",
+        "TARGET.FreeSlots >= 1 ? TARGET.Name == \"node7\" : false",
+        "MY.Name == \"node7\"", "Name == \"node7\"",
+        "TARGET.Name =?= \"node7\"", "TARGET.Name =!= \"node7\"",
+        "TARGET.Name != \"node7\"", "TARGET.Name == 7",
+        "TARGET.Name == strcat(\"node\", \"7\")",
+        "TARGET.Name == TARGET.Alias", "TARGET.Host == \"node7\""}) {
+    EXPECT_EQ(required_name_of(requirements), std::nullopt) << requirements;
+  }
 }
 
 TEST(Match, RankEvaluation) {

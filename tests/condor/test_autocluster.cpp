@@ -9,7 +9,9 @@
 // autocluster key must cover: MY., TARGET. and bare references, names
 // missing on one side, machine attributes that read TARGET.x, Rank,
 // literal and non-literal Requirements, qedits and requeues between
-// cycles, and slot claims within a cycle.
+// cycles, and slot claims within a cycle. A second property test replays
+// jobs that name a machine against machines whose Name takes every form
+// the memo's name index must tell apart.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -280,6 +282,147 @@ TEST(AutoclusterProperty, MemoChoosesExactlyWhatThePerJobScanChose) {
     }
   }
   // The scenarios do share lists, so the memo is really exercised.
+  EXPECT_LT(memo_evaluations, reference_evaluations);
+}
+
+// --- the name index --------------------------------------------------------
+
+/// Names drawn from three nodes in several spellings, so literals differ
+/// only in case and two machines often share a name.
+std::string random_node_name(Rng& rng) {
+  return pick<std::string>(rng, {"node", "NODE", "Node"}) +
+         std::to_string(rng.uniform_int(0, 2));
+}
+
+/// random_machine with a Name from every form the index tells apart: a
+/// string literal, none, an integer literal, and expressions that compute
+/// a string, one of them from the job (TARGET.Alias).
+classad::ClassAd random_named_machine(Rng& rng, NodeId node) {
+  classad::ClassAd ad = random_machine(rng, node);
+  const std::string n = std::to_string(rng.uniform_int(0, 2));
+  switch (rng.uniform_int(0, 5)) {
+    case 0:
+    case 1:
+      ad.insert_string(kAttrName, random_node_name(rng));
+      break;
+    case 2:
+      ad.erase(kAttrName);
+      break;
+    case 3:
+      ad.insert_integer(kAttrName, rng.uniform_int(0, 2));
+      break;
+    case 4:
+      ad.insert_expr(kAttrName, "strcat(\"node\", \"" + n + "\")");
+      break;
+    default:
+      ad.insert_expr(kAttrName, "TARGET.Alias");
+      break;
+  }
+  return ad;
+}
+
+/// random_job, mostly with Requirements that name a machine: forms the
+/// index must use (the name operand first, last or nested in `&&`, on
+/// either side of `==`) and forms it must leave to the full scan (under
+/// `||`, `!` or a ternary; MY.Name or bare Name; `=?=`, `=!=`; an integer).
+classad::ClassAd random_named_job(Rng& rng, JobId id) {
+  classad::ClassAd ad = random_job(rng, id);
+  if (rng.bernoulli(0.5)) ad.insert_string(kAttrName, random_node_name(rng));
+  if (rng.bernoulli(0.5)) ad.insert_string("Alias", random_node_name(rng));
+  if (rng.bernoulli(0.2)) return ad;
+  const std::string name =
+      classad::Value::string(random_node_name(rng)).to_string();
+  const std::string number = std::to_string(rng.uniform_int(0, 2));
+  ad.insert_expr(
+      kAttrRequirements,
+      pick<std::string>(
+          rng,
+          {"TARGET.Name == " + name,
+           "TARGET.Name == " + name + " && TARGET.FreeSlots >= 1",
+           "TARGET.FreeSlots >= 1 && " + name + " == TARGET.Name",
+           "TARGET.Mem >= MY.NeedMem && (" + name +
+               " == TARGET.Name && TARGET.FreeSlots > 0)",
+           "(TARGET.FreeSlots >= 1 && target.name == " + name + ") && Want",
+           "TARGET.Name == " + name + " || TARGET.FreeSlots >= 2",
+           "!(TARGET.Name == " + name + ") && TARGET.FreeSlots >= 1",
+           "TARGET.FreeSlots >= 1 ? TARGET.Name == " + name + " : false",
+           "MY.Name == " + name + " && TARGET.FreeSlots >= 1",
+           "Name == " + name + " && TARGET.FreeSlots >= 1",
+           "TARGET.Name =?= " + name + " && TARGET.FreeSlots >= 1",
+           "TARGET.Name =!= " + name + " && TARGET.FreeSlots >= 1",
+           "TARGET.Name == " + number + " && TARGET.FreeSlots >= 1"}));
+  return ad;
+}
+
+TEST(AutoclusterProperty, NameIndexChoosesExactlyWhatThePerJobScanChose) {
+  constexpr int kScenarios = 40;
+  constexpr int kCycles = 6;
+  std::uint64_t memo_evaluations = 0;
+  reference_evaluations = 0;
+  for (const MachineOrder order :
+       {MachineOrder::kFirstFit, MachineOrder::kRandom,
+        MachineOrder::kBestRank}) {
+    for (int scenario = 0; scenario < kScenarios; ++scenario) {
+      SCOPED_TRACE("order " + std::to_string(static_cast<int>(order)) +
+                   " scenario " + std::to_string(scenario));
+      Rng gen = Rng(2718).child("named" + std::to_string(scenario));
+      Replay memo;
+      Replay reference;
+      Rng memo_rng(static_cast<std::uint64_t>(scenario));
+      Rng reference_rng(static_cast<std::uint64_t>(scenario));
+      JobId next = 0;
+      const auto submit = [&](int count) {
+        for (int i = 0; i < count; ++i) {
+          const classad::ClassAd ad = random_named_job(gen, next);
+          memo.schedd().submit(next, ad);
+          reference.schedd().submit(next, ad);
+          ++next;
+        }
+      };
+      submit(static_cast<int>(gen.uniform_int(15, 40)));
+      const auto machine_count = static_cast<NodeId>(gen.uniform_int(3, 8));
+
+      for (int cycle = 0; cycle < kCycles; ++cycle) {
+        MachineAds machines;
+        for (NodeId n = 0; n < machine_count; ++n) {
+          machines.emplace_back(n, random_named_machine(gen, n));
+        }
+        const auto salt =
+            static_cast<std::uint64_t>(gen.uniform_int(0, 1 << 30));
+        memo_evaluations += memo_cycle(memo.schedd(), machines, order,
+                                       memo_rng, memo.dispatcher(salt));
+        reference_cycle(reference.schedd(), machines, order, reference_rng,
+                        reference.dispatcher(salt));
+        ASSERT_EQ(memo.log(), reference.log()) << "cycle " << cycle;
+        ASSERT_TRUE(memo_rng.engine() == reference_rng.engine())
+            << "cycle " << cycle;
+
+        // Between cycles: matched jobs finish or are requeued with a
+        // fresh ad, some pending jobs are re-pinned, more arrive.
+        for (JobId id = 0; id < next; ++id) {
+          const JobRecord& rec = memo.schedd().record(id);
+          if (rec.state == JobState::kMatched) {
+            memo.schedd().mark_running(id);
+            reference.schedd().mark_running(id);
+            if (gen.bernoulli(0.4)) {
+              const classad::ClassAd ad = random_named_job(gen, id);
+              memo.schedd().requeue(id, ad);
+              reference.schedd().requeue(id, ad);
+            } else {
+              memo.schedd().mark_completed(id);
+              reference.schedd().mark_completed(id);
+            }
+          } else if (rec.state == JobState::kPending && gen.bernoulli(0.3)) {
+            const classad::ExprPtr expr =
+                random_named_job(gen, id).lookup(kAttrRequirements);
+            memo.schedd().qedit(id, kAttrRequirements, expr);
+            reference.schedd().qedit(id, kAttrRequirements, expr);
+          }
+        }
+        submit(static_cast<int>(gen.uniform_int(0, 8)));
+      }
+    }
+  }
   EXPECT_LT(memo_evaluations, reference_evaluations);
 }
 

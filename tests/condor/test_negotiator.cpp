@@ -205,6 +205,28 @@ TEST_F(NegotiatorTest, PinnedJobGoesToNamedNode) {
   EXPECT_EQ(dispatched_[0].second, 2);
 }
 
+TEST_F(NegotiatorTest, NamePinnedJobsAreMatchedOnlyAgainstTheirNode) {
+  // Every job carries the add-on's pin and every machine a distinct
+  // literal Name, so a scan evaluates only the named machine: at most one
+  // two-way match per job, where a scan of every machine would evaluate
+  // 50. Each machine has two slots for its four jobs.
+  constexpr NodeId kMachines = 50;
+  constexpr JobId kJobs = 200;
+  const auto pin = [](JobId id) {
+    return static_cast<NodeId>((id * 7) % kMachines);
+  };
+  for (NodeId n = 0; n < kMachines; ++n) add_machine(n, 8000, 2);
+  for (JobId id = 0; id < kJobs; ++id) {
+    submit_job(id, 1000 + 10 * static_cast<MiB>(id % 3),
+               pinned_requirements(pin(id)));
+  }
+  auto negotiator = make();
+  negotiator.run_cycle();
+  EXPECT_EQ(negotiator.stats().matches, 2u * kMachines);
+  EXPECT_LE(negotiator.stats().match_evaluations, kJobs);
+  for (const auto& [job, node] : dispatched_) EXPECT_EQ(node, pin(job));
+}
+
 TEST_F(NegotiatorTest, RandomOrderSpreadsAcrossMachines) {
   for (NodeId n = 0; n < 4; ++n) add_machine(n, 10000, 100);
   for (JobId id = 0; id < 40; ++id) submit_job(id, 100, sharing_requirements());
