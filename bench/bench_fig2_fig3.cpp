@@ -95,8 +95,10 @@ SimTime run_shared(const std::vector<OffloadProfile>& profiles,
   for (std::size_t i = 0; i < drivers.size(); ++i) {
     auto& d = drivers[i];
     const MiB declared = 16 + profiles[i].max_offload_memory();
-    mw.submit_job(d->job, std::nullopt, declared, profiles[i].max_threads(),
-                  16, nullptr, [raw = d.get()] { raw->advance(); });
+    mw.submit_job(d->job, {}, {.mem_per_device = declared,
+                               .threads = profiles[i].max_threads(),
+                               .base_memory = 16},
+                  nullptr, [raw = d.get()] { raw->advance(); });
   }
   sim.run();
   return makespan;

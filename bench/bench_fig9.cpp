@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
           for (const auto stack :
                {cluster::StackConfig::kMC, cluster::StackConfig::kMCC,
                 cluster::StackConfig::kMCCK}) {
-            const auto series = cluster::makespan_by_size_parallel(
+            const auto series = cluster::makespan_by_size(
                 paper_cluster(stack, 8, seed), jobs, sizes);
             const std::string s = cluster::stack_config_name(stack);
             for (const auto& [n, makespan] : series) {
@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
           cluster::StackConfig::kMCCK}) {
       // The parallel sweep is bit-identical to the serial one and uses
       // whatever cores the machine has.
-      const auto series = cluster::makespan_by_size_parallel(
-          paper_cluster(stack), jobs, sizes);
+      const auto series =
+          cluster::makespan_by_size(paper_cluster(stack), jobs, sizes);
       std::vector<std::string> row{cluster::stack_config_name(stack)};
       for (const auto& [n, makespan] : series) {
         row.push_back(AsciiTable::cell(makespan, 0));

@@ -64,10 +64,10 @@ bool run_json_mode(int argc, char** argv, const std::string& name,
   }
   if (!json) return false;
 
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  // The cap the sweep runs under, not the seed count: a seed function
+  // may run sweeps of its own, which share the cap.
   const unsigned used =
-      std::min<unsigned>(threads == 0 ? hw : threads,
-                         static_cast<unsigned>(std::max<std::size_t>(seeds, 1)));
+      threads > 0 ? threads : std::max(1u, std::thread::hardware_concurrency());
 
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<obs::SeedRun> runs =

@@ -1,9 +1,9 @@
 // Machine-readable mode for the table/figure harnesses.
 //
 // Each harness keeps its human-readable stdout report as the default and
-// gains a `--json` mode: a seed sweep (parallel on the shared pool,
-// bit-identical to serial) whose per-seed metric maps are written to
-// BENCH_<name>.json via obs::bench_report_json.
+// gains a `--json` mode: a seed sweep (parallel_for, bit-identical to
+// serial) whose per-seed metric maps are written to BENCH_<name>.json via
+// obs::bench_report_json.
 //
 //   int main(int argc, char** argv) {
 //     if (phisched::bench::run_json_mode(argc, argv, "fig9", per_seed)) {
@@ -16,7 +16,8 @@
 //   --json [PATH]     enable; write to PATH (default BENCH_<name>.json)
 //   --seeds N         seeds per sweep (default 5)
 //   --seed-base N     first seed (default 42)
-//   --threads N       cap sweep concurrency (0 = hardware)
+//   --threads N       cap the sweep's threads, nested sweeps included
+//                     (0 = hardware); BENCH JSON reports it as threads_used
 //   --serial          shorthand for --threads 1
 #pragma once
 

@@ -32,7 +32,9 @@ class TimelineJob {
         trace_(trace), lane_(std::string("J") + std::to_string(id)) {}
 
   void start() {
-    mw_.submit_job(id_, std::nullopt, 2000, profile_.max_threads(), 16,
+    mw_.submit_job(id_, {}, {.mem_per_device = 2000,
+                             .threads = profile_.max_threads(),
+                             .base_memory = 16},
                    nullptr, [this] { advance(); });
   }
 

@@ -1,6 +1,9 @@
 #include "cluster/admission.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
+#include "common/quantize.hpp"
 
 namespace phisched::cluster {
 
@@ -12,32 +15,23 @@ AdmissionController::AdmissionController(const AdmissionConfig& config)
                    "admission: defer_delay_s must be >= 0");
   PHISCHED_REQUIRE(config_.max_defers >= 0,
                    "admission: max_defers must be >= 0");
-  if (config_.consult_packer) {
-    packer_ = std::make_unique<knapsack::BatchPacker>(config_.packer);
-  }
 }
 
 bool AdmissionController::packable(const workload::JobSpec& job,
                                    const AdmissionState& state) const {
-  if (packer_ == nullptr || state.devices.empty()) return false;
-  // Gang jobs need devices_req coprocessors simultaneously; the
-  // single-knapsack consult does not model that, so they stay with the
-  // aggregate gate's verdict.
-  if (job.devices_req != 1) return false;
-  knapsack::BatchProblem problem;
-  problem.bins.reserve(state.devices.size());
-  for (const DeviceCapacity& device : state.devices) {
-    problem.bins.push_back(
-        knapsack::BatchBin{device.free_mib, device.free_threads});
-  }
-  knapsack::BatchJob item;
-  item.tag = 0;
-  item.mem_mib = job.mem_req_mib;
-  item.threads = job.threads_req;
-  item.eligible.resize(problem.bins.size());
-  for (std::size_t b = 0; b < problem.bins.size(); ++b) item.eligible[b] = b;
-  problem.jobs.push_back(std::move(item));
-  return !packer_->pack(problem).placed.empty();
+  // Gang jobs need devices_req coprocessors simultaneously; the one-device
+  // fit test does not model that, so they stay with the aggregate gate's
+  // verdict.
+  if (!config_.consult_packer || job.devices_req != 1) return false;
+  // For a single job, every knapsack backend places it on a device exactly
+  // when its memory, rounded up to the DP's 50 MiB grid, and its threads
+  // both fit that device's free capacity; no solver run is needed.
+  const MiB mem = quantize_up(job.mem_req_mib);
+  return std::any_of(state.devices.begin(), state.devices.end(),
+                     [&](const DeviceCapacity& device) {
+                       return mem <= device.free_mib &&
+                              job.threads_req <= device.free_threads;
+                     });
 }
 
 AdmissionDecision AdmissionController::decide(const workload::JobSpec& job,
@@ -59,8 +53,8 @@ AdmissionDecision AdmissionController::decide(const workload::JobSpec& job,
     return AdmissionDecision::kAdmit;
   }
   // The occupancy gate compares scalars and cannot see per-device
-  // fragmentation; when configured, let the packer overrule it with an
-  // actual placement. The queue gate is not negotiable this way.
+  // fragmentation; when configured, let a device that fits the job
+  // overrule it. The queue gate is not negotiable this way.
   if (occupancy_full && !queue_full && packable(job, state)) {
     stats_.admitted += 1;
     stats_.admitted_by_pack += 1;

@@ -10,11 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
-#include "knapsack/batch.hpp"
 #include "workload/jobspec.hpp"
 
 namespace phisched::cluster {
@@ -34,15 +32,13 @@ struct AdmissionConfig {
   /// Deferrals per job before it is dropped for good.
   int max_defers = 3;
   /// When true, an arrival the aggregate occupancy gate would turn away
-  /// is double-checked against the per-device capacity snapshot with the
-  /// negotiator's batch packer: if some device can actually take the
-  /// job's declaration, it is admitted anyway (counted in
-  /// admitted_by_pack). The aggregate threshold is a scalar and cannot
-  /// see fragmentation in either direction; the pack consult makes the
-  /// occupancy gate reject only when no feasible placement exists.
+  /// is double-checked against the per-device capacity snapshot: if some
+  /// device can actually take the job's declaration, it is admitted
+  /// anyway (counted in admitted_by_pack). The aggregate threshold is a
+  /// scalar and cannot see fragmentation in either direction; the pack
+  /// consult makes the occupancy gate reject only when no feasible
+  /// placement exists.
   bool consult_packer = false;
-  /// Packer backend for the consult (same choices as the negotiator's).
-  knapsack::SolverKind packer = knapsack::SolverKind::kDp2D;
 };
 
 struct AdmissionStats {
@@ -69,7 +65,7 @@ enum class AdmissionDecision {
 };
 
 /// One coprocessor's declared-free capacity right now (net of resident
-/// reservations) — what the packer consult packs against.
+/// reservations) — what the pack consult fits the job against.
 struct DeviceCapacity {
   MiB free_mib = 0;
   ThreadCount free_threads = 0;
@@ -100,13 +96,13 @@ class AdmissionController {
   [[nodiscard]] const AdmissionConfig& config() const { return config_; }
 
  private:
-  /// True when some device in `state` can take the job's declaration.
+  /// True when the consult is on and some device in `state` can take the
+  /// job's single-device declaration.
   [[nodiscard]] bool packable(const workload::JobSpec& job,
                               const AdmissionState& state) const;
 
   AdmissionConfig config_;
   AdmissionStats stats_;
-  std::unique_ptr<knapsack::BatchPacker> packer_;  ///< null unless consulted
 };
 
 }  // namespace phisched::cluster

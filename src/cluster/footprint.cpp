@@ -1,23 +1,9 @@
 #include "cluster/footprint.hpp"
 
-#include "cluster/harness.hpp"
 #include "common/check.hpp"
-#include "common/threadpool.hpp"
+#include "common/parallel.hpp"
 
 namespace phisched::cluster {
-
-namespace {
-
-/// One closed-workload run on a fresh harness (sweeps are embarrassingly
-/// parallel precisely because each run owns its whole stack).
-[[nodiscard]] ExperimentResult run_once(const ExperimentConfig& config,
-                                        const workload::JobSet& jobs) {
-  Harness harness(config);
-  harness.submit(jobs);
-  return harness.run_to_completion();
-}
-
-}  // namespace
 
 FootprintResult find_footprint(ExperimentConfig config,
                                const workload::JobSet& jobs,
@@ -26,7 +12,7 @@ FootprintResult find_footprint(ExperimentConfig config,
   FootprintResult result;
   for (std::size_t n = 1; n <= max_nodes; ++n) {
     config.node_count = n;
-    const ExperimentResult r = run_once(config, jobs);
+    const ExperimentResult r = run_experiment(config, jobs);
     result.sweep.emplace_back(n, r.makespan);
     if (r.makespan <= target_makespan) {
       result.nodes = n;
@@ -38,56 +24,18 @@ FootprintResult find_footprint(ExperimentConfig config,
 }
 
 std::vector<std::pair<std::size_t, SimTime>> makespan_by_size(
-    ExperimentConfig config, const workload::JobSet& jobs,
-    const std::vector<std::size_t>& sizes) {
-  std::vector<std::pair<std::size_t, SimTime>> out;
-  out.reserve(sizes.size());
-  for (std::size_t n : sizes) {
-    config.node_count = n;
-    const ExperimentResult r = run_once(config, jobs);
-    out.emplace_back(n, r.makespan);
-  }
-  return out;
-}
-
-std::vector<std::pair<std::size_t, SimTime>> makespan_by_size_parallel(
     const ExperimentConfig& config, const workload::JobSet& jobs,
     const std::vector<std::size_t>& sizes, unsigned max_threads) {
+  // Each simulation owns all its state (simulator, RNGs, cluster), and
+  // its result lands at its input index, so the schedule changes nothing.
   std::vector<std::pair<std::size_t, SimTime>> out(sizes.size());
-
-  // Work-stealing over the size list on the shared pool: each simulation
-  // owns all its state (simulator, RNGs, cluster), so runs are
-  // embarrassingly parallel and, because results land at their input
-  // index, the output is identical to the serial sweep.
-  ThreadPool::shared().parallel_for(
+  parallel_for(
       sizes.size(),
       [&](std::size_t i) {
         ExperimentConfig local = config;
         local.node_count = sizes[i];
-        out[i] = {sizes[i], run_once(local, jobs).makespan};
+        out[i] = {sizes[i], run_experiment(local, jobs).makespan};
       },
-      max_threads);
-  return out;
-}
-
-std::vector<ExperimentResult> sweep_experiments(
-    const std::vector<ExperimentConfig>& configs,
-    const workload::JobSet& jobs) {
-  std::vector<ExperimentResult> out;
-  out.reserve(configs.size());
-  for (const ExperimentConfig& c : configs) {
-    out.push_back(run_once(c, jobs));
-  }
-  return out;
-}
-
-std::vector<ExperimentResult> sweep_experiments_parallel(
-    const std::vector<ExperimentConfig>& configs, const workload::JobSet& jobs,
-    unsigned max_threads) {
-  std::vector<ExperimentResult> out(configs.size());
-  ThreadPool::shared().parallel_for(
-      configs.size(),
-      [&](std::size_t i) { out[i] = run_once(configs[i], jobs); },
       max_threads);
   return out;
 }

@@ -27,31 +27,13 @@ struct FootprintResult {
                                              SimTime target_makespan,
                                              std::size_t max_nodes);
 
-/// Makespans for an explicit list of cluster sizes (Fig. 9 series).
+/// Makespans for an explicit list of cluster sizes (Fig. 9 series), in
+/// the order of `sizes`. The independent simulations run through
+/// parallel_for on at most `max_threads` threads (0 = hardware
+/// concurrency, 1 = serial in the caller); each is seeded from its
+/// config alone, so every thread count gives the same results.
 [[nodiscard]] std::vector<std::pair<std::size_t, SimTime>> makespan_by_size(
-    ExperimentConfig config, const workload::JobSet& jobs,
-    const std::vector<std::size_t>& sizes);
-
-/// Parallel variant: runs the independent simulations on the shared
-/// work-stealing pool, using at most `max_threads` participants (0 =
-/// hardware concurrency; never more workers than simulations). Results
-/// are bit-identical to the serial version — each simulation is fully
-/// self-contained and seeded from its config alone.
-[[nodiscard]] std::vector<std::pair<std::size_t, SimTime>>
-makespan_by_size_parallel(const ExperimentConfig& config,
-                          const workload::JobSet& jobs,
-                          const std::vector<std::size_t>& sizes,
-                          unsigned max_threads = 0);
-
-/// Runs one experiment per config against the same job set, in order.
-[[nodiscard]] std::vector<ExperimentResult> sweep_experiments(
-    const std::vector<ExperimentConfig>& configs, const workload::JobSet& jobs);
-
-/// Parallel variant of sweep_experiments on the shared pool; results are
-/// ordered and bit-identical to the serial sweep (telemetry snapshots
-/// included). `max_threads` caps participants, 0 = hardware concurrency.
-[[nodiscard]] std::vector<ExperimentResult> sweep_experiments_parallel(
-    const std::vector<ExperimentConfig>& configs, const workload::JobSet& jobs,
-    unsigned max_threads = 0);
+    const ExperimentConfig& config, const workload::JobSet& jobs,
+    const std::vector<std::size_t>& sizes, unsigned max_threads = 0);
 
 }  // namespace phisched::cluster

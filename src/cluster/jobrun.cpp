@@ -19,14 +19,6 @@ JobRun::JobRun(Simulator& sim, workload::JobSpec spec,
                    "JobRun: pinned gang size must match devices_req");
 }
 
-JobRun::JobRun(Simulator& sim, workload::JobSpec spec,
-               cosmic::NodeMiddleware& middleware,
-               std::optional<DeviceId> device, DoneFn done)
-    : JobRun(sim, std::move(spec), middleware,
-             device.has_value() ? std::vector<DeviceId>{*device}
-                                : std::vector<DeviceId>{},
-             std::move(done)) {}
-
 void JobRun::arrive() {
   PHISCHED_REQUIRE(!arrived_, "JobRun: arrived twice");
   arrived_ = true;

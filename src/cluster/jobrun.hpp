@@ -5,7 +5,7 @@
 #pragma once
 
 #include <functional>
-#include <optional>
+#include <vector>
 
 #include "common/types.hpp"
 #include "cosmic/middleware.hpp"
@@ -24,11 +24,6 @@ class JobRun {
   /// devices_req); empty lets COSMIC pick/queue the gang.
   JobRun(Simulator& sim, workload::JobSpec spec,
          cosmic::NodeMiddleware& middleware, std::vector<DeviceId> devices,
-         DoneFn done);
-
-  /// Single-device convenience.
-  JobRun(Simulator& sim, workload::JobSpec spec,
-         cosmic::NodeMiddleware& middleware, std::optional<DeviceId> device,
          DoneFn done);
 
   JobRun(const JobRun&) = delete;

@@ -40,10 +40,12 @@ Service::Service(const ServiceConfig& config)
   stream_ = workload::make_arrival_stream(
       config_.arrivals, Rng(config_.cluster.seed).child("service.arrivals"));
 
-  const auto& hw = config_.cluster.node_hw;
-  thread_capacity_ = static_cast<double>(config_.cluster.node_count) *
-                     static_cast<double>(hw.phi_devices) *
-                     static_cast<double>(hw.phi.hw_threads());
+  // Nothing is reserved yet, so the free threads are the hardware threads
+  // of the cards the harness built (a mixed fleet's included).
+  thread_capacity_ = 0.0;
+  for (const DeviceCapacity& card : harness_.device_capacities()) {
+    thread_capacity_ += static_cast<double>(card.free_threads);
+  }
 
   // Tenant k draws with weight (k+1)^-skew; the CDF makes the pick a
   // single uniform draw regardless of admission outcomes.

@@ -160,16 +160,6 @@ std::vector<DeviceId> NodeMiddleware::pick_gang(int gang_size,
   return {};
 }
 
-bool NodeMiddleware::launch_job(JobId job, DeviceId d, MiB declared_mem,
-                                ThreadCount declared_threads, MiB base_memory,
-                                KillCallback on_kill) {
-  JobDeclaration decl;
-  decl.mem_per_device = declared_mem;
-  decl.threads = declared_threads;
-  decl.base_memory = base_memory;
-  return launch_job(job, d, decl, std::move(on_kill));
-}
-
 bool NodeMiddleware::launch_job(JobId job, DeviceId d,
                                 const JobDeclaration& decl,
                                 KillCallback on_kill) {
@@ -248,20 +238,6 @@ bool NodeMiddleware::try_admit(WaitingJob& w) {
 }
 
 void NodeMiddleware::submit_job(JobId job, std::vector<DeviceId> pinned,
-                                int gang_size, MiB declared_mem_per_device,
-                                ThreadCount declared_threads, MiB base_memory,
-                                KillCallback on_kill,
-                                std::function<void()> on_admitted) {
-  JobDeclaration decl;
-  decl.gang_size = gang_size;
-  decl.mem_per_device = declared_mem_per_device;
-  decl.threads = declared_threads;
-  decl.base_memory = base_memory;
-  submit_job(job, std::move(pinned), decl, std::move(on_kill),
-             std::move(on_admitted));
-}
-
-void NodeMiddleware::submit_job(JobId job, std::vector<DeviceId> pinned,
                                 const JobDeclaration& decl,
                                 KillCallback on_kill,
                                 std::function<void()> on_admitted) {
@@ -299,16 +275,6 @@ void NodeMiddleware::submit_job(JobId job, std::vector<DeviceId> pinned,
     job_queue_.push_back(std::move(w));
     note_admission_depth();
   }
-}
-
-void NodeMiddleware::submit_job(JobId job, std::optional<DeviceId> pinned,
-                                MiB declared_mem, ThreadCount declared_threads,
-                                MiB base_memory, KillCallback on_kill,
-                                std::function<void()> on_admitted) {
-  std::vector<DeviceId> gang;
-  if (pinned.has_value()) gang.push_back(*pinned);
-  submit_job(job, std::move(gang), 1, declared_mem, declared_threads,
-             base_memory, std::move(on_kill), std::move(on_admitted));
 }
 
 void NodeMiddleware::admit_waiting() {

@@ -77,8 +77,8 @@ struct MiddlewareConfig {
 
 /// Everything a job declares about its per-device footprint when it is
 /// submitted to a node. Bundling the declaration keeps submit_job's
-/// signature stable as sharing dimensions are added; the positional
-/// overloads below forward here with mem_bw_mib_s = 0.
+/// signature stable as sharing dimensions are added; callers name the
+/// fields they set (`{.mem_per_device = 2000, .threads = 60}`).
 struct JobDeclaration {
   int gang_size = 1;
   MiB mem_per_device = 0;  ///< declared container limit, per gang member
@@ -139,15 +139,10 @@ class NodeMiddleware {
                                                 MiB declared_per_device) const;
 
   // --- job lifecycle ---------------------------------------------------------
-  /// Reserves `declared_mem`/`declared_threads` for the job on device `d`
-  /// and spawns its device process. Returns false (no side effects) if the
+  /// Reserves the declaration (gang_size 1) for the job on device `d` and
+  /// spawns its device process. Returns false (no side effects) if the
   /// declared memory does not fit in the device's unreserved capacity.
   /// `on_kill` fires if COSMIC or the device terminates the job.
-  bool launch_job(JobId job, DeviceId d, MiB declared_mem,
-                  ThreadCount declared_threads, MiB base_memory,
-                  KillCallback on_kill);
-
-  /// Declaration-struct variant (gang_size must be 1 for launch_job).
   bool launch_job(JobId job, DeviceId d, const JobDeclaration& decl,
                   KillCallback on_kill);
 
@@ -159,21 +154,9 @@ class NodeMiddleware {
   /// parked job blocks arrivals behind it until it is admitted.
   /// `on_admitted` fires exactly once, when the job becomes resident on
   /// every gang member.
-  void submit_job(JobId job, std::vector<DeviceId> pinned, int gang_size,
-                  MiB declared_mem_per_device, ThreadCount declared_threads,
-                  MiB base_memory, KillCallback on_kill,
-                  std::function<void()> on_admitted);
-
-  /// Declaration-struct variant carrying every sharing dimension,
-  /// including the declared memory-bandwidth share.
   void submit_job(JobId job, std::vector<DeviceId> pinned,
                   const JobDeclaration& decl, KillCallback on_kill,
                   std::function<void()> on_admitted);
-
-  /// Single-device convenience (gang of one).
-  void submit_job(JobId job, std::optional<DeviceId> pinned, MiB declared_mem,
-                  ThreadCount declared_threads, MiB base_memory,
-                  KillCallback on_kill, std::function<void()> on_admitted);
 
   /// Jobs parked in the admission queue.
   [[nodiscard]] std::size_t waiting_jobs() const { return job_queue_.size(); }

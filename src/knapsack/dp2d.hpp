@@ -5,9 +5,8 @@
 // limit into the value as a heuristic, this solver carries the thread
 // budget in the DP state and is exact for the doubly-constrained packing
 // problem. It is the default packer of the batched negotiation strategy
-// (condor::BatchStrategy) and of the admission controller's
-// `--admit-packer`; tests use it as ground truth and the ablation bench
-// compares the paper's heuristic against it.
+// (condor::BatchStrategy); tests use it as ground truth and the ablation
+// bench compares the paper's heuristic against it.
 //
 // Cost O(k · min(w, Σwb) · min(T, Σt)) over the k items that fit the bin
 // alone. Exact: an unfit item is never taken, and after items 0..i cell

@@ -1,14 +1,16 @@
 #include "obs/seedsweep.hpp"
 
+#include <thread>
+
 #include "common/json.hpp"
-#include "common/threadpool.hpp"
+#include "common/parallel.hpp"
 
 namespace phisched::obs {
 
 std::vector<SeedRun> sweep_seeds(std::uint64_t seed_base, std::size_t count,
                                  const SeedFn& fn, unsigned max_threads) {
   std::vector<SeedRun> out(count);
-  ThreadPool::shared().parallel_for(
+  parallel_for(
       count,
       [&](std::size_t i) {
         const std::uint64_t seed = seed_base + i;
@@ -39,7 +41,7 @@ BenchEnvironment current_environment() {
 #else
   env.os = "other";
 #endif
-  env.hardware_concurrency = ThreadPool::shared().thread_count();
+  env.hardware_concurrency = std::thread::hardware_concurrency();
   return env;
 }
 

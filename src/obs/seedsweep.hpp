@@ -2,9 +2,9 @@
 // runner (bench/bench_json).
 //
 // A bench harness is, per seed, a pure function seed -> flat metric map.
-// sweep_seeds runs that function for a contiguous seed range on the
-// shared thread pool; results are stored by seed index, so a parallel
-// sweep is bit-identical to a serial one (max_threads = 1).
+// sweep_seeds runs that function for a contiguous seed range through
+// parallel_for; results are stored by seed index, so a parallel sweep is
+// bit-identical to a serial one (max_threads = 1).
 #pragma once
 
 #include <cstdint>
@@ -25,8 +25,9 @@ struct SeedRun {
 using SeedFn = std::function<std::map<std::string, double>(std::uint64_t)>;
 
 /// Runs fn(seed_base + i) for i in [0, count) and returns the results in
-/// seed order. max_threads caps concurrency (0 = shared-pool width,
-/// 1 = serial in-caller).
+/// seed order. max_threads caps the threads of the whole sweep, sweeps
+/// nested in `fn` included (0 = hardware concurrency, 1 = serial in the
+/// caller).
 [[nodiscard]] std::vector<SeedRun> sweep_seeds(std::uint64_t seed_base,
                                                std::size_t count,
                                                const SeedFn& fn,

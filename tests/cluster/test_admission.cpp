@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "cluster/admission.hpp"
+#include "common/rng.hpp"
+#include "knapsack/batch.hpp"
 
 namespace phisched::cluster {
 namespace {
@@ -163,6 +166,57 @@ TEST(Admission, ConsultedRejectionStillDefers) {
             AdmissionDecision::kReject);
   EXPECT_EQ(ctl.stats().deferred, 1u);
   EXPECT_EQ(ctl.stats().dropped, 1u);
+}
+
+TEST(Admission, PackConsultAgreesWithEveryPackerBackend) {
+  // The consult's fit test against a one-job BatchPacker run on the same
+  // snapshot: memory off the 50 MiB grid, capacities near the job's
+  // declaration, zero and negative ones, and empty snapshots.
+  AdmissionConfig config;
+  config.max_occupancy = 0.5;  // 480 of 960 occupied: the gate always fires
+  config.consult_packer = true;
+  std::vector<knapsack::BatchPacker> packers;
+  for (const auto kind :
+       {knapsack::SolverKind::kGreedyDensity, knapsack::SolverKind::kDp1D,
+        knapsack::SolverKind::kDp2D, knapsack::SolverKind::kBranchAndBound}) {
+    packers.emplace_back(kind);
+  }
+  Rng rng(22);
+  int admitted = 0;
+  constexpr int kTrials = 4000;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const MiB mem = rng.uniform_int(1, 4000);
+    const auto threads = static_cast<ThreadCount>(rng.uniform_int(1, 244));
+    std::vector<DeviceCapacity> devices(rng.index(4));
+    knapsack::BatchProblem problem;
+    knapsack::BatchJob item;
+    item.mem_mib = mem;
+    item.threads = threads;
+    for (std::size_t d = 0; d < devices.size(); ++d) {
+      devices[d].free_mib = rng.bernoulli(0.5) ? mem + rng.uniform_int(-60, 60)
+                                               : rng.uniform_int(-100, 8000);
+      devices[d].free_threads = static_cast<ThreadCount>(
+          rng.bernoulli(0.5) ? threads + rng.uniform_int(-2, 2)
+                             : rng.uniform_int(-10, 244));
+      problem.bins.push_back(
+          knapsack::BatchBin{devices[d].free_mib, devices[d].free_threads});
+      item.eligible.push_back(d);
+    }
+    problem.jobs.push_back(item);
+
+    AdmissionController ctl(config);
+    const AdmissionState state = state_of(0, 480.0, 960.0, devices);
+    const bool admit = ctl.decide(job_with(threads, 1, mem), state, 0) ==
+                       AdmissionDecision::kAdmit;
+    admitted += admit ? 1 : 0;
+    for (const knapsack::BatchPacker& packer : packers) {
+      EXPECT_EQ(admit, !packer.pack(problem).placed.empty())
+          << "trial " << trial << ", " << packer.backend_name();
+    }
+  }
+  // Both verdicts are common, so the agreement is not vacuous.
+  EXPECT_GT(admitted, kTrials / 5);
+  EXPECT_LT(admitted, kTrials * 4 / 5);
 }
 
 TEST(Admission, RejectsInvalidConfigLoudly) {

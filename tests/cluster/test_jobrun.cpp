@@ -44,7 +44,7 @@ TEST_F(JobRunTest, RunsProfileToCompletion) {
                           Segment::offload(4.0, 120, 500)});
   bool success = false;
   SimTime done_at = -1.0;
-  JobRun run(sim_, spec(1, profile), *mw_, std::nullopt,
+  JobRun run(sim_, spec(1, profile), *mw_, {},
              [&](const workload::JobSpec&, bool ok) {
                success = ok;
                done_at = sim_.now();
@@ -63,7 +63,7 @@ TEST_F(JobRunTest, RunsProfileToCompletion) {
 TEST_F(JobRunTest, EmptyProfileFinishesImmediately) {
   build();
   bool success = false;
-  JobRun run(sim_, spec(1, OffloadProfile{}), *mw_, std::nullopt,
+  JobRun run(sim_, spec(1, OffloadProfile{}), *mw_, {},
              [&](const workload::JobSpec&, bool ok) { success = ok; });
   run.arrive();
   EXPECT_TRUE(success);
@@ -73,7 +73,7 @@ TEST_F(JobRunTest, HostOnlyProfileNeverTouchesDevice) {
   build();
   bool success = false;
   JobRun run(sim_, spec(1, OffloadProfile({Segment::host(5.0)})), *mw_,
-             std::nullopt,
+             {},
              [&](const workload::JobSpec&, bool ok) { success = ok; });
   run.arrive();
   sim_.run();
@@ -84,13 +84,14 @@ TEST_F(JobRunTest, HostOnlyProfileNeverTouchesDevice) {
 TEST_F(JobRunTest, ParksWhenDeviceFullThenRuns) {
   build();
   bool blocker_admitted = false;
-  mw_->submit_job(99, std::nullopt, 7000, 60, 16, nullptr,
-                  [&] { blocker_admitted = true; });
+  mw_->submit_job(99, {}, {.mem_per_device = 7000, .threads = 60,
+                           .base_memory = 16},
+                  nullptr, [&] { blocker_admitted = true; });
   ASSERT_TRUE(blocker_admitted);
 
   bool success = false;
   JobRun run(sim_, spec(1, OffloadProfile({Segment::offload(2.0, 60, 100)})),
-             *mw_, std::nullopt,
+             *mw_, {},
              [&](const workload::JobSpec&, bool ok) { success = ok; });
   run.arrive();
   EXPECT_FALSE(run.admitted());
@@ -108,7 +109,7 @@ TEST_F(JobRunTest, ContainerKillReportsFailure) {
                           Segment::offload(2.0, 60, 2000)});
   bool done = false;
   bool success = true;
-  JobRun run(sim_, spec(1, profile, /*declared=*/600, 60), *mw_, std::nullopt,
+  JobRun run(sim_, spec(1, profile, /*declared=*/600, 60), *mw_, {},
              [&](const workload::JobSpec&, bool ok) {
                done = true;
                success = ok;
@@ -129,7 +130,7 @@ TEST_F(JobRunTest, PinnedDeviceIsHonoured) {
       sim_, std::vector<phi::Device*>{device_.get(), second.get()},
       cosmic::MiddlewareConfig{});
   JobRun run(sim_, spec(1, OffloadProfile({Segment::offload(1.0, 60, 100)})),
-             *mw_, DeviceId{1},
+             *mw_, {DeviceId{1}},
              [](const workload::JobSpec&, bool) {});
   run.arrive();
   EXPECT_EQ(mw_->jobs_on_device(1), 1u);
@@ -145,7 +146,7 @@ TEST_F(JobRunTest, AsyncOffloadsOverlapWhenThreadsAllow) {
                           Segment::offload_async(6.0, 60, 200),
                           Segment::sync(), Segment::host(1.0)});
   SimTime done_at = -1.0;
-  JobRun run(sim_, spec(1, profile), *mw_, std::nullopt,
+  JobRun run(sim_, spec(1, profile), *mw_, {},
              [&](const workload::JobSpec&, bool ok) {
                EXPECT_TRUE(ok);
                done_at = sim_.now();
@@ -160,7 +161,7 @@ TEST_F(JobRunTest, ImplicitFinalBarrierJoinsAsyncWork) {
   OffloadProfile profile({Segment::host(1.0),
                           Segment::offload_async(5.0, 60, 200)});
   SimTime done_at = -1.0;
-  JobRun run(sim_, spec(1, profile), *mw_, std::nullopt,
+  JobRun run(sim_, spec(1, profile), *mw_, {},
              [&](const workload::JobSpec&, bool ok) {
                EXPECT_TRUE(ok);
                done_at = sim_.now();
@@ -175,7 +176,7 @@ TEST_F(JobRunTest, SyncWithNothingOutstandingIsFree) {
   OffloadProfile profile({Segment::sync(), Segment::host(2.0),
                           Segment::sync()});
   SimTime done_at = -1.0;
-  JobRun run(sim_, spec(1, profile), *mw_, std::nullopt,
+  JobRun run(sim_, spec(1, profile), *mw_, {},
              [&](const workload::JobSpec&, bool) { done_at = sim_.now(); });
   run.arrive();
   sim_.run();
@@ -190,7 +191,7 @@ TEST_F(JobRunTest, KillDuringAsyncOffloadReportsOnce) {
                           Segment::sync()});
   int done_calls = 0;
   bool success = true;
-  JobRun run(sim_, spec(1, profile, /*declared=*/600, 60), *mw_, std::nullopt,
+  JobRun run(sim_, spec(1, profile, /*declared=*/600, 60), *mw_, {},
              [&](const workload::JobSpec&, bool ok) {
                ++done_calls;
                success = ok;
@@ -204,7 +205,7 @@ TEST_F(JobRunTest, KillDuringAsyncOffloadReportsOnce) {
 
 TEST_F(JobRunTest, DoubleArriveThrows) {
   build();
-  JobRun run(sim_, spec(1, OffloadProfile{}), *mw_, std::nullopt,
+  JobRun run(sim_, spec(1, OffloadProfile{}), *mw_, {},
              [](const workload::JobSpec&, bool) {});
   run.arrive();
   EXPECT_THROW(run.arrive(), std::invalid_argument);
@@ -212,7 +213,7 @@ TEST_F(JobRunTest, DoubleArriveThrows) {
 
 TEST_F(JobRunTest, NullDoneCallbackThrows) {
   build();
-  EXPECT_THROW(JobRun(sim_, spec(1, OffloadProfile{}), *mw_, std::nullopt,
+  EXPECT_THROW(JobRun(sim_, spec(1, OffloadProfile{}), *mw_, {},
                       nullptr),
                std::invalid_argument);
 }

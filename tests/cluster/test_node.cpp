@@ -56,8 +56,10 @@ TEST_F(NodeTest, ExclusiveDeviceTracking) {
   EXPECT_EQ(node.free_exclusive_devices(), 2);
   EXPECT_EQ(node.pick_exclusive_device(), DeviceId{0});
   bool admitted = false;
-  node.middleware().submit_job(1, DeviceId{0}, 1000, 60, 16, nullptr,
-                               [&] { admitted = true; });
+  node.middleware().submit_job(1, {DeviceId{0}}, {.mem_per_device = 1000,
+                                                  .threads = 60,
+                                                  .base_memory = 16},
+                               nullptr, [&] { admitted = true; });
   ASSERT_TRUE(admitted);
   EXPECT_EQ(node.free_exclusive_devices(), 1);
   EXPECT_EQ(node.pick_exclusive_device(), DeviceId{1});
@@ -83,8 +85,10 @@ TEST_F(NodeTest, MachineAdContents) {
 TEST_F(NodeTest, MachineAdTracksReservations) {
   Node node = make_node();
   bool admitted = false;
-  node.middleware().submit_job(1, DeviceId{0}, 3000, 300, 16, nullptr,
-                               [&] { admitted = true; });
+  node.middleware().submit_job(1, {DeviceId{0}}, {.mem_per_device = 3000,
+                                                  .threads = 300,
+                                                  .base_memory = 16},
+                               nullptr, [&] { admitted = true; });
   ASSERT_TRUE(admitted);
   node.claim_slot();
   const classad::ClassAd ad = node.machine_ad();
@@ -155,10 +159,13 @@ TEST_F(NodeTest, KeptAdEqualsAFreshBuildOnAHomogeneousNode) {
   Node node = make_node(2);
   cosmic::NodeMiddleware& mw = node.middleware();
   const auto single = [&mw](JobId job, DeviceId d, MiB mem) {
-    mw.submit_job(job, d, mem, 60, 16, nullptr, nullptr);
+    mw.submit_job(job, {d}, {.mem_per_device = mem, .threads = 60,
+                             .base_memory = 16}, nullptr, nullptr);
   };
   const auto gang = [&mw](JobId job, MiB mem) {
-    mw.submit_job(job, {}, 2, mem, 120, 16, nullptr, nullptr);
+    mw.submit_job(job, {}, {.gang_size = 2, .mem_per_device = mem,
+                            .threads = 120, .base_memory = 16},
+                  nullptr, nullptr);
   };
   expect_kept_ad_tracks(
       node,

@@ -3,11 +3,25 @@
 #include <gtest/gtest.h>
 
 #include "cluster/footprint.hpp"
+#include "common/parallel.hpp"
 #include "obs/recorder.hpp"
 #include "workload/jobset.hpp"
 
 namespace phisched::cluster {
 namespace {
+
+/// One experiment per config against the same job set, results in config
+/// order, on at most `max_threads` threads.
+std::vector<ExperimentResult> run_all(
+    const std::vector<ExperimentConfig>& configs, const workload::JobSet& jobs,
+    unsigned max_threads) {
+  std::vector<ExperimentResult> out(configs.size());
+  parallel_for(
+      configs.size(),
+      [&](std::size_t i) { out[i] = run_experiment(configs[i], jobs); },
+      max_threads);
+  return out;
+}
 
 TEST(ParallelSweep, MatchesSerialExactly) {
   const auto jobs = workload::make_real_jobset(60, Rng(13).child("jobs"));
@@ -15,9 +29,10 @@ TEST(ParallelSweep, MatchesSerialExactly) {
   config.stack = StackConfig::kMCCK;
   const std::vector<std::size_t> sizes{1, 2, 3, 4};
 
-  const auto serial = makespan_by_size(config, jobs, sizes);
-  const auto parallel = makespan_by_size_parallel(config, jobs, sizes,
-                                                  /*max_threads=*/4);
+  const auto serial = makespan_by_size(config, jobs, sizes,
+                                       /*max_threads=*/1);
+  const auto parallel = makespan_by_size(config, jobs, sizes,
+                                         /*max_threads=*/4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].first, parallel[i].first);
@@ -30,7 +45,7 @@ TEST(ParallelSweep, SingleThreadFallback) {
   ExperimentConfig config;
   config.stack = StackConfig::kMCC;
   const auto result =
-      makespan_by_size_parallel(config, jobs, {2}, /*max_threads=*/1);
+      makespan_by_size(config, jobs, {2}, /*max_threads=*/1);
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].first, 2u);
   EXPECT_GT(result[0].second, 0.0);
@@ -40,7 +55,7 @@ TEST(ParallelSweep, MoreThreadsThanWork) {
   const auto jobs = workload::make_real_jobset(20, Rng(15).child("jobs"));
   ExperimentConfig config;
   const auto result =
-      makespan_by_size_parallel(config, jobs, {1, 2}, /*max_threads=*/16);
+      makespan_by_size(config, jobs, {1, 2}, /*max_threads=*/16);
   ASSERT_EQ(result.size(), 2u);
   EXPECT_GT(result[0].second, result[1].second);
 }
@@ -56,9 +71,8 @@ TEST(ParallelSweep, TelemetryIsBitIdenticalAcrossThreading) {
     c.telemetry = true;
   }
 
-  const auto serial = sweep_experiments(configs, jobs);
-  const auto parallel = sweep_experiments_parallel(configs, jobs,
-                                                   /*max_threads=*/3);
+  const auto serial = run_all(configs, jobs, /*max_threads=*/1);
+  const auto parallel = run_all(configs, jobs, /*max_threads=*/3);
   ASSERT_EQ(serial.size(), configs.size());
   ASSERT_EQ(parallel.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -79,7 +93,7 @@ TEST(ParallelSweep, TelemetryIsBitIdenticalAcrossThreading) {
 TEST(ParallelSweep, EmptySizes) {
   const auto jobs = workload::make_real_jobset(5, Rng(16).child("jobs"));
   ExperimentConfig config;
-  EXPECT_TRUE(makespan_by_size_parallel(config, jobs, {}).empty());
+  EXPECT_TRUE(makespan_by_size(config, jobs, {}).empty());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cluster/service.hpp"
+#include "phi/capability.hpp"
 
 namespace phisched::cluster {
 namespace {
@@ -148,6 +149,31 @@ TEST(Service, TenantFairnessIsTrackedPerTenant) {
             snap.gauges.at("sla.tenant2.admitted"));
   EXPECT_EQ(snap.counters.at("sla.completed"),
             static_cast<std::uint64_t>(r.cluster.jobs_completed));
+}
+
+TEST(Service, OccupancyDividesByTheCardsTheHarnessBuilt) {
+  // Two nodes of 2x7120P (244 threads per card) hold 976 threads, while
+  // node_hw still describes one 240-thread card per node.
+  ServiceConfig config = small_service(4, 1.0);
+  config.cluster.devices = phi::parse_device_spec("2x7120P");
+  config.admission.max_occupancy = 0.9;
+  config.max_jobs = 4;
+  config.job_factory = [](JobId id, Rng&) {
+    workload::JobSpec job;
+    job.id = id;
+    job.mem_req_mib = 1000;
+    job.threads_req = 60;
+    job.profile = workload::OffloadProfile({workload::Segment::host(1000.0)});
+    return job;
+  };
+  Service service(config);
+  const ServiceResult r = service.run();
+
+  // All four long jobs arrive and stay live through the first window.
+  const auto& first = r.windows.front().metrics;
+  ASSERT_EQ(first.at("admitted"), 4.0);
+  ASSERT_EQ(first.at("completed"), 0.0);
+  EXPECT_DOUBLE_EQ(first.at("occupancy"), 4 * 60.0 / 976.0);
 }
 
 TEST(Service, MaxJobsCapsGeneration) {

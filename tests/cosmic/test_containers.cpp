@@ -24,8 +24,9 @@ class ContainerTest : public ::testing::Test {
 
   void admit(JobId job, MiB declared, phi::Device::KillCallback on_kill) {
     bool admitted = false;
-    mw_->submit_job(job, std::nullopt, declared, 60, 16, std::move(on_kill),
-                    [&] { admitted = true; });
+    mw_->submit_job(job, {}, {.mem_per_device = declared, .threads = 60,
+                              .base_memory = 16},
+                    std::move(on_kill), [&] { admitted = true; });
     ASSERT_TRUE(admitted);
   }
 
@@ -78,8 +79,9 @@ TEST_F(ContainerTest, KillFreesReservationForWaitingJobs) {
   build();
   admit(1, 7000, [](JobId, phi::KillReason) {});
   bool second_admitted = false;
-  mw_->submit_job(2, std::nullopt, 4000, 60, 16, nullptr,
-                  [&] { second_admitted = true; });
+  mw_->submit_job(2, {}, {.mem_per_device = 4000, .threads = 60,
+                          .base_memory = 16},
+                  nullptr, [&] { second_admitted = true; });
   EXPECT_FALSE(second_admitted);
   // Job 1 lies about memory → killed → reservation released → job 2 in.
   mw_->request_offload(1, 60, 7500, 5.0, nullptr);

@@ -33,8 +33,9 @@ class GangTest : public ::testing::Test {
 TEST_F(GangTest, GangReservesEveryMember) {
   build();
   bool admitted = false;
-  mw_->submit_job(1, {}, /*gang=*/2, 3000, 120, 16, nullptr,
-                  [&] { admitted = true; });
+  mw_->submit_job(1, {}, {.gang_size = 2, .mem_per_device = 3000,
+                          .threads = 120, .base_memory = 16},
+                  nullptr, [&] { admitted = true; });
   ASSERT_TRUE(admitted);
   const auto gang = mw_->gang_of(1);
   ASSERT_EQ(gang.size(), 2u);
@@ -49,7 +50,9 @@ TEST_F(GangTest, GangReservesEveryMember) {
 TEST_F(GangTest, PickGangPrefersMostFreeDevices) {
   build(3);
   bool ok = false;
-  mw_->submit_job(9, {DeviceId{1}}, 1, 5000, 60, 16, nullptr, [&] { ok = true; });
+  mw_->submit_job(9, {DeviceId{1}}, {.mem_per_device = 5000, .threads = 60,
+                                     .base_memory = 16},
+                  nullptr, [&] { ok = true; });
   ASSERT_TRUE(ok);
   const auto gang = mw_->pick_gang(2, 3000);
   ASSERT_EQ(gang.size(), 2u);
@@ -60,11 +63,14 @@ TEST_F(GangTest, PickGangPrefersMostFreeDevices) {
 TEST_F(GangTest, GangParksUntilWholeGangFits) {
   build(2);
   bool blocker = false;
-  mw_->submit_job(1, {DeviceId{0}}, 1, 5000, 60, 16, nullptr,
-                  [&] { blocker = true; });
+  mw_->submit_job(1, {DeviceId{0}}, {.mem_per_device = 5000, .threads = 60,
+                                     .base_memory = 16},
+                  nullptr, [&] { blocker = true; });
   ASSERT_TRUE(blocker);
   bool admitted = false;
-  mw_->submit_job(2, {}, 2, 4000, 60, 16, nullptr, [&] { admitted = true; });
+  mw_->submit_job(2, {}, {.gang_size = 2, .mem_per_device = 4000, .threads = 60,
+                          .base_memory = 16},
+                  nullptr, [&] { admitted = true; });
   EXPECT_FALSE(admitted);  // device 0 has only 2680 free
   EXPECT_EQ(mw_->waiting_jobs(), 1u);
   mw_->finish_job(1);
@@ -75,7 +81,9 @@ TEST_F(GangTest, GangParksUntilWholeGangFits) {
 TEST_F(GangTest, OffloadsRouteToTheirGangMember) {
   build();
   bool admitted = false;
-  mw_->submit_job(1, {}, 2, 1000, 240, 16, nullptr, [&] { admitted = true; });
+  mw_->submit_job(1, {}, {.gang_size = 2, .mem_per_device = 1000,
+                          .threads = 240, .base_memory = 16},
+                  nullptr, [&] { admitted = true; });
   ASSERT_TRUE(admitted);
   const auto gang = mw_->gang_of(1);
   SimTime done0 = -1.0;
@@ -98,7 +106,9 @@ TEST_F(GangTest, OffloadsRouteToTheirGangMember) {
 TEST_F(GangTest, OffloadOutsideGangThrows) {
   build();
   bool admitted = false;
-  mw_->submit_job(1, {}, 2, 1000, 60, 16, nullptr, [&] { admitted = true; });
+  mw_->submit_job(1, {}, {.gang_size = 2, .mem_per_device = 1000, .threads = 60,
+                          .base_memory = 16},
+                  nullptr, [&] { admitted = true; });
   ASSERT_TRUE(admitted);
   EXPECT_THROW(
       mw_->request_offload(1, 60, 100, 1.0, nullptr, nullptr, /*index=*/2),
@@ -108,7 +118,9 @@ TEST_F(GangTest, OffloadOutsideGangThrows) {
 TEST_F(GangTest, FinishReleasesWholeGang) {
   build();
   bool admitted = false;
-  mw_->submit_job(1, {}, 3, 2000, 60, 16, nullptr, [&] { admitted = true; });
+  mw_->submit_job(1, {}, {.gang_size = 3, .mem_per_device = 2000, .threads = 60,
+                          .base_memory = 16},
+                  nullptr, [&] { admitted = true; });
   ASSERT_TRUE(admitted);
   mw_->finish_job(1);
   for (DeviceId d = 0; d < 3; ++d) {
@@ -122,7 +134,8 @@ TEST_F(GangTest, ContainerKillTearsDownSiblings) {
   build();
   int kills = 0;
   bool admitted = false;
-  mw_->submit_job(1, {}, 2, /*declared per dev=*/500, 60, 16,
+  mw_->submit_job(1, {}, {.gang_size = 2, .mem_per_device = 500, .threads = 60,
+                          .base_memory = 16},
                   [&](JobId, phi::KillReason reason) {
                     EXPECT_EQ(reason, phi::KillReason::kContainerLimit);
                     ++kills;
@@ -144,15 +157,20 @@ TEST_F(GangTest, ContainerKillTearsDownSiblings) {
 
 TEST_F(GangTest, GangLargerThanNodeThrows) {
   build(2);
-  EXPECT_THROW(mw_->submit_job(1, {}, 3, 100, 60, 16, nullptr, nullptr),
+  EXPECT_THROW(mw_->submit_job(1, {}, {.gang_size = 3, .mem_per_device = 100,
+                                       .threads = 60, .base_memory = 16},
+                               nullptr, nullptr),
                std::invalid_argument);
 }
 
 TEST_F(GangTest, PinnedGangHonoured) {
   build(3);
   bool admitted = false;
-  mw_->submit_job(1, {DeviceId{2}, DeviceId{0}}, 2, 1000, 60, 16, nullptr,
-                  [&] { admitted = true; });
+  mw_->submit_job(1, {DeviceId{2}, DeviceId{0}}, {.gang_size = 2,
+                                                  .mem_per_device = 1000,
+                                                  .threads = 60,
+                                                  .base_memory = 16},
+                  nullptr, [&] { admitted = true; });
   ASSERT_TRUE(admitted);
   EXPECT_EQ(mw_->gang_of(1), (std::vector<DeviceId>{2, 0}));
   EXPECT_EQ(mw_->jobs_on_device(1), 0u);

@@ -27,8 +27,11 @@ class MiddlewareTest : public ::testing::Test {
   /// Admits a job synchronously (capacity is known to be available).
   void admit(JobId job, MiB mem, ThreadCount threads, DeviceId pin = -1) {
     bool admitted = false;
-    mw_->submit_job(job, pin < 0 ? std::nullopt : std::optional<DeviceId>(pin),
-                    mem, threads, 16, nullptr, [&] { admitted = true; });
+    std::vector<DeviceId> pinned;
+    if (pin >= 0) pinned.push_back(pin);
+    mw_->submit_job(job, pinned, {.mem_per_device = mem, .threads = threads,
+                                  .base_memory = 16},
+                    nullptr, [&] { admitted = true; });
     ASSERT_TRUE(admitted);
   }
 
@@ -53,7 +56,8 @@ TEST_F(MiddlewareTest, ReservationLedger) {
 TEST_F(MiddlewareTest, LaunchRefusedWhenMemoryDoesNotFit) {
   build();
   admit(1, 5000, 60);
-  EXPECT_FALSE(mw_->launch_job(2, 0, 3000, 60, 16, nullptr));
+  EXPECT_FALSE(mw_->launch_job(2, 0, {.mem_per_device = 3000, .threads = 60,
+                                      .base_memory = 16}, nullptr));
   EXPECT_EQ(mw_->jobs_on_device(0), 1u);
 }
 
@@ -61,8 +65,9 @@ TEST_F(MiddlewareTest, SubmitParksJobWhenFull) {
   build();
   admit(1, 5000, 60);
   bool admitted = false;
-  mw_->submit_job(2, std::nullopt, 3000, 60, 16, nullptr,
-                  [&] { admitted = true; });
+  mw_->submit_job(2, {}, {.mem_per_device = 3000, .threads = 60,
+                          .base_memory = 16},
+                  nullptr, [&] { admitted = true; });
   EXPECT_FALSE(admitted);
   EXPECT_EQ(mw_->waiting_jobs(), 1u);
   EXPECT_EQ(mw_->stats().jobs_parked, 1u);
@@ -76,8 +81,10 @@ TEST_F(MiddlewareTest, StrictAdmissionBlocksBehindBigJob) {
   admit(1, 5000, 60);
   bool big = false;
   bool small = false;
-  mw_->submit_job(2, std::nullopt, 4000, 60, 16, nullptr, [&] { big = true; });
-  mw_->submit_job(3, std::nullopt, 100, 60, 16, nullptr, [&] { small = true; });
+  mw_->submit_job(2, {}, {.mem_per_device = 4000, .threads = 60,
+                          .base_memory = 16}, nullptr, [&] { big = true; });
+  mw_->submit_job(3, {}, {.mem_per_device = 100, .threads = 60,
+                          .base_memory = 16}, nullptr, [&] { small = true; });
   // The small job fits right now, but strict FIFO parks it behind the
   // big one.
   EXPECT_FALSE(big);
@@ -92,8 +99,9 @@ TEST_F(MiddlewareTest, PinnedSubmitWaitsForThatDevice) {
   build({}, /*devices=*/2);
   admit(1, 5000, 60, /*pin=*/0);
   bool admitted = false;
-  mw_->submit_job(2, DeviceId{0}, 4000, 60, 16, nullptr,
-                  [&] { admitted = true; });
+  mw_->submit_job(2, {DeviceId{0}}, {.mem_per_device = 4000, .threads = 60,
+                                     .base_memory = 16},
+                  nullptr, [&] { admitted = true; });
   // Device 1 has room, but the pin says device 0.
   EXPECT_FALSE(admitted);
   mw_->finish_job(1);

@@ -26,8 +26,9 @@ class PcieTest : public ::testing::Test {
 
   void admit(JobId job, MiB declared, phi::Device::KillCallback on_kill = nullptr) {
     bool ok = false;
-    mw_->submit_job(job, std::nullopt, declared, 120, 16, std::move(on_kill),
-                    [&] { ok = true; });
+    mw_->submit_job(job, {}, {.mem_per_device = declared, .threads = 120,
+                              .base_memory = 16},
+                    std::move(on_kill), [&] { ok = true; });
     ASSERT_TRUE(ok);
   }
 
@@ -132,8 +133,9 @@ class PcieContentionTest : public ::testing::Test {
   void admit(JobId job, MiB declared,
              phi::Device::KillCallback on_kill = nullptr) {
     bool ok = false;
-    mw_->submit_job(job, std::nullopt, declared, 120, 16, std::move(on_kill),
-                    [&] { ok = true; });
+    mw_->submit_job(job, {}, {.mem_per_device = declared, .threads = 120,
+                              .base_memory = 16},
+                    std::move(on_kill), [&] { ok = true; });
     ASSERT_TRUE(ok);
   }
 

@@ -54,7 +54,8 @@ TEST_P(MiddlewareStress, InvariantsHoldUnderRandomLoad) {
     state->offloads_left = static_cast<int>(rng.uniform_int(1, 5));
     jobs.emplace(id, state);
     mw.submit_job(
-        id, std::nullopt, state->declared, 120, 16,
+        id, {},
+        {.mem_per_device = state->declared, .threads = 120, .base_memory = 16},
         [state](JobId, phi::KillReason reason) {
           EXPECT_EQ(reason, phi::KillReason::kContainerLimit);
           state->killed = true;

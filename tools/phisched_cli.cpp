@@ -114,11 +114,10 @@ service mode (open-loop streaming arrivals, see docs/service.md):
   --admit-defer S       defer gated arrivals S seconds instead of
                         rejecting outright (default 0 = reject)
   --admit-max-defers N  defers per job before it is dropped (default 3)
-  --admit-packer NAME   consult a knapsack packer (greedy | dp1d | dp2d |
-                        bnb) before an occupancy rejection: admit anyway
-                        when some device can actually place the job
-                        (default off; scalar occupancy cannot see
-                        per-device fragmentation)
+  --admit-pack          before an occupancy rejection, check each device's
+                        free memory and threads: admit anyway when one can
+                        take the job (default off; scalar occupancy cannot
+                        see per-device fragmentation)
   --tenants N           attribute jobs round-robin-free to N tenants and
                         export per-tenant fairness gauges (default 1)
   --tenant-skew X       tenant k draws with weight (k+1)^-X (default 0)
@@ -269,10 +268,7 @@ int run_serve(const ArgParser& args, std::uint64_t seed,
   config.admission.defer_delay_s = args.get_real_or("admit-defer", 0.0);
   config.admission.max_defers =
       static_cast<int>(count_arg(args, "admit-max-defers", 3, kIntMax));
-  if (const auto packer = args.get("admit-packer"); packer.has_value()) {
-    config.admission.consult_packer = true;
-    config.admission.packer = knapsack::solver_kind_from_name(*packer);
-  }
+  config.admission.consult_packer = args.get_bool_or("admit-pack", false);
   config.job_factory = make_job_factory(workload_name);
 
   cluster::Service service(config);
@@ -341,7 +337,7 @@ int main(int argc, char** argv) {
          "mem-bw-saturation", "pcie-contention", "pcie-bandwidth",
          "pcie-switch", "pcie-switch-bandwidth", "serve",
          "arrivals", "horizon", "sla-interval", "sla-out", "admit-queue",
-         "admit-occupancy", "admit-defer", "admit-max-defers", "admit-packer",
+         "admit-occupancy", "admit-defer", "admit-max-defers", "admit-pack",
          "tenants", "tenant-skew", "no-drain", "help"});
     if (!unknown.empty()) {
       std::fprintf(stderr, "unknown option --%s (try --help)\n",
