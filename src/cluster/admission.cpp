@@ -38,6 +38,12 @@ AdmissionDecision AdmissionController::decide(const workload::JobSpec& job,
                                               const AdmissionState& state,
                                               int defers_so_far) {
   stats_.offered += 1;
+  // No wait frees a card the job fits, so it is neither queued nor
+  // deferred.
+  if (!state.fits) {
+    stats_.rejected_unfit += 1;
+    return AdmissionDecision::kReject;
+  }
 
   const bool queue_full = config_.max_queue_depth > 0 &&
                           state.queue_depth >= config_.max_queue_depth;

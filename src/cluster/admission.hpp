@@ -49,12 +49,13 @@ struct AdmissionStats {
   std::uint64_t admitted_by_pack = 0;
   std::uint64_t rejected_queue = 0;     ///< gated by max_queue_depth
   std::uint64_t rejected_occupancy = 0; ///< gated by max_occupancy
+  std::uint64_t rejected_unfit = 0;     ///< no node's cards can hold it
   std::uint64_t deferred = 0;           ///< gated but parked for a retry
   std::uint64_t dropped = 0;            ///< gated with no defer budget left
 
   /// Jobs turned away for good (every terminal rejection path).
   [[nodiscard]] std::uint64_t rejected_total() const {
-    return rejected_queue + rejected_occupancy + dropped;
+    return rejected_queue + rejected_occupancy + rejected_unfit + dropped;
   }
 };
 
@@ -73,6 +74,9 @@ struct DeviceCapacity {
 
 /// The observed cluster state a decision is made against.
 struct AdmissionState {
+  /// Whether some node's cards can hold the job at all
+  /// (Harness::unfit_reason); an arrival that no card holds is rejected.
+  bool fits = true;
   std::size_t queue_depth = 0;      ///< schedd pending jobs
   double occupied_threads = 0.0;    ///< declared threads of live jobs
   double thread_capacity = 1.0;     ///< cluster hardware threads

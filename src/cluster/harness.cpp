@@ -206,7 +206,7 @@ std::string Harness::requirements_for_stack() const {
                                    : condor::arbitrary_requirements();
 }
 
-void Harness::submit(const workload::JobSpec& job) {
+const char* Harness::unfit_reason(const workload::JobSpec& job) const {
   // Each of the job's devices_req cards must hold its whole declaration,
   // so count the cards of one node that do.
   bool memory_fits = false;
@@ -219,11 +219,18 @@ void Harness::submit(const workload::JobSpec& job) {
     threads_fit = threads_fit || threads;
     if (memory && threads) ++holding;
   }
-  PHISCHED_REQUIRE(memory_fits, "job does not fit one coprocessor's memory");
-  PHISCHED_REQUIRE(threads_fit, "job does not fit one coprocessor's threads");
+  if (!memory_fits) return "job does not fit one coprocessor's memory";
+  if (!threads_fit) return "job does not fit one coprocessor's threads";
+  if (job.devices_req < 1 || job.devices_req > holding) {
+    return "job's gang does not fit one node's devices";
+  }
+  return nullptr;
+}
+
+void Harness::submit(const workload::JobSpec& job) {
+  const char* unfit = unfit_reason(job);
+  PHISCHED_REQUIRE(unfit == nullptr, unfit);
   PHISCHED_REQUIRE(job.submit_time >= 0.0, "negative submit time");
-  PHISCHED_REQUIRE(job.devices_req >= 1 && job.devices_req <= holding,
-                   "job's gang does not fit one node's devices");
   // Submitting into a drained harness re-opens the run: the negotiator
   // (stopped by the terminal hook) must be re-armed, and any finalized
   // result is stale.

@@ -83,6 +83,11 @@ class Harness {
   /// Enqueues a whole job set (in order).
   void submit(const workload::JobSet& jobs);
 
+  /// Why `job` can never run here, or nullptr when one node holds
+  /// devices_req cards that each fit its memory and threads: the
+  /// precondition submit() enforces and the service's admission checks.
+  [[nodiscard]] const char* unfit_reason(const workload::JobSpec& job) const;
+
   // -- Driving -------------------------------------------------------
 
   /// Runs the next pending event. Returns false when the queue is idle.

@@ -99,6 +99,7 @@ void Service::schedule_arrival(SimTime t) {
 void Service::offer(workload::JobSpec job, SimTime offer_time,
                     int defers_so_far, std::size_t tenant) {
   AdmissionState state;
+  state.fits = harness_.unfit_reason(job) == nullptr;
   state.queue_depth = harness_.jobs_pending();
   state.occupied_threads = occupied_threads_;
   state.thread_capacity = thread_capacity_;
@@ -197,6 +198,7 @@ void Service::close_window(SimTime t_start, SimTime t_end) {
   m["rejected_queue"] = delta(a.rejected_queue, last_admission_.rejected_queue);
   m["rejected_occupancy"] =
       delta(a.rejected_occupancy, last_admission_.rejected_occupancy);
+  m["rejected_unfit"] = delta(a.rejected_unfit, last_admission_.rejected_unfit);
   m["deferred"] = delta(a.deferred, last_admission_.deferred);
   m["dropped"] = delta(a.dropped, last_admission_.dropped);
   m["rejected_total"] = delta(a.rejected_total(), last_admission_.rejected_total());
@@ -331,6 +333,7 @@ std::string sla_report_json(const ServiceConfig& config,
   w.member("admitted_by_pack", result.admission.admitted_by_pack);
   w.member("rejected_queue", result.admission.rejected_queue);
   w.member("rejected_occupancy", result.admission.rejected_occupancy);
+  w.member("rejected_unfit", result.admission.rejected_unfit);
   w.member("deferred", result.admission.deferred);
   w.member("dropped", result.admission.dropped);
   w.member("rejected_total", result.admission.rejected_total());

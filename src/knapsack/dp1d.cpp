@@ -32,35 +32,34 @@ Solution Dp1DSolver::solve(const Problem& problem) const {
         problem.quantum_mib);
   }
 
-  std::vector<Cell> prev(w + 1);
-  std::vector<Cell> curr(w + 1);
+  // best[m]: the optimum over the items seen so far within m buckets,
+  // updated in place. Capacities run from high to low so a take always
+  // reads the previous item's cell m - wb; cells below an item's weight
+  // keep the previous item's value and are never visited.
+  std::vector<Cell> best(w + 1);
   // took[i * (w+1) + m]: whether item i is taken in the optimum for
   // capacity m given items 0..i.
   std::vector<std::uint8_t> took(n * (w + 1), 0);
+  std::size_t filled = 0;
 
   for (std::size_t i = 0; i < n; ++i) {
     const Item& item = problem.items[i];
-    for (std::size_t m = 0; m <= w; ++m) {
-      Cell best = prev[m];
-      bool take = false;
-      if (wb[i] <= m) {
-        const Cell& base = prev[m - wb[i]];
-        Cell cand;
-        cand.threads = base.threads + item.threads;
-        // The paper's thread rule: exceeding the hardware thread budget
-        // zeroes the knapsack value, so such a take never wins.
-        cand.value = cand.threads > problem.thread_capacity
-                         ? 0.0
-                         : base.value + item.value;
-        if (cand.value > best.value) {
-          best = cand;
-          take = true;
-        }
+    if (wb[i] > w) continue;
+    filled += w + 1 - wb[i];
+    for (std::size_t m = w + 1; m-- > wb[i];) {
+      const Cell& base = best[m - wb[i]];
+      Cell cand;
+      cand.threads = base.threads + item.threads;
+      // The paper's thread rule: exceeding the hardware thread budget
+      // zeroes the knapsack value, so such a take never wins.
+      cand.value = cand.threads > problem.thread_capacity
+                       ? 0.0
+                       : base.value + item.value;
+      if (cand.value > best[m].value) {
+        best[m] = cand;
+        took[i * (w + 1) + m] = 1;
       }
-      curr[m] = best;
-      took[i * (w + 1) + m] = take ? 1 : 0;
     }
-    std::swap(prev, curr);
   }
 
   // Reconstruct from the full-capacity cell.
@@ -74,6 +73,7 @@ Solution Dp1DSolver::solve(const Problem& problem) const {
   }
   Solution s = materialize(problem, std::move(picks));
   PHISCHED_CHECK(feasible(problem, s), "dp1d produced an infeasible solution");
+  s.cells = filled;
   return s;
 }
 

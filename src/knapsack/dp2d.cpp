@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "common/check.hpp"
@@ -14,7 +15,7 @@ namespace {
 struct Fit {
   std::size_t index = 0;  ///< into Problem::items
   std::size_t buckets = 0;
-  std::size_t threads = 0;
+  std::size_t threads = 0;  ///< then in units of the fits' thread gcd
 };
 }  // namespace
 
@@ -35,6 +36,7 @@ Solution Dp2DSolver::solve(const Problem& problem) const {
   std::vector<Fit> fits;
   std::size_t cap_w = 0;
   std::size_t cap_t = 0;
+  std::size_t g = 0;
   for (std::size_t i = 0; i < n; ++i) {
     PHISCHED_REQUIRE(problem.items[i].weight_mib > 0, "dp2d: zero-weight item");
     PHISCHED_REQUIRE(problem.items[i].threads > 0, "dp2d: zero-thread item");
@@ -46,21 +48,29 @@ Solution Dp2DSolver::solve(const Problem& problem) const {
     fits.push_back(Fit{i, buckets, threads});
     cap_w = std::min(w, cap_w + buckets);
     cap_t = std::min(tcap, cap_t + threads);
+    g = std::gcd(g, threads);
   }
   if (fits.empty()) return {};
 
+  // Every set's thread total is a multiple of g, so column t holds what
+  // column g * floor(t / g) does: the thread axis runs in units of g.
+  cap_t /= g;
+  for (Fit& fit : fits) fit.threads /= g;
+
   // best[m * stride + t]: the optimum over the items seen so far within m
-  // buckets and t threads, updated in place. Rows run from high to low so
-  // a take always reads the previous item's row m - buckets.
+  // buckets and t thread units, updated in place. Rows run from high to
+  // low so a take always reads the previous item's row m - buckets.
   const std::size_t stride = cap_t + 1;
   const std::size_t cells = (cap_w + 1) * stride;
   std::vector<double> best(cells, 0.0);
   // Bit k * cells + m * stride + t: whether item k is taken at (m, t).
   std::vector<std::uint64_t> took((fits.size() * cells + 63) / 64, 0);
+  std::size_t filled = 0;
 
   for (std::size_t k = 0; k < fits.size(); ++k) {
     const Fit& fit = fits[k];
     const double value = problem.items[fit.index].value;
+    filled += (cap_w + 1 - fit.buckets) * (cap_t + 1 - fit.threads);
     for (std::size_t m = cap_w + 1; m-- > fit.buckets;) {
       const std::size_t row = m * stride;
       const std::size_t src = (m - fit.buckets) * stride;
@@ -88,6 +98,7 @@ Solution Dp2DSolver::solve(const Problem& problem) const {
   }
   Solution s = materialize(problem, std::move(picks));
   PHISCHED_CHECK(feasible(problem, s), "dp2d produced an infeasible solution");
+  s.cells = filled;
   return s;
 }
 

@@ -8,11 +8,15 @@
 // (condor::BatchStrategy); tests use it as ground truth and the ablation
 // bench compares the paper's heuristic against it.
 //
-// Cost O(k · min(w, Σwb) · min(T, Σt)) over the k items that fit the bin
-// alone. Exact: an unfit item is never taken, and after items 0..i cell
-// (m, t) equals cell (min(m, S_i), min(t, U_i)) for the prefix sums S_i, U_i
-// of buckets and threads, so backtracking from the capped corner takes the
-// picks a full (w, T) table would. On equal value the later item is left out.
+// Cost O(k · min(w, Σwb) · min(T, Σt) / g) over the k items that fit the
+// bin alone, g being the gcd of their threads. Exact: an unfit item is
+// never taken; after items 0..i cell (m, t) equals cell (min(m, S_i),
+// min(t, U_i)) for the prefix sums S_i, U_i of buckets and threads; and
+// every set's thread total is a multiple of g, so cell (m, t) equals cell
+// (m, g · floor(t / g)). The thread axis therefore runs in units of g up to
+// floor(min(T, Σt) / g), each cell sees the additions and comparisons the
+// full (w, T) table makes, and backtracking from the capped corner takes
+// the same picks. On equal value the later item is left out.
 #pragma once
 
 #include "knapsack/solver.hpp"

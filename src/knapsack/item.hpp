@@ -39,6 +39,9 @@ struct Solution {
   double value = 0.0;
   MiB weight_mib = 0;
   ThreadCount threads = 0;
+  /// DP cells the solve filled (its work count; 0 for greedy and bnb).
+  /// Not telemetry: tests pin a solver's cost by it instead of a clock.
+  std::size_t cells = 0;
 
   [[nodiscard]] bool empty() const { return picks.empty(); }
 };

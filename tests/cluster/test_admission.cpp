@@ -69,6 +69,20 @@ TEST(Admission, OccupancyGateCountsDeclaredGangThreads) {
   EXPECT_EQ(ctl.stats().rejected_occupancy, 1u);
 }
 
+TEST(Admission, UnfitArrivalIsRejectedBeforeEveryGate) {
+  // A defer path and open gates change nothing: no wait makes a card fit.
+  AdmissionConfig config;
+  config.defer_delay_s = 10.0;
+  AdmissionController ctl(config);
+  AdmissionState unfit = state_of(0, 0.0, 960.0);
+  unfit.fits = false;
+  EXPECT_EQ(ctl.decide(job_with(240), unfit, 0), AdmissionDecision::kReject);
+  EXPECT_EQ(ctl.stats().offered, 1u);
+  EXPECT_EQ(ctl.stats().rejected_unfit, 1u);
+  EXPECT_EQ(ctl.stats().deferred, 0u);
+  EXPECT_EQ(ctl.stats().rejected_total(), 1u);
+}
+
 TEST(Admission, DeferBudgetThenDrop) {
   AdmissionConfig config;
   config.max_queue_depth = 1;

@@ -176,6 +176,36 @@ TEST(Service, OccupancyDividesByTheCardsTheHarnessBuilt) {
   EXPECT_DOUBLE_EQ(first.at("occupancy"), 4 * 60.0 / 976.0);
 }
 
+TEST(Service, RejectsArrivalsNoCardCanHold) {
+  // A 3120A has 228 threads, so the Table I mix's 240-thread BT jobs fit
+  // no node of 4x3120A. The service counts them and runs on; a direct
+  // submit of such a job still violates the harness's precondition.
+  ServiceConfig config = small_service(7, 0.3);
+  config.cluster.devices = phi::parse_device_spec("4x3120A");
+  Service service(config);
+  const ServiceResult r = service.run();
+  const AdmissionStats& a = r.admission;
+
+  EXPECT_GT(a.rejected_unfit, 0u);
+  EXPECT_EQ(a.offered, a.admitted + a.rejected_total() + a.deferred);
+  EXPECT_EQ(r.jobs_generated, r.jobs_admitted + a.rejected_total());
+  double unfit = 0.0;
+  for (const auto& w : r.windows) unfit += w.metrics.at("rejected_unfit");
+  EXPECT_EQ(unfit, static_cast<double>(a.rejected_unfit));
+  EXPECT_TRUE(r.drained);
+  EXPECT_EQ(r.cluster.jobs_completed + r.cluster.jobs_failed,
+            r.jobs_admitted);
+  EXPECT_EQ(sla_report_json(config, r), run_to_report(config));
+
+  workload::JobSpec wide;
+  wide.id = 1'000'000;
+  wide.mem_req_mib = 1000;
+  wide.threads_req = 240;
+  wide.profile = workload::OffloadProfile({workload::Segment::host(1.0)});
+  EXPECT_NE(service.harness().unfit_reason(wide), nullptr);
+  EXPECT_THROW(service.harness().submit(wide), std::invalid_argument);
+}
+
 TEST(Service, MaxJobsCapsGeneration) {
   ServiceConfig config = small_service(9, 0.5);
   config.max_jobs = 5;

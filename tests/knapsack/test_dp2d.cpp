@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -163,14 +164,15 @@ enum class Shape {
   kOversized,         // some items heavier or wider than the bin
   kNothingFits,       // every item heavier or wider than the bin
   kWideThreadBudget,  // thread capacity far above the items' total
+  kLattice,           // threads on a step-g lattice, capacity off it
   kIdle7120P,         // the batch packer's shapes: 16 Table I jobs
   kIdle5110P,
   kNearFull,
 };
 
-constexpr Shape kSmallShapes[] = {Shape::kRandom, Shape::kTies,
-                                  Shape::kOversized, Shape::kNothingFits,
-                                  Shape::kWideThreadBudget};
+constexpr Shape kSmallShapes[] = {Shape::kRandom,           Shape::kTies,
+                                  Shape::kOversized,        Shape::kNothingFits,
+                                  Shape::kWideThreadBudget, Shape::kLattice};
 constexpr Shape kBatchShapes[] = {Shape::kIdle7120P, Shape::kIdle5110P,
                                   Shape::kNearFull};
 
@@ -245,6 +247,30 @@ Problem draw(Shape shape, Rng& rng) {
                                rng.uniform_real(0.0, 1.0)));
       }
       break;
+    case Shape::kLattice: {
+      // Every item's threads are a multiple of g and the thread capacity
+      // is not, so rounding the capacity's units up or leaving it in
+      // threads packs differently. The multiples range up to one past the
+      // capacity (variant 0), are all alike (variant 1), or are alike for
+      // one item and too wide for the rest (variant 2).
+      const ThreadCount steps[] = {2, 3, 30, 60, 64};
+      const ThreadCount g = steps[rng.index(5)];
+      const std::int64_t units = rng.uniform_int(1, 6);
+      p.thread_capacity =
+          g * static_cast<ThreadCount>(units) +
+          static_cast<ThreadCount>(rng.uniform_int(1, g - 1));
+      const std::size_t variant = rng.index(3);
+      const std::int64_t same = rng.uniform_int(1, units);
+      const std::size_t lone = rng.index(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        std::int64_t k = variant == 0 ? rng.uniform_int(1, units + 1) : same;
+        if (variant == 2 && i != lone) k = units + 1 + rng.uniform_int(0, 2);
+        p.items.push_back(item(rng.uniform_int(1, cap / 2 + p.quantum_mib),
+                               g * static_cast<ThreadCount>(k),
+                               rng.uniform_real(0.0, 1.0)));
+      }
+      break;
+    }
     case Shape::kIdle7120P:
     case Shape::kIdle5110P:
     case Shape::kNearFull:
@@ -291,9 +317,25 @@ TEST(Dp2D, PicksMatchDenseReference) {
       ASSERT_NO_FATAL_FAILURE(check(round, shape));
     }
   }
-  EXPECT_EQ(instances, 2160u);
+  EXPECT_EQ(instances, 2520u);
   // Most instances must pack something, or equal picks prove little.
   EXPECT_GT(nonempty, 1500u) << nonempty;
+}
+
+TEST(Dp2D, FillsCellsInStepsOfTheThreadGcd) {
+  // 16 Table I jobs on an idle 7120P bin: 317 whole buckets and 219
+  // threads. Their threads are multiples of 60, so each item fills at most
+  // 318 rows x 4 columns; unit columns would allow 16 x 318 x 220.
+  Rng rng(7120);
+  Problem p;
+  p.quantum_mib = kMemoryQuantumMiB;
+  p.capacity_mib = 15872;
+  p.thread_capacity = 219;
+  for (std::size_t i = 0; i < 16; ++i) p.items.push_back(table1_item(rng));
+  const Solution s = Dp2DSolver().solve(p);
+  ASSERT_FALSE(s.empty());
+  EXPECT_GT(s.cells, 0u);
+  EXPECT_LE(s.cells, 16u * 318u * 4u);
 }
 
 }  // namespace

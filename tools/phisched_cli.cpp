@@ -293,7 +293,8 @@ int run_serve(const ArgParser& args, std::uint64_t seed,
                 get("p99_turnaround_s"));
   }
   std::printf("\ngenerated %zu, admitted %llu, rejected %llu "
-              "(queue %llu, occupancy %llu, dropped %llu), deferrals %llu\n",
+              "(queue %llu, occupancy %llu, unfit %llu, dropped %llu), "
+              "deferrals %llu\n",
               result.jobs_generated,
               static_cast<unsigned long long>(result.admission.admitted),
               static_cast<unsigned long long>(
@@ -301,6 +302,7 @@ int run_serve(const ArgParser& args, std::uint64_t seed,
               static_cast<unsigned long long>(result.admission.rejected_queue),
               static_cast<unsigned long long>(
                   result.admission.rejected_occupancy),
+              static_cast<unsigned long long>(result.admission.rejected_unfit),
               static_cast<unsigned long long>(result.admission.dropped),
               static_cast<unsigned long long>(result.admission.deferred));
   std::printf("completed %zu, failed %zu, %s at t=%.1f s\n",
