@@ -99,7 +99,7 @@ double percard_throughput(int cards, MiB mib_per_card) {
 cluster::ExperimentConfig stack_config(std::uint64_t seed) {
   cluster::ExperimentConfig config;
   config.node_count = 2;
-  config.node_hw.phi_devices = 4;
+  config.devices.assign(4, phi::DeviceCapability{});
   config.node_hw.slots = 64;
   config.stack = cluster::StackConfig::kMCCK;
   config.seed = seed;

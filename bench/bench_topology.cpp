@@ -25,7 +25,8 @@ int main() {
   for (const Shape shape : {Shape{8, 1}, Shape{4, 2}, Shape{2, 4}}) {
     cluster::ExperimentConfig config;
     config.node_count = shape.nodes;
-    config.node_hw.phi_devices = shape.devices;
+    config.devices.assign(static_cast<std::size_t>(shape.devices),
+                          phi::DeviceCapability{});
     // Keep host slots proportional to node fatness.
     config.node_hw.slots = 16 * shape.devices;
 

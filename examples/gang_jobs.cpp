@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
                            cluster::StackConfig::kMCCK}) {
     cluster::ExperimentConfig config;
     config.node_count = 4;
-    config.node_hw.phi_devices = 2;
+    config.devices.assign(2, phi::DeviceCapability{});
     config.node_hw.slots = 32;
     config.stack = stack;
     cluster::Harness harness(config);

@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
   std::printf("sequential makespan (no sharing): %5.1f s\n", sequential);
   std::printf("concurrent makespan (sharing):    %5.1f s  -> %.0f%% reduction\n",
               concurrent, 100.0 * (1.0 - concurrent / sequential));
-  if (2 * threads <= device.config().hw.hw_threads()) {
+  if (2 * threads <= device.capability().hw.hw_threads()) {
     std::printf("\nOffloads OVERLAP: 2 x %d threads fit within 240 hardware "
                 "threads (Fig. 3).\n", threads);
   } else {

@@ -39,11 +39,11 @@ enum class StackConfig {
 struct ExperimentConfig {
   std::size_t node_count = 8;
   NodeHardware node_hw{};
-  /// Per-node device fleet for heterogeneous clusters (the --devices
-  /// spec, e.g. parse_device_spec("2x5110P+2x7120P")). Empty (default)
-  /// keeps the homogeneous node_hw path. Non-empty overrides
-  /// node_hw.phi_devices with its size; every node gets the same fleet.
-  std::vector<phi::DeviceCapability> devices;
+  /// Each node's cards, one capability each (the --devices spec, e.g.
+  /// parse_device_spec("2x5110P+2x7120P")); every node gets the same
+  /// fleet. Defaults to the paper's one 5110P; an empty list is a
+  /// precondition error.
+  std::vector<phi::DeviceCapability> devices{phi::DeviceCapability{}};
   /// Per-device memory-bandwidth contention (phi/capability.hpp). Off by
   /// default so calibrated outputs stay bit-identical; when on, resident
   /// containers' declared bandwidth shares slow offloads past each

@@ -57,9 +57,6 @@ void Harness::build_nodes() {
   NodeConfig nc;
   nc.hw = config_.node_hw;
   nc.devices = config_.devices;
-  if (!config_.devices.empty()) {
-    nc.hw.phi_devices = static_cast<int>(config_.devices.size());
-  }
   nc.device.mem_bw = config_.mem_bw;
   nc.device.oversub_exponent = config_.oversub_exponent;
   nc.device.unmanaged_overlap_penalty = config_.unmanaged_overlap_penalty;
@@ -95,11 +92,6 @@ void Harness::build_nodes() {
                                              "phi." + tag + ".pcie_switch");
       }
     }
-  }
-  // Every node carries the same fleet.
-  const Node& first = *nodes_.front();
-  for (DeviceId d = 0; d < first.device_count(); ++d) {
-    cards_.push_back(first.device(d).config().hw);
   }
 }
 
@@ -184,7 +176,7 @@ void Harness::take_sample() {
   for (const auto& node : nodes_) {
     for (DeviceId d = 0; d < node->device_count(); ++d) {
       busy += node->device(d).busy_cores();
-      total += node->device(d).config().hw.cores;
+      total += node->device(d).capability().hw.cores;
     }
   }
   samples_.emplace_back(
@@ -207,14 +199,14 @@ std::string Harness::requirements_for_stack() const {
 }
 
 const char* Harness::unfit_reason(const workload::JobSpec& job) const {
-  // Each of the job's devices_req cards must hold its whole declaration,
-  // so count the cards of one node that do.
+  // Every node carries the same cards. Each of the job's devices_req
+  // cards must hold its whole declaration, so count the cards that do.
   bool memory_fits = false;
   bool threads_fit = false;
   int holding = 0;
-  for (const PhiHardware& card : cards_) {
-    const bool memory = job.mem_req_mib <= card.usable_memory_mib();
-    const bool threads = job.threads_req <= card.hw_threads();
+  for (const phi::DeviceCapability& card : config_.devices) {
+    const bool memory = job.mem_req_mib <= card.hw.usable_memory_mib();
+    const bool threads = job.threads_req <= card.hw.hw_threads();
     memory_fits = memory_fits || memory;
     threads_fit = threads_fit || threads;
     if (memory && threads) ++holding;
@@ -390,8 +382,8 @@ void Harness::on_job_done(Job& job, bool success) {
     // Requeue with a boosted declaration: the kill told us the
     // estimate was too low.
     MiB usable = 0;
-    for (const PhiHardware& card : cards_) {
-      usable = std::max(usable, card.usable_memory_mib());
+    for (const phi::DeviceCapability& card : config_.devices) {
+      usable = std::max(usable, card.hw.usable_memory_mib());
     }
     const auto boosted = static_cast<MiB>(
         std::llround(static_cast<double>(job.spec.mem_req_mib) *

@@ -197,9 +197,6 @@ class Harness {
   condor::Schedd schedd_;
   condor::Collector collector_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  /// One node's cards (config_.devices, or node_hw's identical cards):
-  /// what submit() validates jobs against.
-  std::vector<PhiHardware> cards_;
   std::unique_ptr<condor::Negotiator> negotiator_;
   std::unique_ptr<core::SharingAwareScheduler> addon_;
   /// Every submitted job, arrived or not. Only ever looked up by id:

@@ -11,22 +11,13 @@ namespace phisched::cluster {
 
 Node::Node(Simulator& sim, NodeId id, NodeConfig config, Rng rng)
     : sim_(sim), id_(id), config_(std::move(config)) {
-  if (!config_.devices.empty()) {
-    config_.hw.phi_devices = static_cast<int>(config_.devices.size());
-  }
-  PHISCHED_REQUIRE(config_.hw.phi_devices > 0, "Node: need at least one device");
+  PHISCHED_REQUIRE(!config_.devices.empty(), "Node: need at least one device");
   PHISCHED_REQUIRE(config_.hw.slots > 0, "Node: need at least one slot");
-  config_.device.hw = config_.hw.phi;
 
   std::vector<phi::Device*> raw;
-  for (DeviceId d = 0; d < config_.hw.phi_devices; ++d) {
+  for (std::size_t d = 0; d < config_.devices.size(); ++d) {
     phi::DeviceConfig dc = config_.device;
-    if (!config_.devices.empty()) {
-      const auto& cap = config_.devices[static_cast<std::size_t>(d)];
-      dc.hw = cap.hw;
-      dc.capability = cap;
-      dc.pcie.bandwidth_mib_s = cap.link_bandwidth_mib_s;
-    }
+    dc.capability = config_.devices[d];
     auto dev = std::make_unique<phi::Device>(
         sim_, dc, rng.child("device" + std::to_string(d)),
         "mic" + std::to_string(d) + "@" + condor::machine_name(id_));
@@ -73,13 +64,6 @@ int Node::free_exclusive_devices() const {
     if (middleware_->jobs_on_device(d) == 0) ++n;
   }
   return n;
-}
-
-std::optional<DeviceId> Node::pick_exclusive_device() const {
-  for (DeviceId d = 0; d < device_count(); ++d) {
-    if (middleware_->jobs_on_device(d) == 0) return d;
-  }
-  return std::nullopt;
 }
 
 void Node::read_ad_state(AdState& state) const {

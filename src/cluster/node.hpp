@@ -18,16 +18,13 @@ namespace phisched::cluster {
 
 struct NodeConfig {
   NodeHardware hw{};
-  /// Device behaviour knobs; the PhiHardware inside is overridden by
-  /// hw.phi so there is a single source of truth.
+  /// Device behaviour knobs, applied to every card; each card's
+  /// capability comes from `devices`.
   phi::DeviceConfig device{};
-  /// Per-device capabilities for a heterogeneous fleet (--devices spec).
-  /// Empty (the default) builds hw.phi_devices identical cards from
-  /// hw.phi; non-empty overrides hw.phi_devices with its size, and each
-  /// card takes its entry's geometry, generation, and bandwidths (the
-  /// entry's link bandwidth also feeds device.pcie when contention is
-  /// on). Behaviour knobs in `device` still apply to every card.
-  std::vector<phi::DeviceCapability> devices;
+  /// The node's cards, one capability each (the --devices spec): card d
+  /// takes entry d's generation, geometry and memory bandwidth. Defaults
+  /// to one 5110P; an empty list is a precondition error.
+  std::vector<phi::DeviceCapability> devices{phi::DeviceCapability{}};
   /// Host-side PCIe switch above the per-card links. Requires
   /// device.pcie.contention when enabled.
   phi::PcieSwitchConfig pcie_switch{};
@@ -42,7 +39,9 @@ class Node {
   Node& operator=(const Node&) = delete;
 
   [[nodiscard]] NodeId id() const { return id_; }
-  [[nodiscard]] int device_count() const { return config_.hw.phi_devices; }
+  [[nodiscard]] int device_count() const {
+    return static_cast<int>(devices_.size());
+  }
   [[nodiscard]] phi::Device& device(DeviceId d);
   [[nodiscard]] const phi::Device& device(DeviceId d) const;
   [[nodiscard]] cosmic::NodeMiddleware& middleware() { return *middleware_; }
@@ -62,9 +61,6 @@ class Node {
 
   /// Devices with no resident job — exclusive-allocation capacity.
   [[nodiscard]] int free_exclusive_devices() const;
-
-  /// First device with no resident job, or nullopt.
-  [[nodiscard]] std::optional<DeviceId> pick_exclusive_device() const;
 
   /// The ClassAd the node's startd would push to the collector, built
   /// from the construction-time constants and the live AdState only.

@@ -49,16 +49,14 @@ struct PhiHardware {
   friend bool operator==(const PhiHardware&, const PhiHardware&) = default;
 };
 
-/// Static description of a compute node (host side).
+/// Static description of a compute node (host side); its cards are
+/// described one DeviceCapability each (phi/capability.hpp).
 ///
 /// The paper's servers have two 8-core Xeons; HTCondor represents host
 /// capacity as slots. Sharing multiple jobs per node requires one slot per
 /// concurrently resident job, so we default to one slot per host core.
 struct NodeHardware {
-  int host_cores = 16;
   int slots = 16;
-  int phi_devices = 1;
-  PhiHardware phi{};
 };
 
 /// Fully qualified address of one coprocessor in the cluster.

@@ -113,7 +113,7 @@ ThreadCount NodeMiddleware::unreserved_threads(DeviceId d) const {
   PHISCHED_REQUIRE(d >= 0 && static_cast<std::size_t>(d) < devices_.size(),
                    "NodeMiddleware: bad device id");
   const auto& ds = devices_[static_cast<std::size_t>(d)];
-  return ds.device->config().hw.hw_threads() - ds.reserved_threads;
+  return ds.device->capability().hw.hw_threads() - ds.reserved_threads;
 }
 
 double NodeMiddleware::unreserved_bandwidth(DeviceId d) const {
@@ -127,19 +127,6 @@ double NodeMiddleware::unreserved_bandwidth(DeviceId d) const {
 void NodeMiddleware::sync_bw_load(DeviceState& ds) {
   if (!ds.device->config().mem_bw.contention) return;
   ds.device->set_resident_bw_load(ds.reserved_bw);
-}
-
-std::optional<DeviceId> NodeMiddleware::pick_device(MiB declared) const {
-  std::optional<DeviceId> best;
-  MiB best_free = -1;
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    const MiB free = unreserved_memory(static_cast<DeviceId>(i));
-    if (free >= declared && free > best_free) {
-      best = static_cast<DeviceId>(i);
-      best_free = free;
-    }
-  }
-  return best;
 }
 
 std::vector<DeviceId> NodeMiddleware::pick_gang(int gang_size,
@@ -158,42 +145,6 @@ std::vector<DeviceId> NodeMiddleware::pick_gang(int gang_size,
     if (gang.size() == static_cast<std::size_t>(gang_size)) return gang;
   }
   return {};
-}
-
-bool NodeMiddleware::launch_job(JobId job, DeviceId d,
-                                const JobDeclaration& decl,
-                                KillCallback on_kill) {
-  PHISCHED_REQUIRE(d >= 0 && static_cast<std::size_t>(d) < devices_.size(),
-                   "launch_job: bad device id");
-  PHISCHED_REQUIRE(jobs_.find(job) == jobs_.end(),
-                   "launch_job: job already launched");
-  PHISCHED_REQUIRE(decl.gang_size == 1, "launch_job: gang jobs use submit_job");
-  PHISCHED_REQUIRE(decl.mem_per_device > 0,
-                   "launch_job: declared memory must be > 0");
-  PHISCHED_REQUIRE(decl.mem_bw_mib_s >= 0.0,
-                   "launch_job: declared bandwidth must be >= 0");
-  if (decl.mem_per_device > unreserved_memory(d)) {
-    return false;  // would oversubscribe declared memory — refuse
-  }
-
-  Reservation res;
-  res.devices = {d};
-  res.declared_mem = decl.mem_per_device;
-  res.declared_threads = decl.threads;
-  res.declared_bw = decl.mem_bw_mib_s;
-  res.on_kill = std::move(on_kill);
-  jobs_.emplace(job, std::move(res));
-
-  auto& ds = devices_[static_cast<std::size_t>(d)];
-  ds.reserved_mem += decl.mem_per_device;
-  ds.reserved_threads += decl.threads;
-  ds.reserved_bw += decl.mem_bw_mib_s;
-  ds.device->attach_process(
-      job, decl.base_memory,
-      [this](JobId j, phi::KillReason reason) { on_device_kill(j, reason); });
-  ds.device->set_resident_thread_load(ds.reserved_threads);
-  sync_bw_load(ds);
-  return true;
 }
 
 bool NodeMiddleware::try_admit(WaitingJob& w) {
@@ -298,7 +249,7 @@ void NodeMiddleware::admit_waiting() {
 
 bool NodeMiddleware::fits_now(const DeviceState& ds, ThreadCount threads) const {
   if (!config_.serialize_offloads) return true;
-  const ThreadCount hw = ds.device->config().hw.hw_threads();
+  const ThreadCount hw = ds.device->capability().hw.hw_threads();
   // Heterogeneous fleets can see an offload wider than the card (e.g. a
   // 240-thread job on a 228-thread 3120A). It can never literally fit,
   // so clamp the width: it waits for the device to drain, then runs

@@ -25,7 +25,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "common/types.hpp"
@@ -129,28 +128,18 @@ class NodeMiddleware {
   /// overshooting slows the card rather than blocking admission.
   [[nodiscard]] double unreserved_bandwidth(DeviceId d) const;
 
-  /// Picks the device with the most unreserved memory that still fits
-  /// `declared`; nullopt if none fits.
-  [[nodiscard]] std::optional<DeviceId> pick_device(MiB declared) const;
-
   /// Picks `gang_size` DISTINCT devices, most-free first, each with at
   /// least `declared_per_device` unreserved; empty when impossible.
   [[nodiscard]] std::vector<DeviceId> pick_gang(int gang_size,
                                                 MiB declared_per_device) const;
 
   // --- job lifecycle ---------------------------------------------------------
-  /// Reserves the declaration (gang_size 1) for the job on device `d` and
-  /// spawns its device process. Returns false (no side effects) if the
-  /// declared memory does not fit in the device's unreserved capacity.
-  /// `on_kill` fires if COSMIC or the device terminates the job.
-  bool launch_job(JobId job, DeviceId d, const JobDeclaration& decl,
-                  KillCallback on_kill);
-
-  /// A job arriving at the node. Admitted immediately when capacity for
-  /// its whole gang exists (honouring `pinned` when non-empty), otherwise
-  /// parked in the node's admission queue until capacity frees — this is
-  /// how COSMIC lets arbitrarily-packed jobs compete safely for the
-  /// devices. The queue is strict FIFO, so big jobs never starve: a
+  /// A job arriving at the node, the one way a job becomes resident.
+  /// Admitted immediately when capacity for its whole gang exists
+  /// (honouring `pinned` when non-empty, else pick_gang's choice),
+  /// otherwise parked in the node's admission queue until capacity frees
+  /// — this is how COSMIC lets arbitrarily-packed jobs compete safely for
+  /// the devices. The queue is strict FIFO, so big jobs never starve: a
   /// parked job blocks arrivals behind it until it is admitted.
   /// `on_admitted` fires exactly once, when the job becomes resident on
   /// every gang member.

@@ -11,25 +11,22 @@ namespace {
 
 /// The KNC SKUs the paper's era shipped, Fang et al.'s Table 1 geometry.
 /// The 5110P row must stay exactly equal to DeviceCapability{} (and its
-/// hw to PhiHardware{}): the homogeneous-equivalence suite proves a
-/// --devices spec of default cards is bit-identical to the seed path,
-/// which only holds if the named spec and the default agree.
+/// hw to PhiHardware{}): the default fleet and a bare `--devices N` build
+/// default cards, and the homogeneous-equivalence suite pins them
+/// bit-identical to `1x5110P` and `Nx5110P`.
 const std::vector<DeviceCapability>& spec_table() {
   static const std::vector<DeviceCapability> kTable = {
       {.generation = "3120A",
        .hw = {.cores = 57, .threads_per_core = 4, .memory_mib = 6144,
               .os_reserved_mib = 512},
-       .link_bandwidth_mib_s = 6144.0,
        .mem_bandwidth_mib_s = 245760.0},  // 240 GB/s GDDR5 ring
       {.generation = "5110P",
        .hw = {.cores = 60, .threads_per_core = 4, .memory_mib = 8192,
               .os_reserved_mib = 512},
-       .link_bandwidth_mib_s = 6144.0,
        .mem_bandwidth_mib_s = 327680.0},  // 320 GB/s
       {.generation = "7120P",
        .hw = {.cores = 61, .threads_per_core = 4, .memory_mib = 16384,
               .os_reserved_mib = 512},
-       .link_bandwidth_mib_s = 6144.0,
        .mem_bandwidth_mib_s = 360448.0},  // 352 GB/s
   };
   return kTable;
@@ -67,22 +64,32 @@ std::vector<DeviceCapability> parse_device_spec(const std::string& spec) {
     const std::string group = spec.substr(start, end - start);
     PHISCHED_REQUIRE(!group.empty(), "devices: empty group in spec '", spec,
                      "'");
-    // `[COUNTx]GENERATION`: a leading digit run followed by 'x' is a
-    // count; generation names never start with a digit-run + 'x'.
+    // `COUNT` (default cards), `COUNTxGENERATION` or `GENERATION`:
+    // generation names never start with a digit run followed by 'x'. The
+    // count stops growing past the bound, so no digit run overflows it.
     std::size_t digits = 0;
+    long count = 0;
     while (digits < group.size() &&
            std::isdigit(static_cast<unsigned char>(group[digits]))) {
+      if (count <= kMaxDevicesPerNode) {
+        count = count * 10 + (group[digits] - '0');
+      }
       ++digits;
     }
-    long count = 1;
     std::string name = group;
-    if (digits > 0 && digits < group.size() &&
-        (group[digits] == 'x' || group[digits] == 'X')) {
-      count = std::stol(group.substr(0, digits));
+    if (digits == group.size()) {
+      name = DeviceCapability{}.generation;
+    } else if (digits > 0 && (group[digits] == 'x' || group[digits] == 'X')) {
       name = group.substr(digits + 1);
-      PHISCHED_REQUIRE(count > 0, "devices: group '", group,
-                       "' has a non-positive count");
+    } else {
+      count = 1;
     }
+    PHISCHED_REQUIRE(count > 0, "devices: group '", group,
+                     "' has a non-positive count");
+    PHISCHED_REQUIRE(
+        count <= kMaxDevicesPerNode - static_cast<long>(devices.size()),
+        "devices: group '", group, "' puts more than ", kMaxDevicesPerNode,
+        " cards on one node");
     PHISCHED_REQUIRE(!name.empty(), "devices: group '", group,
                      "' names no generation");
     const auto cap = capability_from_generation(name);
@@ -95,7 +102,7 @@ std::vector<DeviceCapability> parse_device_spec(const std::string& spec) {
       PHISCHED_REQUIRE(false, "devices: unknown generation '", name,
                        "' in group '", group, "' (known: ", known.str(), ")");
     }
-    for (long i = 0; i < count; ++i) devices.push_back(*cap);
+    devices.insert(devices.end(), static_cast<std::size_t>(count), *cap);
     if (plus == std::string::npos) break;
     start = plus + 1;  // a trailing '+' yields an empty group next round
   }

@@ -22,21 +22,21 @@
 
 namespace phisched::phi {
 
-/// Static capability envelope of one coprocessor generation.
+/// Static capability envelope of one coprocessor generation: the only
+/// description of a card.
 ///
-/// `hw` is the thread/memory geometry the rest of the simulator already
-/// consumes; the bandwidth fields extend it with the two shared channels
+/// `hw` is the thread/memory geometry the rest of the simulator
+/// consumes; the memory bandwidth extends it with the shared channel
 /// that Fang et al. ("An Empirical Study of Intel Xeon Phi") measure as
-/// the real co-residency bottlenecks: the PCIe link and the aggregate
-/// GDDR ring bandwidth.
+/// a real co-residency bottleneck. Every KNC sits on the same PCIe gen2
+/// x16 link, so the link rate is not a per-card field: it is
+/// PcieLinkConfig::bandwidth_mib_s (phi/pcie.hpp) on every fleet.
 struct DeviceCapability {
   /// Marketing name of the SKU ("5110P", "7120P", ...). Matched
   /// case-insensitively by the --devices grammar and published verbatim
   /// in the machine ad.
   std::string generation = "5110P";
   PhiHardware hw{};
-  /// Host link bandwidth (PCIe gen2 x16 effective rate for every KNC).
-  double link_bandwidth_mib_s = 6144.0;
   /// Aggregate GDDR5 memory bandwidth of the card's ring, MiB/s.
   /// Theoretical peak; MemBwConfig::saturation scales it to the
   /// practically achievable STREAM-class fraction.
@@ -81,10 +81,16 @@ struct MemBwConfig {
 [[nodiscard]] std::optional<DeviceCapability> capability_from_generation(
     const std::string& name);
 
-/// Parses a fleet spec: '+'-separated groups of `[COUNTx]GENERATION`,
-/// e.g. "2x5110P+2x7120P", "3120A", "4x5110P". Throws std::runtime_error
-/// naming the offending group on empty groups, non-positive counts, or
-/// unknown generations.
+/// The most cards one node may hold. parse_device_spec refuses a spec
+/// past it before building any card; a real host has a handful of PCIe
+/// x16 slots, and no bench uses more than 4.
+inline constexpr int kMaxDevicesPerNode = 64;
+
+/// Parses a fleet spec: '+'-separated groups of `[COUNTx]GENERATION` or
+/// a bare `COUNT` of default cards (5110P), e.g. "2x5110P+2x7120P",
+/// "3120A", "4" (= "4x5110P"). Throws std::invalid_argument naming the
+/// offending group on empty groups, non-positive counts, more than
+/// kMaxDevicesPerNode cards in all, or unknown generations.
 [[nodiscard]] std::vector<DeviceCapability> parse_device_spec(
     const std::string& spec);
 

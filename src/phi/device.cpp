@@ -23,7 +23,7 @@ Device::Device(Simulator& sim, DeviceConfig config, Rng rng, std::string name)
       config_(config),
       name_(std::move(name)),
       rng_(rng),
-      cores_(config.hw.cores, config.hw.threads_per_core,
+      cores_(config.capability.hw.cores, config.capability.hw.threads_per_core,
              rng.child("coremap")),
       pcie_link_(sim, config.pcie, name_ + ".pcie") {
   PHISCHED_REQUIRE(config_.oversub_exponent >= 1.0,
@@ -36,9 +36,6 @@ Device::Device(Simulator& sim, DeviceConfig config, Rng rng, std::string name)
                    "Device: mem_bw saturation must be in (0,1]");
   PHISCHED_REQUIRE(config_.mem_bw.exponent >= 0.0,
                    "Device: mem_bw exponent must be >= 0");
-  // hw stays the source of truth for geometry; the capability mirrors it
-  // so machine ads and placement never see a conflicting description.
-  config_.capability.hw = config_.hw;
   busy_core_time_.reset(sim_.now(), 0.0);
   last_settle_ = sim_.now();
 }
@@ -185,7 +182,7 @@ ThreadCount Device::active_thread_demand() const {
 
 double Device::core_utilization(SimTime until) const {
   return busy_core_time_.mean_until(until) /
-         static_cast<double>(config_.hw.cores);
+         static_cast<double>(capability().hw.cores);
 }
 
 double Device::energy_joules(SimTime until) const {
@@ -194,7 +191,7 @@ double Device::energy_joules(SimTime until) const {
       busy_core_time_.mean_until(until) * until;
   const double card_floor_watts =
       config_.base_watts +
-      static_cast<double>(config_.hw.cores) * config_.idle_core_watts;
+      static_cast<double>(capability().hw.cores) * config_.idle_core_watts;
   return card_floor_watts * until +
          (config_.active_core_watts - config_.idle_core_watts) *
              busy_core_seconds;
@@ -217,7 +214,7 @@ void Device::settle() {
 
 double Device::compute_speed() const {
   const ThreadCount demand = active_thread_demand();
-  const ThreadCount limit = config_.hw.hw_threads();
+  const ThreadCount limit = capability().hw.hw_threads();
   double speed = 1.0;
   if (demand > limit) {
     speed = std::pow(static_cast<double>(limit) / static_cast<double>(demand),
@@ -275,7 +272,7 @@ void Device::reconcile() {
   // Episode accounting: one episode spans the whole interval during which
   // thread demand exceeds the hardware budget, regardless of how many
   // offloads come and go inside it.
-  const bool over = active_thread_demand() > config_.hw.hw_threads();
+  const bool over = active_thread_demand() > capability().hw.hw_threads();
   if (over != oversub_active_) {
     oversub_active_ = over;
     if (over) {
@@ -285,7 +282,8 @@ void Device::reconcile() {
         obs_.rec->event(sim_.now(), "oversub_begin",
                         {{"device", obs_.prefix},
                          {"demand", std::to_string(active_thread_demand())},
-                         {"limit", std::to_string(config_.hw.hw_threads())}});
+                         {"limit",
+                          std::to_string(capability().hw.hw_threads())}});
       }
     } else if (obs_.rec != nullptr) {
       obs_.rec->event(sim_.now(), "oversub_end", {{"device", obs_.prefix}});

@@ -47,7 +47,6 @@ enum class KillReason {
 [[nodiscard]] const char* kill_reason_name(KillReason reason);
 
 struct DeviceConfig {
-  PhiHardware hw{};
   /// Speed factor exponent under thread oversubscription:
   /// speed = (hw_threads / demand)^exponent for demand > hw_threads.
   /// Exponent 1 would be ideal work-conserving sharing; 3 reproduces the
@@ -79,10 +78,9 @@ struct DeviceConfig {
   /// transfer through the link and concurrent containers contend.
   PcieLinkConfig pcie{};
 
-  /// This card's generation and bandwidth envelope (phi/capability.hpp).
-  /// `hw` above remains the source of truth for thread/memory geometry:
-  /// the constructor copies it into capability.hw so the two can never
-  /// disagree. Defaults to the 5110P the paper's testbed used.
+  /// This card's generation, thread/memory geometry (capability.hw) and
+  /// bandwidth envelope (phi/capability.hpp): the only description of
+  /// the card. Defaults to the 5110P the paper's testbed used.
   DeviceCapability capability{};
 
   /// Memory-bandwidth contention model (phi/capability.hpp). Off by
@@ -153,7 +151,9 @@ class Device {
   [[nodiscard]] std::size_t active_offloads() const { return offloads_.size(); }
   /// Actual resident memory (bases + active working sets).
   [[nodiscard]] MiB memory_used() const { return memory_used_; }
-  [[nodiscard]] MiB usable_memory() const { return config_.hw.usable_memory_mib(); }
+  [[nodiscard]] MiB usable_memory() const {
+    return config_.capability.hw.usable_memory_mib();
+  }
   [[nodiscard]] MiB memory_free() const { return usable_memory() - memory_used_; }
   [[nodiscard]] CoreCount busy_cores() const { return cores_.busy_cores(); }
   /// Current execution speed factor in (0, 1].

@@ -2,11 +2,17 @@
 # 2 and a message naming the option, before anything is built. `--nodes
 # -1` used to wrap to SIZE_MAX and segfault; `--overcommit nan` reached
 # an undefined float-to-int cast; `--seed 99999999999999999999` was
-# silently clamped to INT64_MAX.
+# silently clamped to INT64_MAX; `--devices 99999999999999999999x5110P`
+# failed with a bare "stol". A node holds at most 64 cards
+# (phi::kMaxDevicesPerNode), so 65 is refused in both spec forms.
 foreach(case
     "--nodes;-1;nodes"
     "--jobs;-5;jobs"
     "--devices;99999999999;devices"
+    "--devices;65;devices"
+    "--devices;65x5110P;devices"
+    "--devices;1x7120P+64;devices"
+    "--devices;99999999999999999999x5110P;devices"
     "--overcommit;nan;overcommit"
     "--overcommit;1e300;overcommit"
     "--seed;99999999999999999999;seed"

@@ -130,7 +130,7 @@ TEST(Experiment, MultiDeviceNodesWork) {
   const auto jobs = small_jobset(30);
   ExperimentConfig config;
   config.node_count = 1;
-  config.node_hw.phi_devices = 2;
+  config.devices.assign(2, phi::DeviceCapability{});
   config.stack = StackConfig::kMCCK;
   const ExperimentResult r = run_experiment(config, jobs);
   EXPECT_EQ(r.jobs_completed, 30u);

@@ -1,10 +1,13 @@
-// A --devices fleet, not node_hw, decides what a job may ask for and
-// where it may run: submit-time validation, MC's exclusive claims, and
-// the retry boost's clamp all read the cards the nodes actually carry.
+// A node's cards (the --devices fleet) decide what a job may ask for
+// and where it may run: submit-time validation, MC's exclusive claims,
+// and the retry boost's clamp all read the cards the nodes carry.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "cluster/harness.hpp"
 #include "phi/capability.hpp"
+#include "workload/jobset.hpp"
 
 namespace phisched::cluster {
 namespace {
@@ -29,6 +32,12 @@ workload::JobSpec job(JobId id, MiB memory, ThreadCount threads,
   spec.devices_req = devices;
   spec.profile = OffloadProfile({Segment::offload(20.0, threads, memory)});
   return spec;
+}
+
+TEST(Fleet, EmptyFleetIsRejected) {
+  ExperimentConfig config;
+  config.devices.clear();
+  EXPECT_THROW(Harness{config}, std::invalid_argument);
 }
 
 TEST(Fleet, SubmitAcceptsWhatOnlyTheFleetsCardHolds) {
@@ -89,6 +98,67 @@ TEST(Fleet, RetryBoostIsClampedToTheFleetsLargestCard) {
   EXPECT_EQ(r.jobs_completed, 1u);
   EXPECT_EQ(r.jobs_failed, 0u);
   EXPECT_EQ(r.job_retries, 1u);
+}
+
+// --- submit-time validation ---------------------------------------------
+// Harness::unfit_reason and submit's preconditions are the one check of a
+// job against the cluster.
+
+TEST(Validate, CleanSetPasses) {
+  const workload::JobSet jobs = workload::make_real_jobset(100, Rng(1));
+  Harness harness(ExperimentConfig{});
+  for (const workload::JobSpec& spec : jobs) {
+    EXPECT_EQ(harness.unfit_reason(spec), nullptr) << spec.id;
+  }
+  EXPECT_NO_THROW(harness.submit(jobs));
+}
+
+TEST(Validate, DuplicateIds) {
+  Harness harness(ExperimentConfig{});
+  harness.submit(job(1, 1'000, 60));
+  try {
+    harness.submit(job(1, 1'000, 60));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate"), std::string::npos);
+  }
+}
+
+TEST(Validate, OversizedMemoryAndThreads) {
+  Harness harness(ExperimentConfig{});
+  EXPECT_STREQ(harness.unfit_reason(job(0, 100'000, 60)),
+               "job does not fit one coprocessor's memory");
+  EXPECT_STREQ(harness.unfit_reason(job(1, 1'000, 500)),
+               "job does not fit one coprocessor's threads");
+  EXPECT_THROW(harness.submit(job(2, 100'000, 500)), std::invalid_argument);
+}
+
+TEST(Validate, NegativeSubmitTime) {
+  Harness harness(ExperimentConfig{});
+  workload::JobSpec early = job(0, 1'000, 60);
+  early.submit_time = -1.0;
+  EXPECT_THROW(harness.submit(early), std::invalid_argument);
+}
+
+TEST(Validate, CustomHardwareShrinksTheEnvelope) {
+  // 6,000 MiB fits a default 5110P (7,680 usable), not a 3120A (5,632).
+  const workload::JobSpec big = job(0, 6'000, 60);
+  const Harness standard(ExperimentConfig{});
+  const Harness small(fleet_config("3120A", StackConfig::kMCCK));
+  EXPECT_EQ(standard.unfit_reason(big), nullptr);
+  EXPECT_NE(small.unfit_reason(big), nullptr);
+}
+
+TEST(Validate, ExactFitIsAccepted) {
+  for (const phi::DeviceCapability& card : phi::known_generations()) {
+    SCOPED_TRACE(card.generation);
+    const Harness harness(fleet_config(card.generation, StackConfig::kMCCK));
+    const MiB memory = card.hw.usable_memory_mib();
+    const ThreadCount threads = card.hw.hw_threads();
+    EXPECT_EQ(harness.unfit_reason(job(0, memory, threads)), nullptr);
+    EXPECT_NE(harness.unfit_reason(job(1, memory + 1, threads)), nullptr);
+    EXPECT_NE(harness.unfit_reason(job(2, memory, threads + 1)), nullptr);
+  }
 }
 
 }  // namespace

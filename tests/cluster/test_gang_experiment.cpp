@@ -47,7 +47,7 @@ TEST_P(GangStacks, MixedGangAndSingleJobsComplete) {
 
   ExperimentConfig config;
   config.node_count = 2;
-  config.node_hw.phi_devices = 2;
+  config.devices.assign(2, phi::DeviceCapability{});
   config.stack = GetParam();
   const ExperimentResult r = run_experiment(config, jobs);
   EXPECT_EQ(r.jobs_completed, 12u);
@@ -63,7 +63,7 @@ TEST(GangExperiment, RejectedWhenNodesHaveTooFewDevices) {
   workload::JobSet jobs{dual_device_job(0)};
   ExperimentConfig config;
   config.node_count = 2;
-  config.node_hw.phi_devices = 1;
+  config.devices.assign(1, phi::DeviceCapability{});
   EXPECT_THROW((void)run_experiment(config, jobs), std::invalid_argument);
 }
 
@@ -73,7 +73,7 @@ TEST(GangExperiment, ExclusiveModeRunsGangsOneAtATimePerNodePair) {
   for (JobId id = 0; id < 4; ++id) jobs.push_back(dual_device_job(id));
   ExperimentConfig config;
   config.node_count = 1;
-  config.node_hw.phi_devices = 2;
+  config.devices.assign(2, phi::DeviceCapability{});
   config.stack = StackConfig::kMC;
   const ExperimentResult r = run_experiment(config, jobs);
   EXPECT_EQ(r.jobs_completed, 4u);
@@ -88,7 +88,7 @@ TEST(GangExperiment, GangOffloadsOverlapAcrossDevices) {
   workload::JobSet jobs{dual_device_job(0)};
   ExperimentConfig config;
   config.node_count = 1;
-  config.node_hw.phi_devices = 2;
+  config.devices.assign(2, phi::DeviceCapability{});
   config.stack = StackConfig::kMCC;
   const ExperimentResult r = run_experiment(config, jobs);
   EXPECT_EQ(r.jobs_completed, 1u);
@@ -100,7 +100,7 @@ TEST(GangExperiment, KnapsackStackPinsGangsByNode) {
   for (JobId id = 0; id < 3; ++id) jobs.push_back(dual_device_job(id));
   ExperimentConfig config;
   config.node_count = 3;
-  config.node_hw.phi_devices = 2;
+  config.devices.assign(2, phi::DeviceCapability{});
   config.stack = StackConfig::kMCCK;
   const ExperimentResult r = run_experiment(config, jobs);
   EXPECT_EQ(r.jobs_completed, 3u);

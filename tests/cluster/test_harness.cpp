@@ -165,7 +165,7 @@ TEST(Harness, SnapshotUnderActiveTransfersWithSwitchOn) {
   // The hierarchical model itself must be snapshot-safe and
   // deterministic: stepped + snapshots == one-shot, switch enabled.
   ExperimentConfig config = small_cluster(StackConfig::kMCCK, 23);
-  config.node_hw.phi_devices = 2;
+  config.devices.assign(2, phi::DeviceCapability{});
   config.pcie.contention = true;
   config.pcie.latency_s = 1e-4;
   config.pcie_switch.enabled = true;

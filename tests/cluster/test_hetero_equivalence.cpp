@@ -1,8 +1,9 @@
-// Heterogeneity must be pay-for-what-you-use: a homogeneous `--devices`
-// fleet of default cards, with the bandwidth model off, must reproduce
-// the legacy homogeneous path BIT-IDENTICALLY — exact result doubles and
-// byte-identical telemetry JSON — across all 6 stacks x 3 seeds. Any
-// drift means the capability plumbing leaked into the calibrated path.
+// Heterogeneity must be pay-for-what-you-use: the default fleet (one
+// default card per node, the paper's testbed) must equal an explicit
+// `--devices 1x5110P` BIT-IDENTICALLY — exact result doubles and
+// byte-identical telemetry JSON — across all 6 stacks x 3 seeds, and k
+// default cards (`--devices k`) must equal `kx5110P`. Any drift means
+// the named 5110P and the default card came apart.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -45,18 +46,17 @@ TEST(HeteroEquivalence, HomogeneousSpecIsBitIdenticalToLegacyPath) {
       SCOPED_TRACE(std::string(stack_config_name(stack)) + " seed " +
                    std::to_string(seed));
 
-      ExperimentConfig legacy;
-      legacy.node_count = 4;
-      legacy.stack = stack;
-      legacy.seed = seed;
-      legacy.telemetry = true;
+      ExperimentConfig defaults;
+      defaults.node_count = 4;
+      defaults.stack = stack;
+      defaults.seed = seed;
+      defaults.telemetry = true;
 
-      ExperimentConfig spec = legacy;
-      // One default card per node, but routed through the heterogeneous
-      // construction path. 5110P == DeviceCapability{} == PhiHardware{}.
+      ExperimentConfig spec = defaults;
+      // 5110P == DeviceCapability{}, whose hw == PhiHardware{}.
       spec.devices = phi::parse_device_spec("1x5110P");
 
-      const ExperimentResult a = run_one(legacy, seed);
+      const ExperimentResult a = run_one(defaults, seed);
       const ExperimentResult b = run_one(spec, seed);
 
       EXPECT_EQ(a.makespan, b.makespan);
@@ -79,19 +79,19 @@ TEST(HeteroEquivalence, HomogeneousSpecIsBitIdenticalToLegacyPath) {
   }
 }
 
-// A multi-card homogeneous spec must match the legacy count knob too
-// (cheaper single-stack spot check; the full cross product above covers
-// the single-card geometry).
+// A bare card count must match the named spec too (cheaper single-stack
+// spot check; the full cross product above covers the single-card
+// geometry).
 TEST(HeteroEquivalence, MultiCardSpecMatchesCountKnob) {
-  ExperimentConfig legacy;
-  legacy.node_count = 2;
-  legacy.node_hw.phi_devices = 2;
-  legacy.telemetry = true;
+  ExperimentConfig counted;
+  counted.node_count = 2;
+  counted.devices = phi::parse_device_spec("2");
+  counted.telemetry = true;
 
-  ExperimentConfig spec = legacy;
+  ExperimentConfig spec = counted;
   spec.devices = phi::parse_device_spec("2x5110P");
 
-  const ExperimentResult a = run_one(legacy, 42ull);
+  const ExperimentResult a = run_one(counted, 42ull);
   const ExperimentResult b = run_one(spec, 42ull);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.events_processed, b.events_processed);
@@ -103,7 +103,7 @@ TEST(HeteroEquivalence, MultiCardSpecMatchesCountKnob) {
             obs::events_json(b.telemetry->events));
 }
 
-// The heterogeneous path must actually change the advertised geometry:
+// A card's capability must actually change the advertised geometry:
 // a 7120P brings more memory than a 5110P, so more jobs pack per cycle.
 TEST(HeteroEquivalence, MixedFleetDiffersFromHomogeneous) {
   ExperimentConfig homo;

@@ -16,7 +16,8 @@ class NodeTest : public ::testing::Test {
  protected:
   Node make_node(int devices = 1, int slots = 16) {
     NodeConfig config;
-    config.hw.phi_devices = devices;
+    config.devices.assign(static_cast<std::size_t>(devices),
+                          phi::DeviceCapability{});
     config.hw.slots = slots;
     return Node(sim_, 3, config, Rng(1));
   }
@@ -54,7 +55,6 @@ TEST_F(NodeTest, SlotUnderflowAndOverflowThrow) {
 TEST_F(NodeTest, ExclusiveDeviceTracking) {
   Node node = make_node(2);
   EXPECT_EQ(node.free_exclusive_devices(), 2);
-  EXPECT_EQ(node.pick_exclusive_device(), DeviceId{0});
   bool admitted = false;
   node.middleware().submit_job(1, {DeviceId{0}}, {.mem_per_device = 1000,
                                                   .threads = 60,
@@ -62,7 +62,6 @@ TEST_F(NodeTest, ExclusiveDeviceTracking) {
                                nullptr, [&] { admitted = true; });
   ASSERT_TRUE(admitted);
   EXPECT_EQ(node.free_exclusive_devices(), 1);
-  EXPECT_EQ(node.pick_exclusive_device(), DeviceId{1});
   node.middleware().finish_job(1);
   EXPECT_EQ(node.free_exclusive_devices(), 2);
 }
@@ -113,9 +112,9 @@ TEST_F(NodeTest, MachineRequirementsGateOnSlots) {
 
 TEST_F(NodeTest, InvalidConfigurationThrows) {
   NodeConfig config;
-  config.hw.phi_devices = 0;
+  config.devices.clear();
   EXPECT_THROW(Node(sim_, 0, config, Rng(1)), std::invalid_argument);
-  config.hw.phi_devices = 1;
+  config.devices.assign(1, phi::DeviceCapability{});
   config.hw.slots = 0;
   EXPECT_THROW(Node(sim_, 0, config, Rng(1)), std::invalid_argument);
 }

@@ -152,8 +152,7 @@ TEST(Service, TenantFairnessIsTrackedPerTenant) {
 }
 
 TEST(Service, OccupancyDividesByTheCardsTheHarnessBuilt) {
-  // Two nodes of 2x7120P (244 threads per card) hold 976 threads, while
-  // node_hw still describes one 240-thread card per node.
+  // Two nodes of 2x7120P (244 threads per card) hold 976 threads.
   ServiceConfig config = small_service(4, 1.0);
   config.cluster.devices = phi::parse_device_spec("2x7120P");
   config.admission.max_occupancy = 0.9;

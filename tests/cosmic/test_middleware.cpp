@@ -53,14 +53,6 @@ TEST_F(MiddlewareTest, ReservationLedger) {
   EXPECT_EQ(mw_->jobs_on_device(0), 0u);
 }
 
-TEST_F(MiddlewareTest, LaunchRefusedWhenMemoryDoesNotFit) {
-  build();
-  admit(1, 5000, 60);
-  EXPECT_FALSE(mw_->launch_job(2, 0, {.mem_per_device = 3000, .threads = 60,
-                                      .base_memory = 16}, nullptr));
-  EXPECT_EQ(mw_->jobs_on_device(0), 1u);
-}
-
 TEST_F(MiddlewareTest, SubmitParksJobWhenFull) {
   build();
   admit(1, 5000, 60);
@@ -113,8 +105,8 @@ TEST_F(MiddlewareTest, PinnedSubmitWaitsForThatDevice) {
 TEST_F(MiddlewareTest, PickDevicePrefersMostFreeMemory) {
   build({}, /*devices=*/2);
   admit(1, 3000, 60, /*pin=*/0);
-  EXPECT_EQ(mw_->pick_device(1000), DeviceId{1});
-  EXPECT_EQ(mw_->pick_device(7700), std::nullopt);
+  EXPECT_EQ(mw_->pick_gang(1, 1000), std::vector<DeviceId>{1});
+  EXPECT_TRUE(mw_->pick_gang(1, 7700).empty());
 }
 
 TEST_F(MiddlewareTest, OffloadSerialization) {

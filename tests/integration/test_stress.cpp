@@ -103,7 +103,8 @@ TEST_P(ExperimentStress, RandomConfigurationsDrainCleanly) {
   for (int round = 0; round < 3; ++round) {
     cluster::ExperimentConfig config;
     config.node_count = static_cast<std::size_t>(rng.uniform_int(1, 4));
-    config.node_hw.phi_devices = static_cast<int>(rng.uniform_int(1, 2));
+    config.devices.assign(static_cast<std::size_t>(rng.uniform_int(1, 2)),
+                          phi::DeviceCapability{});
     config.seed = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 20));
     const std::array<cluster::StackConfig, 5> stacks{
         cluster::StackConfig::kMC, cluster::StackConfig::kMCC,

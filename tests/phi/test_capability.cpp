@@ -15,9 +15,7 @@ TEST(Capability, DefaultIsThe5110P) {
   const auto parsed = capability_from_generation("5110P");
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, def);
-  // The spec-table row must also match PhiHardware's defaults exactly —
-  // this identity is what makes `--devices N` and `--devices Nx5110P`
-  // bit-identical.
+  // The spec-table row must also match PhiHardware's defaults exactly.
   EXPECT_EQ(def.hw, PhiHardware{});
 }
 
@@ -33,9 +31,6 @@ TEST(Capability, SpecTableGeometry) {
   EXPECT_EQ(p->hw.cores, 61);
   EXPECT_EQ(p->hw.memory_mib, 16384);
   EXPECT_EQ(p->mem_bandwidth_mib_s, 360448.0);
-
-  // All KNC SKUs sit on the same x16 Gen2 link.
-  EXPECT_EQ(a->link_bandwidth_mib_s, p->link_bandwidth_mib_s);
 }
 
 TEST(Capability, LookupIsCaseInsensitive) {
@@ -59,6 +54,37 @@ TEST(Capability, ParseSpecBareGenerationMeansOne) {
   EXPECT_EQ(fleet[0].generation, "7120P");
 }
 
+TEST(Capability, ParseSpecBareCountMeansDefaultCards) {
+  EXPECT_EQ(parse_device_spec("1"), std::vector<DeviceCapability>(1));
+  EXPECT_EQ(parse_device_spec("3"), parse_device_spec("3x5110P"));
+  EXPECT_EQ(parse_device_spec("2+7120P"), parse_device_spec("2x5110P+7120P"));
+  EXPECT_THROW(parse_device_spec("0"), std::invalid_argument);
+}
+
+TEST(Capability, ParseSpecBoundsCardsPerNode) {
+  const auto bound = static_cast<std::size_t>(kMaxDevicesPerNode);
+  const std::string at = std::to_string(bound);
+  const std::string past = std::to_string(bound + 1);
+  EXPECT_EQ(parse_device_spec(at).size(), bound);
+  EXPECT_EQ(parse_device_spec("7120P+" + std::to_string(bound - 1)).size(),
+            bound);
+  // Past the bound, in every form; the error names the group that
+  // crosses it (the spec's last) and the bound.
+  const std::string huge = "99999999999999999999";
+  for (const std::string& spec :
+       {past, past + "x5110P", "7120P+" + at, huge, huge + "x5110P"}) {
+    try {
+      static_cast<void>(parse_device_spec(spec));
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      const std::string group = spec.substr(spec.find('+') + 1);
+      EXPECT_NE(what.find("'" + group + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find(at), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(Capability, SpecRoundTrips) {
   for (const char* spec :
        {"2x5110P+1x7120P", "5110P", "3x3120A", "7120P+7120P"}) {
@@ -79,7 +105,7 @@ TEST(Capability, ParseSpecRejectsMalformedInput) {
   EXPECT_THROW(parse_device_spec("-1x5110P"), std::invalid_argument);
   EXPECT_THROW(parse_device_spec("2x"), std::invalid_argument);
   EXPECT_THROW(parse_device_spec("2xKNL"), std::invalid_argument);
-  EXPECT_THROW(parse_device_spec("5110"), std::invalid_argument);
+  EXPECT_THROW(parse_device_spec("5110"), std::invalid_argument);  // 5110 cards
 }
 
 TEST(Capability, UnknownGenerationErrorNamesTheOptions) {

@@ -41,10 +41,11 @@ options:
                         (default real)
   --jobs N              job count (default 1000)
   --nodes N             cluster size (default 8)
-  --devices SPEC        Xeon Phi cards per node: a count N (default 1,
-                        homogeneous default card) or a fleet spec like
+  --devices SPEC        Xeon Phi cards per node: a count N of 5110Ps
+                        (default 1; N is Nx5110P) or a fleet spec like
                         2x5110P+1x7120P (generations 3120A | 5110P |
-                        7120P; see docs/heterogeneity.md)
+                        7120P; at most 64 cards; see
+                        docs/heterogeneity.md)
   --mem-bw-contention   enable the per-card memory-bandwidth contention
                         model: resident jobs' declared shares past the
                         saturation budget slow the card, and MCCK
@@ -80,7 +81,8 @@ options:
   --pcie-contention     enable the per-device PCIe link contention model
                         (phi::PcieLink; off by default so calibrated
                         outputs reproduce bit-identically)
-  --pcie-bandwidth R    PCIe link bandwidth in MiB/s (default 6144; only
+  --pcie-bandwidth R    every card's PCIe link bandwidth in MiB/s, on
+                        any --devices fleet (default 6144; only
                         meaningful with --pcie-contention)
   --pcie-switch         route each node's card links through a shared
                         host-side PCIe switch (phi::PcieSwitch,
@@ -196,17 +198,7 @@ cluster::ExperimentConfig cluster_config_from_args(const ArgParser& args,
                                                    std::uint64_t seed) {
   cluster::ExperimentConfig config;
   config.node_count = static_cast<std::size_t>(count_arg(args, "nodes", 8));
-  // --devices: a bare count keeps the homogeneous default card; anything
-  // else is a fleet spec ("2x5110P+2x7120P", phi::parse_device_spec).
-  const std::string devices = args.get_or("devices", "1");
-  if (devices.find_first_not_of("0123456789") == std::string::npos &&
-      !devices.empty()) {
-    config.node_hw.phi_devices =
-        static_cast<int>(count_arg(args, "devices", 1, kIntMax));
-  } else {
-    config.devices = phi::parse_device_spec(devices);
-    config.node_hw.phi_devices = static_cast<int>(config.devices.size());
-  }
+  config.devices = phi::parse_device_spec(args.get_or("devices", "1"));
   config.mem_bw.contention = args.get_bool_or("mem-bw-contention", false);
   config.mem_bw.saturation =
       args.get_real_or("mem-bw-saturation", config.mem_bw.saturation);
