@@ -81,15 +81,11 @@ struct ExperimentConfig {
   cosmic::DrainPolicy drain = cosmic::DrainPolicy::kFifoStrict;
   /// Resume cost paid by offloads that waited in the COSMIC queue.
   SimTime queued_resume_overhead = 0.5;
-  /// Optional PCIe staging bandwidth (MiB/s) per node; 0 disables the
-  /// explicit transfer model (the calibrated default — transfer cost is
-  /// then implicit in offload durations).
-  double pcie_bandwidth_mib_s = 0.0;
   /// Per-device PCIe link contention model (phi::PcieLink): off by
-  /// default so all calibrated outputs reproduce bit-identically; when
-  /// pcie.contention is set, offload input/output transfers share each
-  /// card's link fair-share and concurrent containers contend. Mutually
-  /// exclusive with pcie_bandwidth_mib_s.
+  /// default so all calibrated outputs reproduce bit-identically (transfer
+  /// cost is then implicit in offload durations); when pcie.contention is
+  /// set, offload input/output transfers share each card's link
+  /// fair-share and concurrent containers contend.
   phi::PcieLinkConfig pcie{};
   /// Host-side PCIe switch shared by all of a node's cards
   /// (phi::PcieSwitch, hierarchical contention above the per-card

@@ -69,7 +69,6 @@ void Harness::build_nodes() {
   nc.middleware.serialize_offloads = uses_cosmic(config_.stack);
   nc.middleware.drain = config_.drain;
   nc.middleware.queued_resume_overhead_s = config_.queued_resume_overhead;
-  nc.middleware.pcie_bandwidth_mib_s = config_.pcie_bandwidth_mib_s;
   nc.device.pcie = config_.pcie;
   nc.pcie_switch = config_.pcie_switch;
 

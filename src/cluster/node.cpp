@@ -16,11 +16,10 @@ Node::Node(Simulator& sim, NodeId id, NodeConfig config, Rng rng)
 
   std::vector<phi::Device*> raw;
   for (std::size_t d = 0; d < config_.devices.size(); ++d) {
-    phi::DeviceConfig dc = config_.device;
-    dc.capability = config_.devices[d];
     auto dev = std::make_unique<phi::Device>(
-        sim_, dc, rng.child("device" + std::to_string(d)),
-        "mic" + std::to_string(d) + "@" + condor::machine_name(id_));
+        sim_, config_.device, rng.child("device" + std::to_string(d)),
+        "mic" + std::to_string(d) + "@" + condor::machine_name(id_),
+        config_.devices[d]);
     raw.push_back(dev.get());
     devices_.push_back(std::move(dev));
   }

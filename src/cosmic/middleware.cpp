@@ -18,10 +18,6 @@ NodeMiddleware::NodeMiddleware(Simulator& sim,
   devices_.reserve(devices.size());
   for (phi::Device* d : devices) {
     PHISCHED_REQUIRE(d != nullptr, "NodeMiddleware: null device");
-    PHISCHED_REQUIRE(
-        !(d->pcie_link().enabled() && config_.pcie_bandwidth_mib_s > 0.0),
-        "NodeMiddleware: enable either the serialized PCIe staging model "
-        "or per-device link contention, not both");
     DeviceState ds;
     ds.device = d;
     devices_.push_back(std::move(ds));
@@ -295,9 +291,10 @@ void NodeMiddleware::request_offload(JobId job, ThreadCount threads,
 
   // Per-device link contention: the input working set crosses the target
   // card's fair-share PCIe link before the offload can be considered for
-  // device admission, so concurrent containers slow each other down. The
-  // link drops the transfer (callback never fires) if the job is killed
-  // while its bytes are in flight.
+  // device admission, so concurrent containers slow each other down. With
+  // the link off (the calibrated default) transfer cost is part of the
+  // measured offload durations. The link drops the transfer (callback
+  // never fires) if the job is killed while its bytes are in flight.
   const DeviceId target =
       it->second.devices[static_cast<std::size_t>(device_index)];
   phi::PcieLink& link =
@@ -310,29 +307,6 @@ void NodeMiddleware::request_offload(JobId job, ThreadCount threads,
          on_start = std::move(on_start)]() mutable {
           // Killed jobs' transfers are cancelled at the link, but stay
           // defensive against a kill landing in the same timestep.
-          if (jobs_.find(job) == jobs_.end()) return;
-          admit_offload(job, threads, memory, duration,
-                        std::move(on_complete), std::move(on_start),
-                        device_index);
-        });
-    return;
-  }
-
-  // Optional PCIe staging: the working set crosses the node's shared bus
-  // (strictly serialized) before the offload can be considered for
-  // device admission.
-  if (config_.pcie_bandwidth_mib_s > 0.0 && memory > 0) {
-    const SimTime transfer =
-        static_cast<double>(memory) / config_.pcie_bandwidth_mib_s;
-    const SimTime start = std::max(sim_.now(), pcie_free_at_);
-    pcie_free_at_ = start + transfer;
-    stats_.pcie_transfer_time_s += transfer;
-    sim_.schedule_at(
-        pcie_free_at_,
-        [this, job, threads, memory, duration, device_index,
-         on_complete = std::move(on_complete),
-         on_start = std::move(on_start)]() mutable {
-          // The job may have been killed while its transfer was queued.
           if (jobs_.find(job) == jobs_.end()) return;
           admit_offload(job, threads, memory, duration,
                         std::move(on_complete), std::move(on_start),

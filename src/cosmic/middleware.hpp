@@ -59,19 +59,6 @@ struct MiddlewareConfig {
   /// what the paper's knapsack avoids by keeping concurrent thread
   /// demand within the hardware budget.
   SimTime queued_resume_overhead_s = 0.5;
-  /// Optional PCIe model: when positive, every offload first stages its
-  /// working set over the node's (single, shared, serialized) PCIe bus at
-  /// this bandwidth before it can be admitted to a device. 0 disables the
-  /// model — transfer costs are then considered part of the measured
-  /// offload durations, which is how the main experiments are calibrated.
-  ///
-  /// Mutually exclusive with the per-device contention model
-  /// (phi::DeviceConfig::pcie.contention): when THAT is on, every
-  /// offload's input working set crosses the target device's fair-share
-  /// PcieLink before admission and its results cross back before the
-  /// completion callback fires, so concurrent containers on one card
-  /// contend for the bus.
-  double pcie_bandwidth_mib_s = 0.0;
 };
 
 /// Everything a job declares about its per-device footprint when it is
@@ -96,8 +83,6 @@ struct MiddlewareStats {
   std::uint64_t container_kills = 0;
   std::uint64_t jobs_admitted = 0;
   std::uint64_t jobs_parked = 0;  ///< waited in the admission queue
-  /// Total simulated seconds offloads spent staging data over PCIe.
-  SimTime pcie_transfer_time_s = 0.0;
 };
 
 class NodeMiddleware {
@@ -280,7 +265,6 @@ class NodeMiddleware {
   std::deque<WaitingJob> job_queue_;
   bool admitting_ = false;   ///< re-entrancy guard for admit_waiting
   bool admit_again_ = false; ///< a deferred pass was requested
-  SimTime pcie_free_at_ = 0.0;  ///< when the shared PCIe bus frees up
   MiddlewareStats stats_;
   Telemetry obs_;
 };

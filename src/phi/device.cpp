@@ -18,12 +18,14 @@ const char* kill_reason_name(KillReason reason) {
   return "?";
 }
 
-Device::Device(Simulator& sim, DeviceConfig config, Rng rng, std::string name)
+Device::Device(Simulator& sim, DeviceConfig config, Rng rng, std::string name,
+               DeviceCapability capability)
     : sim_(sim),
       config_(config),
+      capability_(capability),
       name_(std::move(name)),
       rng_(rng),
-      cores_(config.capability.hw.cores, config.capability.hw.threads_per_core,
+      cores_(capability.hw.cores, capability.hw.threads_per_core,
              rng.child("coremap")),
       pcie_link_(sim, config.pcie, name_ + ".pcie") {
   PHISCHED_REQUIRE(config_.oversub_exponent >= 1.0,

@@ -78,11 +78,6 @@ struct DeviceConfig {
   /// transfer through the link and concurrent containers contend.
   PcieLinkConfig pcie{};
 
-  /// This card's generation, thread/memory geometry (capability.hw) and
-  /// bandwidth envelope (phi/capability.hpp): the only description of
-  /// the card. Defaults to the 5110P the paper's testbed used.
-  DeviceCapability capability{};
-
   /// Memory-bandwidth contention model (phi/capability.hpp). Off by
   /// default: enabling it adds a third interference dimension where the
   /// summed declared bandwidth of resident containers slows offloads
@@ -110,8 +105,11 @@ class Device {
   /// Invoked when an offload region finishes executing.
   using OffloadCallback = std::function<void()>;
 
+  /// `capability` is the card's generation, thread/memory geometry and
+  /// bandwidth envelope (phi/capability.hpp): the only description of the
+  /// card. It defaults to the 5110P the paper's testbed used.
   Device(Simulator& sim, DeviceConfig config, Rng rng,
-         std::string name = "mic0");
+         std::string name = "mic0", DeviceCapability capability = {});
 
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
@@ -152,7 +150,7 @@ class Device {
   /// Actual resident memory (bases + active working sets).
   [[nodiscard]] MiB memory_used() const { return memory_used_; }
   [[nodiscard]] MiB usable_memory() const {
-    return config_.capability.hw.usable_memory_mib();
+    return capability_.hw.usable_memory_mib();
   }
   [[nodiscard]] MiB memory_free() const { return usable_memory() - memory_used_; }
   [[nodiscard]] CoreCount busy_cores() const { return cores_.busy_cores(); }
@@ -186,11 +184,11 @@ class Device {
   /// Sustainable bandwidth budget (saturation × aggregate), or < 0 when
   /// the contention model is off.
   [[nodiscard]] double mem_bw_budget() const {
-    return config_.mem_bw.budget_mib_s(config_.capability);
+    return config_.mem_bw.budget_mib_s(capability_);
   }
 
   [[nodiscard]] const DeviceCapability& capability() const {
-    return config_.capability;
+    return capability_;
   }
 
   /// The card's shared PCIe link; disabled unless DeviceConfig::pcie
@@ -277,6 +275,7 @@ class Device {
 
   Simulator& sim_;
   DeviceConfig config_;
+  DeviceCapability capability_;
   std::string name_;
   Rng rng_;
   CoreMap cores_;

@@ -1,5 +1,8 @@
-// Optional PCIe staging model: offload working sets cross a shared,
-// strictly serialized per-node bus before device admission.
+// Explicit PCIe model (phi::PcieLink): with a card's link on, an
+// offload's input crosses it before device admission and its results
+// cross back before completion, fair-sharing the link with concurrent
+// containers. Off (the calibrated default), transfers cost nothing
+// explicit.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,116 +16,15 @@ namespace {
 
 class PcieTest : public ::testing::Test {
  protected:
-  void build(double bandwidth_mib_s) {
+  /// One managed card; a positive bandwidth turns its link on.
+  void build(double bandwidth_mib_s, double output_fraction = 0.0) {
     phi::DeviceConfig dc;
     dc.affinity = phi::AffinityPolicy::kManagedCompact;
-    device_ = std::make_unique<phi::Device>(sim_, dc, Rng(1));
-    MiddlewareConfig config;
-    config.pcie_bandwidth_mib_s = bandwidth_mib_s;
-    config.queued_resume_overhead_s = 0.0;
-    mw_ = std::make_unique<NodeMiddleware>(
-        sim_, std::vector<phi::Device*>{device_.get()}, config);
-  }
-
-  void admit(JobId job, MiB declared, phi::Device::KillCallback on_kill = nullptr) {
-    bool ok = false;
-    mw_->submit_job(job, {}, {.mem_per_device = declared, .threads = 120,
-                              .base_memory = 16},
-                    std::move(on_kill), [&] { ok = true; });
-    ASSERT_TRUE(ok);
-  }
-
-  Simulator sim_;
-  std::unique_ptr<phi::Device> device_;
-  std::unique_ptr<NodeMiddleware> mw_;
-};
-
-TEST_F(PcieTest, DisabledByDefaultHasNoDelay) {
-  build(0.0);
-  admit(1, 2000);
-  SimTime done = -1.0;
-  mw_->request_offload(1, 60, 1000, 5.0, [&] { done = sim_.now(); });
-  sim_.run();
-  EXPECT_DOUBLE_EQ(done, 5.0);
-  EXPECT_DOUBLE_EQ(mw_->stats().pcie_transfer_time_s, 0.0);
-}
-
-TEST_F(PcieTest, TransferDelaysOffloadStart) {
-  build(1000.0);  // 1000 MiB/s
-  admit(1, 2000);
-  SimTime done = -1.0;
-  // 1000 MiB at 1000 MiB/s = 1 s staging, then 5 s execution.
-  mw_->request_offload(1, 60, 1000, 5.0, [&] { done = sim_.now(); });
-  sim_.run();
-  EXPECT_DOUBLE_EQ(done, 6.0);
-  EXPECT_DOUBLE_EQ(mw_->stats().pcie_transfer_time_s, 1.0);
-}
-
-TEST_F(PcieTest, BusSerializesConcurrentTransfers) {
-  build(1000.0);
-  admit(1, 2100);
-  admit(2, 2100);
-  SimTime done1 = -1.0;
-  SimTime done2 = -1.0;
-  mw_->request_offload(1, 60, 2000, 5.0, [&] { done1 = sim_.now(); });
-  mw_->request_offload(2, 60, 2000, 5.0, [&] { done2 = sim_.now(); });
-  sim_.run();
-  // First transfer [0,2], second [2,4]; executions overlap afterwards.
-  EXPECT_DOUBLE_EQ(done1, 7.0);
-  EXPECT_DOUBLE_EQ(done2, 9.0);
-  EXPECT_DOUBLE_EQ(mw_->stats().pcie_transfer_time_s, 4.0);
-}
-
-TEST_F(PcieTest, ZeroByteOffloadSkipsTheBus) {
-  build(1000.0);
-  admit(1, 2000);
-  SimTime done = -1.0;
-  mw_->request_offload(1, 60, 0, 5.0, [&] { done = sim_.now(); });
-  sim_.run();
-  EXPECT_DOUBLE_EQ(done, 5.0);
-}
-
-TEST_F(PcieTest, KilledJobsTransferIsDropped) {
-  build(100.0);  // slow bus: 10 s per 1000 MiB
-  int kills = 0;
-  admit(1, 500, [&](JobId, phi::KillReason) { ++kills; });
-  admit(2, 3000);
-  bool offload1_ran = false;
-  // Job 1's first offload is safe and starts a long transfer...
-  mw_->request_offload(1, 60, 400, 1.0, [&] { offload1_ran = true; });
-  // ...but job 1 is killed (container) by a lying second request that
-  // beats the transfer: stage it behind job 2's transfer so the kill
-  // lands while job 1's offload is still on the bus.
-  device_->kill_process(1, phi::KillReason::kAdmin);
-  sim_.run();
-  EXPECT_FALSE(offload1_ran);  // transfer completed into a dead job: dropped
-}
-
-TEST_F(PcieTest, ContainerCheckStillFiresAfterTransfer) {
-  build(1000.0);
-  int kills = 0;
-  admit(1, 500, [&](JobId, phi::KillReason reason) {
-    EXPECT_EQ(reason, phi::KillReason::kContainerLimit);
-    ++kills;
-  });
-  bool ran = false;
-  mw_->request_offload(1, 60, 2000, 5.0, [&] { ran = true; });
-  EXPECT_EQ(kills, 0);  // the lie is only visible at admission time
-  sim_.run();
-  EXPECT_EQ(kills, 1);
-  EXPECT_FALSE(ran);
-}
-
-// Fair-share contention model (phi::PcieLink): offload transfers share a
-// per-device link instead of serializing on a per-node bus.
-class PcieContentionTest : public ::testing::Test {
- protected:
-  void build(double bandwidth_mib_s, double output_fraction) {
-    phi::DeviceConfig dc;
-    dc.affinity = phi::AffinityPolicy::kManagedCompact;
-    dc.pcie.contention = true;
-    dc.pcie.bandwidth_mib_s = bandwidth_mib_s;
-    dc.pcie.output_fraction = output_fraction;
+    if (bandwidth_mib_s > 0.0) {
+      dc.pcie.contention = true;
+      dc.pcie.bandwidth_mib_s = bandwidth_mib_s;
+      dc.pcie.output_fraction = output_fraction;
+    }
     device_ = std::make_unique<phi::Device>(sim_, dc, Rng(1));
     MiddlewareConfig config;
     config.queued_resume_overhead_s = 0.0;
@@ -143,6 +45,52 @@ class PcieContentionTest : public ::testing::Test {
   std::unique_ptr<phi::Device> device_;
   std::unique_ptr<NodeMiddleware> mw_;
 };
+
+/// Fair-share contention on the card's link: concurrent containers'
+/// transfers share its bandwidth.
+class PcieContentionTest : public PcieTest {};
+
+TEST_F(PcieTest, DisabledByDefaultHasNoDelay) {
+  build(0.0);
+  admit(1, 2000);
+  SimTime done = -1.0;
+  mw_->request_offload(1, 60, 1000, 5.0, [&] { done = sim_.now(); });
+  sim_.run();
+  EXPECT_DOUBLE_EQ(done, 5.0);
+}
+
+TEST_F(PcieTest, ZeroByteOffloadSkipsTheBus) {
+  build(1000.0, /*output_fraction=*/0.25);
+  admit(1, 2000);
+  SimTime done = -1.0;
+  mw_->request_offload(1, 60, 0, 5.0, [&] { done = sim_.now(); });
+  sim_.run();
+  EXPECT_DOUBLE_EQ(done, 5.0);
+  // No input leg, and a 0 MiB working set returns no results either.
+  EXPECT_EQ(device_->pcie_link().stats().transfers_in, 0u);
+  EXPECT_EQ(device_->pcie_link().stats().transfers_out, 0u);
+  EXPECT_DOUBLE_EQ(device_->pcie_link().busy_fraction(5.0), 0.0);
+}
+
+TEST_F(PcieTest, ContainerCheckStillFiresAfterTransfer) {
+  build(1000.0);
+  int kills = 0;
+  SimTime killed_at = -1.0;
+  admit(1, 500, [&](JobId, phi::KillReason reason) {
+    EXPECT_EQ(reason, phi::KillReason::kContainerLimit);
+    ++kills;
+    killed_at = sim_.now();
+  });
+  bool ran = false;
+  mw_->request_offload(1, 60, 2000, 5.0, [&] { ran = true; });
+  EXPECT_EQ(kills, 0);  // the lie is only visible at admission time
+  sim_.run();
+  EXPECT_EQ(kills, 1);
+  EXPECT_FALSE(ran);
+  // The 2000 MiB input crossed the link (2 s) before admission caught it.
+  EXPECT_EQ(device_->pcie_link().stats().mib_in, 2000);
+  EXPECT_DOUBLE_EQ(killed_at, 2.0);
+}
 
 TEST_F(PcieContentionTest, SoloOffloadPaysFullBandwidthTransfer) {
   build(1000.0, /*output_fraction=*/0.0);
@@ -232,18 +180,6 @@ TEST_F(PcieContentionTest, KilledJobDropsItsLinkTransfer) {
   EXPECT_FALSE(ran);
   EXPECT_EQ(device_->pcie_link().stats().cancelled, 1u);
   EXPECT_EQ(device_->pcie_link().active_transfers(), 0u);
-}
-
-TEST_F(PcieContentionTest, RejectsBothPcieModelsAtOnce) {
-  phi::DeviceConfig dc;
-  dc.affinity = phi::AffinityPolicy::kManagedCompact;
-  dc.pcie.contention = true;
-  phi::Device device(sim_, dc, Rng(1));
-  MiddlewareConfig config;
-  config.pcie_bandwidth_mib_s = 1000.0;  // the serialized staging model
-  EXPECT_THROW(NodeMiddleware(sim_, std::vector<phi::Device*>{&device},
-                              config),
-               std::invalid_argument);
 }
 
 }  // namespace

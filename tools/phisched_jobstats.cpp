@@ -1,16 +1,20 @@
 // phisched_jobstats — inspect a job-set file (docs/jobset-format.md):
 // per-template breakdown, resource histograms, duty cycles, declaration
-// truthfulness, and schedulability against one Xeon Phi.
+// truthfulness, and schedulability on one node of a fleet (--devices, the
+// phisched_cli grammar; default one 5110P).
 //
-//   phisched_jobstats my.jobs
+//   phisched_jobstats my.jobs --devices 2x7120P
 //   phisched_cli --workload normal --jobs 400 --save-jobs - | ...
+#include <algorithm>
 #include <cstdio>
 #include <map>
 
+#include "cluster/harness.hpp"
 #include "common/args.hpp"
 #include "common/histogram.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "phi/capability.hpp"
 #include "workload/io.hpp"
 #include "workload/jobset.hpp"
 
@@ -19,16 +23,32 @@ int main(int argc, char** argv) {
   try {
     const ArgParser args(argc, argv);
     if (args.has("help") || args.positional().size() != 1) {
-      std::printf("usage: %s <jobset-file>\n", args.program().c_str());
+      std::printf("usage: %s <jobset-file> [--devices SPEC]\n",
+                  args.program().c_str());
       return args.has("help") ? 0 : 2;
     }
+    for (const std::string& name : args.unknown({"help", "devices"})) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", name.c_str());
+      return 2;
+    }
+    // A job is unschedulable when the harness's fit check, the
+    // precondition its submit() enforces, refuses it on this fleet.
+    cluster::ExperimentConfig fleet;
+    fleet.node_count = 1;
+    fleet.devices = phi::parse_device_spec(args.get_or("devices", "1"));
+    const cluster::Harness harness(fleet);
     const workload::JobSet jobs = workload::load_jobset(args.positional()[0]);
     if (jobs.empty()) {
       std::printf("empty job set\n");
       return 0;
     }
 
-    const PhiHardware phi;
+    MiB max_memory = 0;
+    ThreadCount max_threads = 0;
+    for (const phi::DeviceCapability& card : fleet.devices) {
+      max_memory = std::max(max_memory, card.hw.usable_memory_mib());
+      max_threads = std::max(max_threads, card.hw.hw_threads());
+    }
     struct TemplateStats {
       std::size_t count = 0;
       Summary memory;
@@ -41,8 +61,8 @@ int main(int argc, char** argv) {
     Summary threads;
     Summary duration;
     Summary duty;
-    Histogram mem_hist(0.0, static_cast<double>(phi.usable_memory_mib()), 10);
-    Histogram thread_hist(0.0, static_cast<double>(phi.hw_threads()) + 1.0, 8);
+    Histogram mem_hist(0.0, static_cast<double>(max_memory), 10);
+    Histogram thread_hist(0.0, static_cast<double>(max_threads) + 1.0, 8);
     std::size_t untruthful = 0;
     std::size_t unschedulable = 0;
     std::size_t dynamic = 0;
@@ -65,10 +85,7 @@ int main(int argc, char** argv) {
       mem_hist.add(mem);
       thread_hist.add(thr);
       if (!job.declaration_truthful()) ++untruthful;
-      if (job.mem_req_mib > phi.usable_memory_mib() ||
-          job.threads_req > phi.hw_threads()) {
-        ++unschedulable;
-      }
+      if (harness.unfit_reason(job) != nullptr) ++unschedulable;
       if (job.submit_time > 0.0) ++dynamic;
     }
 
@@ -102,9 +119,11 @@ int main(int argc, char** argv) {
                 workload::total_serial_duration(jobs));
     std::printf("untruthful declarations (would be container-killed): %zu\n",
                 untruthful);
-    std::printf("unschedulable on one Xeon Phi (%lld MiB / %d threads): %zu\n",
-                static_cast<long long>(phi.usable_memory_mib()),
-                phi.hw_threads(), unschedulable);
+    std::printf(
+        "unschedulable on one node of %s (largest card %lld MiB / %d "
+        "threads): %zu\n",
+        phi::device_spec_to_string(fleet.devices).c_str(),
+        static_cast<long long>(max_memory), max_threads, unschedulable);
     return unschedulable == 0 ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
