@@ -5,23 +5,28 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string_view>
 #include <thread>
 #include <vector>
+
+#include "common/parse.hpp"
 
 namespace phisched::bench {
 
 namespace {
 
-[[nodiscard]] std::uint64_t parse_u64(std::string_view flag, const char* text) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "bench: bad value for %.*s: %s\n",
-                 static_cast<int>(flag.size()), flag.data(), text);
+/// The value of `flag` as an integer in [lo, hi]; anything else exits 2.
+[[nodiscard]] std::int64_t read_flag(std::string_view flag, const char* text,
+                                     std::int64_t lo, std::int64_t hi) {
+  const auto v = read_int(text);
+  if (!v || *v < lo || *v > hi) {
+    std::fprintf(stderr, "bench: %.*s wants a whole number in [%lld, %lld], "
+                 "got '%s'\n", static_cast<int>(flag.size()), flag.data(),
+                 static_cast<long long>(lo), static_cast<long long>(hi), text);
     std::exit(2);
   }
-  return v;
+  return *v;
 }
 
 }  // namespace
@@ -49,11 +54,12 @@ bool run_json_mode(int argc, char** argv, const std::string& name,
       // Optional path operand (not another flag).
       if (i + 1 < argc && argv[i + 1][0] != '-') path = argv[++i];
     } else if (arg == "--seeds") {
-      seeds = static_cast<std::size_t>(parse_u64(arg, value()));
+      seeds = static_cast<std::size_t>(read_flag(arg, value(), 1, 1'000'000));
     } else if (arg == "--seed-base") {
-      seed_base = parse_u64(arg, value());
+      seed_base = static_cast<std::uint64_t>(
+          read_flag(arg, value(), 0, std::numeric_limits<std::int64_t>::max()));
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(parse_u64(arg, value()));
+      threads = static_cast<unsigned>(read_flag(arg, value(), 0, 1024));
     } else if (arg == "--serial") {
       threads = 1;
     } else {

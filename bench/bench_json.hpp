@@ -14,11 +14,13 @@
 //
 // Flags (only read in --json mode):
 //   --json [PATH]     enable; write to PATH (default BENCH_<name>.json)
-//   --seeds N         seeds per sweep (default 5)
-//   --seed-base N     first seed (default 42)
+//   --seeds N         seeds per sweep (default 5; 1 to 1,000,000)
+//   --seed-base N     first seed (default 42; 0 to INT64_MAX)
 //   --threads N       cap the sweep's threads, nested sweeps included
-//                     (0 = hardware); BENCH JSON reports it as threads_used
+//                     (0 = hardware, at most 1024); BENCH JSON reports it
+//                     as threads_used
 //   --serial          shorthand for --threads 1
+// Each number is read by read_int; a value outside its range exits 2.
 #pragma once
 
 #include <string>

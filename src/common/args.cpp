@@ -1,12 +1,10 @@
 #include "common/args.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace phisched {
 
@@ -55,34 +53,21 @@ std::int64_t ArgParser::get_int_or(const std::string& name,
                                    std::int64_t fallback) const {
   const auto v = get(name);
   if (!v.has_value()) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const std::int64_t out = std::strtoll(v->c_str(), &end, 10);
-  PHISCHED_REQUIRE(end != nullptr && *end == '\0' && !v->empty(),
-                   "ArgParser: --" + name + " expects an integer, got '" + *v +
-                       "'");
-  // strtoll clamps an out-of-range value to INT64_MIN/MAX and says so
-  // only through errno.
-  PHISCHED_REQUIRE(errno != ERANGE, "ArgParser: --" + name +
-                                        " is out of the 64-bit range: '" + *v +
-                                        "'");
-  return out;
+  const auto out = read_int(*v);
+  PHISCHED_REQUIRE(out.has_value(), "ArgParser: --" + name +
+                                        " expects an integer in the 64-bit "
+                                        "range, got '" + *v + "'");
+  return *out;
 }
 
 double ArgParser::get_real_or(const std::string& name, double fallback) const {
   const auto v = get(name);
   if (!v.has_value()) return fallback;
-  char* end = nullptr;
-  const double out = std::strtod(v->c_str(), &end);
-  PHISCHED_REQUIRE(end != nullptr && *end == '\0' && !v->empty(),
-                   "ArgParser: --" + name + " expects a number, got '" + *v +
-                       "'");
-  // strtod reads "nan" and "inf", and overflows "1e400" to inf: none is
-  // a usable knob, and a NaN silently fails every comparison against it.
-  PHISCHED_REQUIRE(std::isfinite(out), "ArgParser: --" + name +
-                                           " expects a finite number, got '" +
-                                           *v + "'");
-  return out;
+  const auto out = read_real(*v);
+  PHISCHED_REQUIRE(out.has_value(), "ArgParser: --" + name +
+                                        " expects a finite decimal number, "
+                                        "got '" + *v + "'");
+  return *out;
 }
 
 bool ArgParser::get_bool_or(const std::string& name, bool fallback) const {

@@ -24,11 +24,12 @@ class ArgParser {
   [[nodiscard]] std::optional<std::string> get(const std::string& name) const;
   [[nodiscard]] std::string get_or(const std::string& name,
                                    std::string fallback) const;
-  /// Throws std::invalid_argument unless the value is a whole decimal
-  /// number within the 64-bit range.
+  /// Throws std::invalid_argument unless read_int reads the value: a
+  /// whole decimal number within the 64-bit range.
   [[nodiscard]] std::int64_t get_int_or(const std::string& name,
                                         std::int64_t fallback) const;
-  /// Throws std::invalid_argument unless the value is a finite number.
+  /// Throws std::invalid_argument unless read_real reads the value: a
+  /// finite decimal number.
   [[nodiscard]] double get_real_or(const std::string& name,
                                    double fallback) const;
   [[nodiscard]] bool get_bool_or(const std::string& name, bool fallback) const;

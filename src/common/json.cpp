@@ -1,11 +1,12 @@
 #include "common/json.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace phisched {
 
@@ -58,138 +59,245 @@ std::string json_number(std::int64_t x) {
 }
 
 // ---------------------------------------------------------------------------
-// Validator: a recursive-descent syntax checker (no value construction).
+// Reader: recursive descent over RFC 8259, building values as it goes.
+
+const JsonValue* JsonValue::find(std::string_view key) const {
+  const auto it = object.find(key);
+  return it == object.end() ? nullptr : &it->second;
+}
 
 namespace {
 
-class Checker {
- public:
-  explicit Checker(std::string_view text) : s_(text) {}
+/// RFC 8259 section 6: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+bool rfc_number(std::string_view t) {
+  std::size_t i = 0;
+  const auto accept = [&](std::string_view set) {
+    const bool hit = i < t.size() && set.find(t[i]) != std::string_view::npos;
+    if (hit) ++i;
+    return hit;
+  };
+  const auto digits = [&] {
+    const std::size_t from = i;
+    while (i < t.size() && t[i] >= '0' && t[i] <= '9') ++i;
+    return i > from;
+  };
+  accept("-");
+  if (!accept("0") && !digits()) return false;
+  if (accept(".") && !digits()) return false;
+  if (accept("eE")) {
+    accept("+-");
+    if (!digits()) return false;
+  }
+  return i == t.size();
+}
 
-  [[nodiscard]] bool run() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
+/// Appends code point `cp` (at most 0x10FFFF) as UTF-8.
+void append_utf8(std::string& out, std::uint32_t cp) {
+  static constexpr unsigned kLead[] = {0x00, 0xC0, 0xE0, 0xF0};
+  const int tail = cp < 0x80 ? 0 : cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3;
+  out += static_cast<char>(kLead[tail] | (cp >> (6 * tail)));
+  for (int i = tail - 1; i >= 0; --i) {
+    out += static_cast<char>(0x80 | ((cp >> (6 * i)) & 0x3F));
+  }
+}
+
+class Reader {
+ public:
+  explicit Reader(std::string_view text) : s_(text) {}
+
+  std::optional<JsonValue> run(JsonError* error) {
+    JsonValue out;
+    bool ok = value(out, 0);
+    if (ok) {
+      skip_ws();
+      ok = pos_ == s_.size() || fail("trailing characters after the document");
+    }
+    if (ok) return out;
+    if (error != nullptr) *error = std::move(error_);
+    return std::nullopt;
   }
 
  private:
-  [[nodiscard]] bool eof() const { return pos_ >= s_.size(); }
-  [[nodiscard]] char peek() const { return s_[pos_]; }
-  void skip_ws() {
-    while (!eof() && (peek() == ' ' || peek() == '\t' || peek() == '\n' ||
-                      peek() == '\r')) {
-      ++pos_;
-    }
+  /// Records the error at the current offset. Every caller returns at
+  /// once, so the first error is the one kept.
+  bool fail(std::string message) {
+    error_ = {pos_, std::move(message)};
+    return false;
   }
-  bool consume(char c) {
-    if (eof() || peek() != c) return false;
+  [[nodiscard]] bool at(char c) const {
+    return pos_ < s_.size() && s_[pos_] == c;
+  }
+  bool accept(char c) {
+    if (!at(c)) return false;
     ++pos_;
     return true;
   }
+  void skip_ws() {
+    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t' ||
+                                s_[pos_] == '\n' || s_[pos_] == '\r')) {
+      ++pos_;
+    }
+  }
   bool literal(std::string_view word) {
-    if (s_.substr(pos_, word.size()) != word) return false;
+    if (s_.substr(pos_, word.size()) != word) {
+      return fail("expected \"" + std::string(word) + "\"");
+    }
     pos_ += word.size();
     return true;
   }
 
-  bool string() {
-    if (!consume('"')) return false;
-    while (!eof()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        if (eof()) return false;
-        const char esc = s_[pos_++];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            if (eof() || !std::isxdigit(static_cast<unsigned char>(s_[pos_]))) {
-              return false;
-            }
-            ++pos_;
-          }
-        } else if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-                   esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-          return false;
-        }
+  /// `depth` counts the arrays and objects around this value.
+  bool value(JsonValue& out, int depth) {
+    skip_ws();
+    if (pos_ == s_.size()) return fail("unexpected end of input");
+    if ((at('[') || at('{')) && depth == kMaxJsonDepth) {
+      return fail("nesting deeper than the reader's limit of " +
+                  std::to_string(kMaxJsonDepth) + " levels");
+    }
+    switch (s_[pos_]) {
+      case '{': return object(out, depth + 1);
+      case '[': return array(out, depth + 1);
+      case '"':
+        out.kind = JsonValue::Kind::kString;
+        return string(out.string);
+      case 't':
+        out.kind = JsonValue::Kind::kBool;
+        out.boolean = true;
+        return literal("true");
+      case 'f':
+        out.kind = JsonValue::Kind::kBool;
+        return literal("false");
+      case 'n': return literal("null");
+      default: return number(out);
+    }
+  }
+
+  bool object(JsonValue& out, int depth) {
+    out.kind = JsonValue::Kind::kObject;
+    ++pos_;  // '{'
+    skip_ws();
+    if (accept('}')) return true;
+    for (;;) {
+      skip_ws();
+      if (!at('"')) return fail("expected object key");
+      std::string key;
+      if (!string(key)) return false;
+      skip_ws();
+      if (!accept(':')) return fail("expected ':' after object key");
+      JsonValue member;
+      if (!value(member, depth)) return false;
+      out.object.emplace(std::move(key), std::move(member));
+      skip_ws();
+      if (accept('}')) return true;
+      if (!accept(',')) return fail("expected ',' or '}' in object");
+    }
+  }
+
+  bool array(JsonValue& out, int depth) {
+    out.kind = JsonValue::Kind::kArray;
+    ++pos_;  // '['
+    skip_ws();
+    if (accept(']')) return true;
+    for (;;) {
+      JsonValue element;
+      if (!value(element, depth)) return false;
+      out.array.push_back(std::move(element));
+      skip_ws();
+      if (accept(']')) return true;
+      if (!accept(',')) return fail("expected ',' or ']' in array");
+    }
+  }
+
+  bool string(std::string& out) {
+    ++pos_;  // opening quote
+    while (pos_ < s_.size()) {
+      const char c = s_[pos_];
+      if (c == '"') {
+        ++pos_;
+        return true;
+      }
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return fail("raw control character in string");
+      }
+      ++pos_;
+      if (c != '\\') {
+        out += c;  // UTF-8 passes through untouched
+        continue;
+      }
+      if (pos_ == s_.size()) break;
+      switch (s_[pos_++]) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u':
+          if (!code_point(out)) return false;
+          break;
+        default:
+          --pos_;
+          return fail("unknown escape character");
       }
     }
-    return false;  // unterminated
+    return fail("unterminated string");
   }
 
-  bool digits() {
-    if (eof() || !std::isdigit(static_cast<unsigned char>(peek()))) return false;
-    while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
+  /// The code point of a \u escape (a surrogate pair takes two), as UTF-8.
+  bool code_point(std::string& out) {
+    std::uint32_t cp = 0;
+    if (!hex4(cp)) return false;
+    if (cp >= 0xDC00 && cp <= 0xDFFF) return fail("unpaired surrogate");
+    if (cp >= 0xD800 && cp <= 0xDBFF) {
+      std::uint32_t low = 0;
+      if (s_.substr(pos_, 2) != "\\u") return fail("unpaired surrogate");
+      pos_ += 2;
+      if (!hex4(low)) return false;
+      if (low < 0xDC00 || low > 0xDFFF) return fail("unpaired surrogate");
+      cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+    }
+    append_utf8(out, cp);
     return true;
   }
 
-  bool number() {
-    consume('-');
-    if (consume('0')) {
-      // leading zero: no further integer digits allowed
-    } else if (!digits()) {
-      return false;
+  bool hex4(std::uint32_t& cp) {
+    const char* const first = s_.data() + pos_;
+    const char* const last = first + std::min<std::size_t>(4, s_.size() - pos_);
+    const auto [ptr, ec] = std::from_chars(first, last, cp, 16);
+    if (last - first < 4 || ec != std::errc{} || ptr != last) {
+      return fail("bad hex digit in \\u escape");
     }
-    if (consume('.') && !digits()) return false;
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos_;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (!digits()) return false;
-    }
+    pos_ += 4;
     return true;
   }
 
-  bool object() {
-    if (!consume('{')) return false;
-    skip_ws();
-    if (consume('}')) return true;
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (!consume(':')) return false;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (consume('}')) return true;
-      if (!consume(',')) return false;
+  bool number(JsonValue& out) {
+    const std::string_view token = s_.substr(
+        pos_, s_.find_first_not_of("0123456789+-.eE", pos_) - pos_);
+    if (token.empty()) return fail("unexpected character");
+    const auto parsed = rfc_number(token) ? read_real(token) : std::nullopt;
+    if (!parsed) {
+      return fail("malformed number \"" + std::string(token.substr(0, 16)) +
+                  "\"");
     }
-  }
-
-  bool array() {
-    if (!consume('[')) return false;
-    skip_ws();
-    if (consume(']')) return true;
-    for (;;) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (consume(']')) return true;
-      if (!consume(',')) return false;
-    }
-  }
-
-  bool value() {
-    if (eof()) return false;
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
+    pos_ += token.size();
+    out.kind = JsonValue::Kind::kNumber;
+    out.number = *parsed;
+    return true;
   }
 
   std::string_view s_;
   std::size_t pos_ = 0;
+  JsonError error_;
 };
 
 }  // namespace
 
-bool json_valid(std::string_view text) { return Checker(text).run(); }
+std::optional<JsonValue> json_parse(std::string_view text, JsonError* error) {
+  return Reader(text).run(error);
+}
 
 // ---------------------------------------------------------------------------
 // Writer.

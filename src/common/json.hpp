@@ -1,16 +1,26 @@
-// Minimal JSON writer with deterministic output, used by the telemetry
-// exporters (obs) and the machine-readable bench runner.
+// JSON with deterministic output, and the one JSON reader.
+//
+// The writer serves the telemetry exporters (obs) and the
+// machine-readable bench runner; the reader (json_parse) serves
+// bench_diff and anything else that reads a report back.
 //
 // Design constraints:
 //  * Deterministic formatting — golden-file tests and the "parallel bench
 //    runs are bit-identical to serial runs" guarantee both depend on the
 //    exact bytes. Doubles are printed with std::to_chars (shortest
 //    round-trip form), which is platform-independent for IEEE-754.
-//  * No dependencies; writer-only (plus a small syntax validator used by
-//    tests — this is not a general-purpose parser).
+//  * One grammar: json_parse reads RFC 8259 and nothing else — no
+//    leading '+', leading zeros, bare points, comments or raw control
+//    characters in strings — and bounds nesting, so hostile input is an
+//    error with a byte offset, never a crash.
+//  * No dependencies.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,9 +36,39 @@ namespace phisched {
 [[nodiscard]] std::string json_number(std::uint64_t x);
 [[nodiscard]] std::string json_number(std::int64_t x);
 
-/// True when `text` is one syntactically valid JSON value (objects,
-/// arrays, strings, numbers, true/false/null, arbitrary nesting).
-[[nodiscard]] bool json_valid(std::string_view text);
+/// One value of a parsed document. Numbers are doubles; strings hold
+/// UTF-8 (\u escapes decoded); an object keeps the first of repeated keys.
+struct JsonValue {
+  enum class Kind : std::uint8_t {
+    kNull, kBool, kNumber, kString, kArray, kObject
+  };
+  Kind kind = Kind::kNull;
+  bool boolean = false;
+  double number = 0.0;
+  std::string string;
+  std::vector<JsonValue> array;
+  std::map<std::string, JsonValue, std::less<>> object;
+
+  /// The object member named `key`, or null when there is none.
+  [[nodiscard]] const JsonValue* find(std::string_view key) const;
+};
+
+/// Arrays and objects nest at most this deep in a document json_parse
+/// accepts; deeper input is an error, not a stack overflow (the bound
+/// classad::kMaxParseDepth puts on expressions).
+inline constexpr int kMaxJsonDepth = 256;
+
+/// The first error json_parse met and the byte offset it met it at.
+struct JsonError {
+  std::size_t offset = 0;
+  std::string message;
+};
+
+/// Reads `text` as one JSON document (RFC 8259) with optional
+/// surrounding whitespace. On failure returns std::nullopt and, when
+/// `error` is given, fills it.
+[[nodiscard]] std::optional<JsonValue> json_parse(std::string_view text,
+                                                  JsonError* error = nullptr);
 
 /// Streaming JSON writer: explicit begin/end calls, automatic commas.
 ///

@@ -1,11 +1,11 @@
 #include "condor/strategy.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <set>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 #include "condor/ads.hpp"
 #include "knapsack/batch.hpp"
 #include "knapsack/value.hpp"
@@ -299,38 +299,25 @@ class BatchStrategy final : public MatchStrategy {
   knapsack::BatchPacker packer_;
 };
 
-/// Full-consumption FINITE numeric parses: "0.9x" is an error, not 0.9,
-/// and "nan"/"inf" are errors too — std::stod accepts both, and a NaN
-/// occupancy would slip through the `<= 0.0` range check below only to
-/// hit an out-of-range float→int cast (UB) in the budget math.
 double parse_real(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != value.size() || value.empty() || !std::isfinite(parsed)) {
+  const auto parsed = read_real(value);
+  if (!parsed) {
     throw std::invalid_argument("negotiation: bad number for '" + key +
                                 "': '" + value + "'");
   }
-  return parsed;
+  return *parsed;
 }
 
-/// A whole number in [1, kMaxCount]. Sign, range and integrality are
-/// checked on the double: converting a negative or out-of-range double
-/// to an integer is undefined behaviour.
+/// An integer in [1, kMaxCount].
 std::size_t parse_count(const std::string& key, const std::string& value) {
-  constexpr std::size_t kMaxCount = 1'000'000;
-  const double real = parse_real(key, value);
-  if (real < 1.0 || real > static_cast<double>(kMaxCount) ||
-      std::floor(real) != real) {
+  constexpr std::int64_t kMaxCount = 1'000'000;
+  const auto count = read_int(value);
+  if (!count || *count < 1 || *count > kMaxCount) {
     throw std::invalid_argument(
         "negotiation: '" + key + "' wants a whole number in [1, " +
         std::to_string(kMaxCount) + "], got '" + value + "'");
   }
-  return static_cast<std::size_t>(real);
+  return static_cast<std::size_t>(*count);
 }
 
 }  // namespace

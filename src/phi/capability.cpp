@@ -1,9 +1,12 @@
 #include "phi/capability.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <limits>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace phisched::phi {
 
@@ -65,31 +68,26 @@ std::vector<DeviceCapability> parse_device_spec(const std::string& spec) {
     PHISCHED_REQUIRE(!group.empty(), "devices: empty group in spec '", spec,
                      "'");
     // `COUNT` (default cards), `COUNTxGENERATION` or `GENERATION`:
-    // generation names never start with a digit run followed by 'x'. The
-    // count stops growing past the bound, so no digit run overflows it.
-    std::size_t digits = 0;
-    long count = 0;
-    while (digits < group.size() &&
-           std::isdigit(static_cast<unsigned char>(group[digits]))) {
-      if (count <= kMaxDevicesPerNode) {
-        count = count * 10 + (group[digits] - '0');
-      }
-      ++digits;
-    }
+    // generation names never start with a digit run followed by 'x'. A
+    // digit run past the 64-bit range is past the card bound too.
+    const std::size_t digits =
+        std::min(group.find_first_not_of("0123456789"), group.size());
+    std::int64_t count = 1;
     std::string name = group;
-    if (digits == group.size()) {
-      name = DeviceCapability{}.generation;
-    } else if (digits > 0 && (group[digits] == 'x' || group[digits] == 'X')) {
-      name = group.substr(digits + 1);
-    } else {
-      count = 1;
+    if (digits == group.size() ||
+        (digits > 0 && (group[digits] == 'x' || group[digits] == 'X'))) {
+      count = read_int(group.substr(0, digits))
+                  .value_or(std::numeric_limits<std::int64_t>::max());
+      name = digits == group.size() ? DeviceCapability{}.generation
+                                    : group.substr(digits + 1);
     }
     PHISCHED_REQUIRE(count > 0, "devices: group '", group,
                      "' has a non-positive count");
-    PHISCHED_REQUIRE(
-        count <= kMaxDevicesPerNode - static_cast<long>(devices.size()),
-        "devices: group '", group, "' puts more than ", kMaxDevicesPerNode,
-        " cards on one node");
+    const auto room =
+        kMaxDevicesPerNode - static_cast<std::int64_t>(devices.size());
+    PHISCHED_REQUIRE(count <= room, "devices: group '", group,
+                     "' puts more than ", kMaxDevicesPerNode,
+                     " cards on one node");
     PHISCHED_REQUIRE(!name.empty(), "devices: group '", group,
                      "' names no generation");
     const auto cap = capability_from_generation(name);

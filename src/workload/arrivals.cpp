@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace phisched::workload {
 
@@ -118,21 +119,17 @@ class TraceStream final : public ArrivalStream {
     const std::size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     std::istringstream fields(line);
-    double t = 0.0;
-    if (!(fields >> t)) {
-      // Blank and comment-only lines are fine; anything else is not.
-      std::istringstream recheck(line);
-      std::string junk;
-      PHISCHED_REQUIRE(!(recheck >> junk), "arrivals: trace ", path, ":",
-                       line_no, ": expected a number, got '", line, "'");
-      continue;
-    }
+    std::string token;
+    if (!(fields >> token)) continue;  // blank or comment-only
+    const auto t = read_real(token);
+    PHISCHED_REQUIRE(t.has_value(), "arrivals: trace ", path, ":", line_no,
+                     ": expected a finite number, got '", token, "'");
     std::string trailing;
     PHISCHED_REQUIRE(!(fields >> trailing), "arrivals: trace ", path, ":",
                      line_no, ": trailing token '", trailing, "'");
-    PHISCHED_REQUIRE(std::isfinite(t) && t >= 0.0, "arrivals: trace ", path,
-                     ":", line_no, ": time must be finite and >= 0");
-    const SimTime scaled = t * scale;
+    PHISCHED_REQUIRE(*t >= 0.0, "arrivals: trace ", path, ":", line_no,
+                     ": time must be >= 0");
+    const SimTime scaled = *t * scale;
     PHISCHED_REQUIRE(times.empty() || scaled >= times.back(),
                      "arrivals: trace ", path, ":", line_no,
                      ": times must be non-decreasing");
@@ -143,36 +140,20 @@ class TraceStream final : public ArrivalStream {
 
 [[nodiscard]] double parse_positive(const std::string& key,
                                     const std::string& value) {
-  std::size_t used = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  PHISCHED_REQUIRE(used == value.size() && std::isfinite(parsed) &&
-                       parsed > 0.0,
-                   "arrivals: ", key, " must be a positive number, got '",
-                   value, "'");
-  return parsed;
+  const auto parsed = read_real(value);
+  PHISCHED_REQUIRE(parsed && *parsed > 0.0, "arrivals: ", key,
+                   " must be a positive number, got '", value, "'");
+  return *parsed;
 }
 
+/// Range-checked after reading, so every spelling of zero ("0.00",
+/// "0e0", ".0") is accepted.
 [[nodiscard]] double parse_non_negative(const std::string& key,
                                         const std::string& value) {
-  // Parse first, then range-check: string-matching zero spellings would
-  // reject valid inputs like "0.00", "0e0", and ".0".
-  std::size_t used = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  PHISCHED_REQUIRE(used == value.size() && std::isfinite(parsed) &&
-                       parsed >= 0.0,
-                   "arrivals: ", key, " must be a non-negative number, got '",
-                   value, "'");
-  return parsed;
+  const auto parsed = read_real(value);
+  PHISCHED_REQUIRE(parsed && *parsed >= 0.0, "arrivals: ", key,
+                   " must be a non-negative number, got '", value, "'");
+  return *parsed;
 }
 
 }  // namespace

@@ -1,17 +1,14 @@
 #include "workload/io.hpp"
 
-#include <cctype>
-#include <cerrno>
 #include <climits>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace phisched::workload {
 
@@ -25,7 +22,7 @@ std::string exact(double v) {
   for (int precision = 1; precision <= 16; ++precision) {
     char shorter[64];
     std::snprintf(shorter, sizeof shorter, "%.*g", precision, v);
-    if (std::strtod(shorter, nullptr) == v) return shorter;
+    if (read_real(shorter) == v) return shorter;
   }
   return buf;
 }
@@ -51,15 +48,11 @@ std::map<std::string, std::string> parse_header(std::size_t line_no,
 }
 
 std::int64_t to_int(std::size_t line_no, const std::string& s) {
-  char* end = nullptr;
-  errno = 0;
-  const std::int64_t v = std::strtoll(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || s.empty()) {
-    fail(line_no, "expected integer, got '" + s + "'");
+  const auto v = read_int(s);
+  if (!v) {
+    fail(line_no, "expected an integer in the 64-bit range, got '" + s + "'");
   }
-  // strtoll clamps an out-of-range value and says so only through errno.
-  if (errno == ERANGE) fail(line_no, "integer out of range: '" + s + "'");
-  return v;
+  return *v;
 }
 
 /// An integer that must fit an int (thread counts, device counts and
@@ -72,19 +65,12 @@ int to_int32(std::size_t line_no, const std::string& s) {
   return static_cast<int>(v);
 }
 
-/// A finite decimal number. strtod alone also reads "inf", "nan" and hex
-/// ("0x10" is 16), and overflows "1e400" to inf.
 double to_real(std::size_t line_no, const std::string& s) {
-  if (s.empty() ||
-      s.find_first_not_of("0123456789+-.eE") != std::string::npos) {
-    fail(line_no, "expected a decimal number, got '" + s + "'");
-  }
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0' || !std::isfinite(v)) {
+  const auto v = read_real(s);
+  if (!v) {
     fail(line_no, "expected a finite decimal number, got '" + s + "'");
   }
-  return v;
+  return *v;
 }
 
 }  // namespace

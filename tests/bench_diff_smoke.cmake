@@ -185,6 +185,57 @@ if(NOT err MATCHES "parse error")
   message(FATAL_ERROR "truncated report missing the parse diagnostic:\n${err}")
 endif()
 
+# Reports are read as RFC 8259 JSON and nothing else. A number strtod
+# reads but JSON does not (+1, 01, .5, 1.) and a raw TAB inside a key are
+# parse errors at the offending byte; each used to be read as data.
+set(NONJSON ${WORKDIR}/bench_diff_nonjson.json)
+foreach(bad "+1" "01" ".5" "1." "key")
+  if(bad STREQUAL "key")
+    set(doc "{\"bench\":\"table2\",\"results\":[{\"seed\":42,\"metrics\":{\"m\tx\":1}}]}\n")
+    string(FIND "${doc}" "\t" offset)
+  else()
+    set(doc "{\"bench\":\"table2\",\"results\":[{\"seed\":42,\"metrics\":{\"m\":${bad}}}]}\n")
+    string(FIND "${doc}" ":${bad}}" offset)
+    math(EXPR offset "${offset} + 1")
+  endif()
+  file(WRITE ${NONJSON} "${doc}")
+  execute_process(COMMAND ${BENCH_DIFF} ${NONJSON} ${BASE}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "non-JSON ${bad} exited ${rc}, expected 2:\n${out}${err}")
+  endif()
+  string(FIND "${err}" "parse error in ${NONJSON} at offset ${offset}:" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "non-JSON ${bad}: no parse error at offset ${offset}:\n${err}")
+  endif()
+endforeach()
+
+# A seed must be a whole number a uint64 holds: converting -1, 2.5 or
+# 1e300 to one is undefined, so each is a malformed entry (exit 2).
+foreach(seed "-1" "2.5" "1e300")
+  file(WRITE ${NONJSON} "{\"bench\":\"table2\",\"results\":[{\"seed\":${seed},\"metrics\":{\"m\":1}}]}\n")
+  execute_process(COMMAND ${BENCH_DIFF} ${NONJSON} ${BASE}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "malformed results entry")
+    message(FATAL_ERROR "seed ${seed} exited ${rc}, expected 2 naming the entry:\n${out}${err}")
+  endif()
+endforeach()
+
+# 200,000 nested arrays used to overflow the reader's stack (SIGSEGV);
+# nesting past the reader's bound of 256 levels is a parse error.
+string(REPEAT "[" 200000 open)
+string(REPEAT "]" 200000 close)
+set(DEEP ${WORKDIR}/bench_diff_deep.json)
+file(WRITE ${DEEP} "${open}${close}")
+execute_process(COMMAND ${BENCH_DIFF} ${DEEP} ${BASE}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "200,000 nested arrays exited ${rc}, expected 2:\n${out}${err}")
+endif()
+if(NOT err MATCHES "parse error" OR NOT err MATCHES "256")
+  message(FATAL_ERROR "deep nesting does not name the depth bound:\n${err}")
+endif()
+
 # A bad option value is a usage error (exit 2). --threshold nan used to
 # print "no regressions." for any candidate (every `bad > NaN` is false),
 # and --threshold abc aborted on an uncaught exception.

@@ -4,7 +4,12 @@
 # an undefined float-to-int cast; `--seed 99999999999999999999` was
 # silently clamped to INT64_MAX; `--devices 99999999999999999999x5110P`
 # failed with a bare "stol". A node holds at most 64 cards
-# (phi::kMaxDevicesPerNode), so 65 is refused in both spec forms.
+# (phi::kMaxDevicesPerNode), so 65 is refused in both spec forms. Every
+# number goes through one reader (common/parse.hpp), so a hex float or a
+# padded count is refused in a flag, a `--negotiation` key and an
+# `--arrivals` key alike; each used to run with the value in effect.
+# No message may carry the build's source directory (SOURCE_DIR): a
+# contract failure names its file relative to the tree.
 foreach(case
     "--nodes;-1;nodes"
     "--jobs;-5;jobs"
@@ -15,6 +20,10 @@ foreach(case
     "--devices;99999999999999999999x5110P;devices"
     "--overcommit;nan;overcommit"
     "--overcommit;1e300;overcommit"
+    "--overcommit;0x1.8p0;overcommit"
+    "--nodes; 2;nodes"
+    "--negotiation;batch:occ=0x1p-1;occ"
+    "--serve;--arrivals;poisson:rate=0x1p-1;rate"
     "--seed;99999999999999999999;seed"
     "--serve;--tenants;-2;tenants"
     "--serve;--admit-queue;-1;admit-queue"
@@ -27,6 +36,10 @@ foreach(case
     message(FATAL_ERROR "${case} exited ${rc}, expected 2:\n${out}${err}")
   endif()
   if(NOT err MATCHES "${option}")
-    message(FATAL_ERROR "${case}: the message does not name --${option}:\n${err}")
+    message(FATAL_ERROR "${case}: the message does not name ${option}:\n${err}")
+  endif()
+  string(FIND "${err}" "${SOURCE_DIR}" at)
+  if(NOT at EQUAL -1)
+    message(FATAL_ERROR "${case}: the message names the source directory:\n${err}")
   endif()
 endforeach()

@@ -70,9 +70,17 @@ TEST(Args, DefaultsWhenAbsent) {
 }
 
 TEST(Args, MalformedNumbersThrow) {
-  const auto args = parse({"prog", "--n", "abc", "--x", "1.2.3"});
-  EXPECT_THROW((void)args.get_int_or("n", 0), std::invalid_argument);
-  EXPECT_THROW((void)args.get_real_or("x", 0.0), std::invalid_argument);
+  // Padding, hex and an exponent on an integer used to be read too.
+  for (const char* value : {"abc", " 2", "2 ", "0x10", "1e3"}) {
+    const auto args = parse({"prog", "--n", value});
+    EXPECT_THROW((void)args.get_int_or("n", 0), std::invalid_argument)
+        << value;
+  }
+  for (const char* value : {"1.2.3", " 2", "0x1.8p0", "0x10"}) {
+    const auto args = parse({"prog", "--x", value});
+    EXPECT_THROW((void)args.get_real_or("x", 0.0), std::invalid_argument)
+        << value;
+  }
 }
 
 TEST(Args, MalformedBooleanThrows) {

@@ -77,6 +77,9 @@ TEST(ParseNegotiation, RejectsNonFiniteOccupancy) {
                std::invalid_argument);
   EXPECT_THROW((void)parse_negotiation("batch:occ=-1"),
                std::invalid_argument);
+  // Hex floats used to be read: 0x1p-1 ran as 0.5.
+  EXPECT_THROW((void)parse_negotiation("batch:occ=0x1p-1"),
+               std::invalid_argument);
 }
 
 TEST(ParseNegotiation, RejectsOccupancyAboveSaneBound) {
@@ -90,11 +93,13 @@ TEST(ParseNegotiation, RejectsOccupancyAboveSaneBound) {
 }
 
 TEST(ParseNegotiation, RejectsSizeOutsideItsRangeBeforeTheCast) {
-  // Regression: a size outside [1, 1e6] must be rejected before the
-  // double -> size_t cast (undefined for negative or huge values), with
-  // an error naming the key and its range.
+  // Regression: a size outside [1, 1000000] must be rejected before the
+  // cast to size_t (undefined for negative or huge values), with an error
+  // naming the key and its range. Sizes are integers, so 1e6 is refused
+  // as `--jobs 1e3` is.
   for (const char* spec : {"batch:size=-1", "batch:size=1e20", "batch:size=0",
-                           "batch:size=2.5", "batch:size=1000001"}) {
+                           "batch:size=2.5", "batch:size=1000001",
+                           "batch:size=1e6"}) {
     try {
       (void)parse_negotiation(spec);
       ADD_FAILURE() << "expected std::invalid_argument for " << spec;
@@ -105,7 +110,8 @@ TEST(ParseNegotiation, RejectsSizeOutsideItsRangeBeforeTheCast) {
     }
   }
   EXPECT_EQ(parse_negotiation("batch:size=1").batch.batch_size, 1u);
-  EXPECT_EQ(parse_negotiation("batch:size=1e6").batch.batch_size, 1000000u);
+  EXPECT_EQ(parse_negotiation("batch:size=1000000").batch.batch_size,
+            1000000u);
 }
 
 TEST(ParseNegotiation, RejectsDuplicateKeysNamingTheKey) {

@@ -86,6 +86,9 @@ TEST(ArrivalSpec, AcceptsEverySpellingOfZero) {
 TEST(ArrivalSpec, RejectsNonFiniteValues) {
   EXPECT_THROW(ArrivalSpec::parse("poisson:rate=nan"), std::invalid_argument);
   EXPECT_THROW(ArrivalSpec::parse("poisson:rate=inf"), std::invalid_argument);
+  // Hex floats used to be read: 0x1p-1 ran as 0.5.
+  EXPECT_THROW(ArrivalSpec::parse("poisson:rate=0x1p-1"),
+               std::invalid_argument);
 }
 
 TEST(ArrivalSpec, RejectsDuplicateKeysNamingTheKey) {

@@ -23,14 +23,16 @@
 // Other metrics are informational only. Exit codes: 0 clean,
 // 1 regression (or, with --exact, any difference), 2 usage or parse
 // failure, including a malformed or non-finite option value.
+//
+// Reports are read with the library's one JSON reader (json_parse in
+// common/json.hpp): anything that is not RFC 8259 JSON, or nests deeper
+// than kMaxJsonDepth, is a parse error naming the file and byte offset.
 #include <algorithm>
 #include <bit>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -38,243 +40,13 @@
 #include <vector>
 
 #include "common/args.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 
 namespace {
 
 using phisched::AsciiTable;
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader (objects, arrays, strings, numbers, bools, null).
-// The repo's common/json.hpp is writer-only by design; bench reports are
-// machine-written, so this reader can stay strict and tiny.
-// ---------------------------------------------------------------------
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  [[nodiscard]] const JsonValue* find(const std::string& key) const {
-    const auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string text) : text_(std::move(text)) {}
-
-  std::optional<JsonValue> parse() {
-    JsonValue v;
-    if (!parse_value(v)) return std::nullopt;
-    skip_ws();
-    if (pos_ != text_.size()) return fail("trailing garbage"), std::nullopt;
-    return v;
-  }
-
-  /// First failure, for the caller's diagnostic: what went wrong and the
-  /// byte offset it went wrong at.
-  [[nodiscard]] const std::string& error() const { return error_; }
-  [[nodiscard]] std::size_t error_pos() const { return error_pos_; }
-
- private:
-  /// Records the first (deepest) failure; later callers up the recursion
-  /// keep the original message. Always returns false so failure sites
-  /// read `return fail(...)`.
-  bool fail(const std::string& message) {
-    if (error_.empty()) {
-      error_ = message;
-      error_pos_ = pos_;
-    }
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool literal(const char* word) {
-    const std::size_t n = std::string_view(word).size();
-    if (text_.compare(pos_, n, word) != 0) {
-      return fail(std::string("expected \"") + word + "\"");
-    }
-    pos_ += n;
-    return true;
-  }
-
-  bool parse_value(JsonValue& out) {
-    skip_ws();
-    if (pos_ >= text_.size()) return fail("unexpected end of input");
-    switch (text_[pos_]) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
-      case '"':
-        out.kind = JsonValue::Kind::kString;
-        return parse_string(out.string);
-      case 't':
-        out.kind = JsonValue::Kind::kBool;
-        out.boolean = true;
-        return literal("true");
-      case 'f':
-        out.kind = JsonValue::Kind::kBool;
-        out.boolean = false;
-        return literal("false");
-      case 'n':
-        out.kind = JsonValue::Kind::kNull;
-        return literal("null");
-      default: return parse_number(out);
-    }
-  }
-
-  bool parse_object(JsonValue& out) {
-    out.kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return fail("expected object key");
-      }
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return fail("expected ':' after object key");
-      }
-      ++pos_;
-      JsonValue v;
-      if (!parse_value(v)) return false;
-      out.object.emplace(std::move(key), std::move(v));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or '}' in object");
-    }
-  }
-
-  bool parse_array(JsonValue& out) {
-    out.kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      JsonValue v;
-      if (!parse_value(v)) return false;
-      out.array.push_back(std::move(v));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or ']' in array");
-    }
-  }
-
-  bool parse_string(std::string& out) {
-    ++pos_;  // opening quote
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) return fail("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          // Bench metric names are ASCII; keep the code point literal.
-          // Validated by hand — std::stoul would throw on bad digits and
-          // silently accept garbage like "12x4" (it stops at 'x').
-          if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
-          unsigned cp = 0;
-          for (std::size_t i = 0; i < 4; ++i) {
-            const char h = text_[pos_ + i];
-            const int digit = h >= '0' && h <= '9'   ? h - '0'
-                              : h >= 'a' && h <= 'f' ? h - 'a' + 10
-                              : h >= 'A' && h <= 'F' ? h - 'A' + 10
-                                                     : -1;
-            if (digit < 0) return fail("bad hex digit in \\u escape");
-            cp = cp * 16 + static_cast<unsigned>(digit);
-          }
-          pos_ += 4;
-          if (cp > 0x7F) return fail("non-ASCII \\u escape");
-          out.push_back(static_cast<char>(cp));
-          break;
-        }
-        default: return fail("unknown escape character");
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool parse_number(JsonValue& out) {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return fail("unexpected character");
-    const std::string token = text_.substr(start, pos_ - start);
-    // std::stod both throws on a fully bad token ("--") and silently
-    // accepts a valid prefix ("12..5" → 12); require full consumption.
-    std::size_t used = 0;
-    try {
-      out.number = std::stod(token, &used);
-    } catch (...) {
-      used = 0;
-    }
-    if (used != token.size()) {
-      pos_ = start;
-      return fail("malformed number \"" + token.substr(0, 16) + "\"");
-    }
-    out.kind = JsonValue::Kind::kNumber;
-    return true;
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-  std::size_t error_pos_ = 0;
-};
+using phisched::JsonValue;
 
 // ---------------------------------------------------------------------
 // Report model
@@ -294,11 +66,11 @@ std::optional<BenchReport> load_report(const std::string& path) {
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  JsonParser parser(buffer.str());
-  auto doc = parser.parse();
+  phisched::JsonError error;
+  const auto doc = phisched::json_parse(buffer.str(), &error);
   if (!doc) {
     std::fprintf(stderr, "bench_diff: parse error in %s at offset %zu: %s\n",
-                 path.c_str(), parser.error_pos(), parser.error().c_str());
+                 path.c_str(), error.offset, error.message.c_str());
     return std::nullopt;
   }
   if (doc->kind != JsonValue::Kind::kObject) {
@@ -320,8 +92,14 @@ std::optional<BenchReport> load_report(const std::string& path) {
   for (const JsonValue& run : results->array) {
     const JsonValue* seed = run.find("seed");
     const JsonValue* metrics = run.find("metrics");
-    if (seed == nullptr || seed->kind != JsonValue::Kind::kNumber ||
-        metrics == nullptr || metrics->kind != JsonValue::Kind::kObject) {
+    // A seed is a whole number a uint64 holds: the cast below is
+    // undefined for anything else (-1, 1e300).
+    const bool whole_seed =
+        seed != nullptr && seed->kind == JsonValue::Kind::kNumber &&
+        seed->number >= 0.0 && seed->number < 0x1p64 &&
+        std::trunc(seed->number) == seed->number;
+    if (!whole_seed || metrics == nullptr ||
+        metrics->kind != JsonValue::Kind::kObject) {
       std::fprintf(stderr, "bench_diff: %s has a malformed results entry\n",
                    path.c_str());
       return std::nullopt;

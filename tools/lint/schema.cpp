@@ -44,6 +44,8 @@
 #include <set>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace phisched::lint {
 
 namespace {
@@ -433,21 +435,6 @@ bool read_all(const std::string& path, std::string& out) {
   ss << in.rdbuf();
   out = ss.str();
   return true;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
