@@ -63,7 +63,8 @@ int main() {
               requirements_met(machine, job) ? "true" : "false");
   std::printf("  symmetric match:         %s\n",
               symmetric_match(job, machine) ? "true" : "false");
-  std::printf("  job Rank on this machine: %.0f\n", eval_rank(job, machine));
+  std::printf("  job Rank on this machine: %.0f\n",
+              job.eval_real("Rank", &machine).value_or(0.0));
 
   std::printf("\n5) the sharing-aware add-on's qedit: pin to one node\n");
   job.insert_expr("Requirements",

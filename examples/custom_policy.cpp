@@ -7,12 +7,15 @@
 // on the same workload. Writing a policy takes ~30 lines: implement
 // assign() over (pending jobs, device views) and never exceed a device's
 // free memory.
+//
+//   ./custom_policy [num_jobs]
 #include <algorithm>
 #include <cstdio>
 #include <map>
 
 #include "cluster/harness.hpp"
 #include "cluster/report.hpp"
+#include "example_args.hpp"
 #include "workload/jobset.hpp"
 
 using namespace phisched;
@@ -54,8 +57,9 @@ class BalancedCountPolicy final : public core::AssignmentPolicy {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t num_jobs =
-      argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 400;
+  const examples::PositionalArgs args(argc, argv, "custom_policy [num_jobs]");
+  const auto num_jobs = static_cast<std::size_t>(
+      args.integer(1, "num_jobs", 400, 1, examples::kMaxJobs));
   const auto jobs = workload::make_real_jobset(num_jobs, Rng(42).child("jobs"));
 
   cluster::ExperimentConfig config;

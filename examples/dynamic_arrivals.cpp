@@ -10,20 +10,24 @@
 //
 //   ./dynamic_arrivals [arrival_rate_jobs_per_sec] [num_jobs] [seed]
 #include <cstdio>
-#include <cstdlib>
 
 #include "cluster/harness.hpp"
 #include "common/table.hpp"
+#include "example_args.hpp"
 #include "workload/jobset.hpp"
 
 int main(int argc, char** argv) {
   using namespace phisched;
+  using namespace phisched::examples;
 
-  const double rate = argc > 1 ? std::atof(argv[1]) : 2.0;
-  const std::size_t num_jobs =
-      argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2])) : 400;
-  const std::uint64_t seed =
-      argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 42;
+  const PositionalArgs args(
+      argc, argv,
+      "dynamic_arrivals [arrival_rate_jobs_per_sec] [num_jobs] [seed]");
+  const double rate = args.positive(1, "arrival_rate_jobs_per_sec", 2.0);
+  const auto num_jobs =
+      static_cast<std::size_t>(args.integer(2, "num_jobs", 400, 1, kMaxJobs));
+  const auto seed =
+      static_cast<std::uint64_t>(args.integer(3, "seed", 42, 0, kMaxSeed));
 
   // Build the job set, then spread arrivals as a Poisson process.
   workload::JobSet jobs =

@@ -4,10 +4,10 @@
 //
 //   ./gang_jobs [gang_jobs] [single_jobs]
 #include <cstdio>
-#include <cstdlib>
 
 #include "cluster/harness.hpp"
 #include "cluster/report.hpp"
+#include "example_args.hpp"
 #include "workload/jobset.hpp"
 
 using namespace phisched;
@@ -57,10 +57,12 @@ workload::JobSpec make_single_job(JobId id, Rng& rng) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t gang_count =
-      argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 30;
-  const std::size_t single_count =
-      argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2])) : 90;
+  const examples::PositionalArgs args(argc, argv,
+                                      "gang_jobs [gang_jobs] [single_jobs]");
+  const auto gang_count = static_cast<std::size_t>(
+      args.integer(1, "gang_jobs", 30, 1, examples::kMaxJobs));
+  const auto single_count = static_cast<std::size_t>(
+      args.integer(2, "single_jobs", 90, 1, examples::kMaxJobs));
 
   Rng rng = Rng(42).child("gang-example");
   workload::JobSet jobs;

@@ -4,21 +4,24 @@
 //
 //   ./quickstart [num_jobs] [num_nodes] [seed]
 #include <cstdio>
-#include <cstdlib>
 
 #include "cluster/harness.hpp"
 #include "common/table.hpp"
+#include "example_args.hpp"
 #include "workload/jobset.hpp"
 
 int main(int argc, char** argv) {
   using namespace phisched;
+  using namespace phisched::examples;
 
-  const std::size_t num_jobs =
-      argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 200;
-  const std::size_t num_nodes =
-      argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2])) : 8;
-  const std::uint64_t seed =
-      argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 42;
+  const PositionalArgs args(argc, argv,
+                            "quickstart [num_jobs] [num_nodes] [seed]");
+  const auto num_jobs =
+      static_cast<std::size_t>(args.integer(1, "num_jobs", 200, 1, kMaxJobs));
+  const auto num_nodes =
+      static_cast<std::size_t>(args.integer(2, "num_nodes", 8, 1, kMaxNodes));
+  const auto seed =
+      static_cast<std::uint64_t>(args.integer(3, "seed", 42, 0, kMaxSeed));
 
   // 1. Generate jobs from the paper's Table I workload templates. Each
   //    job declares only its max Phi memory and thread requirements.

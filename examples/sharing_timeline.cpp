@@ -5,10 +5,10 @@
 //
 //   ./sharing_timeline [threads_per_offload]   (default 120; try 240)
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "cosmic/middleware.hpp"
+#include "example_args.hpp"
 #include "phi/device.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
@@ -81,8 +81,10 @@ class TimelineJob {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ThreadCount threads =
-      argc > 1 ? static_cast<ThreadCount>(std::atoi(argv[1])) : 120;
+  const examples::PositionalArgs args(
+      argc, argv, "sharing_timeline [threads_per_offload]");
+  const auto threads = static_cast<ThreadCount>(
+      args.integer(1, "threads_per_offload", 120, 1, 240));
 
   // The two jobs of Figs. 2/3: J1 has two offloads, J2 has three.
   const OffloadProfile p1({Segment::offload(10.0, threads, 1000),

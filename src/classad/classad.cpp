@@ -13,9 +13,7 @@ namespace phisched::classad {
 
 namespace {
 constexpr std::string_view kRequirements = "Requirements";
-constexpr std::string_view kRank = "Rank";
 constexpr std::uint64_t kRequirementsHash = name_hash(kRequirements);
-constexpr std::uint64_t kRankHash = name_hash(kRank);
 constexpr std::string_view kName = "Name";
 constexpr std::uint64_t kNameHash = name_hash(kName);
 
@@ -204,13 +202,6 @@ bool requirements_met(const ClassAd& ad, const ClassAd& target) {
 
 bool symmetric_match(const ClassAd& a, const ClassAd& b) {
   return requirements_met(a, b) && requirements_met(b, a);
-}
-
-double eval_rank(const ClassAd& ad, const ClassAd& target) {
-  const Expr* rank = ad.find(kRankHash, kRank);
-  if (rank == nullptr) return 0.0;
-  const Value v = evaluate(*rank, EvalContext{&ad, &target});
-  return v.is_number() ? v.number() : 0.0;
 }
 
 ClassAd parse_classad(std::string_view text) {

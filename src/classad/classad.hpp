@@ -106,9 +106,6 @@ class ClassAd {
 /// other side. An ad without a Requirements attribute accepts anything.
 [[nodiscard]] bool symmetric_match(const ClassAd& a, const ClassAd& b);
 
-/// Evaluates `ad.Rank` against target; 0.0 when absent or non-numeric.
-[[nodiscard]] double eval_rank(const ClassAd& ad, const ClassAd& target);
-
 /// Parses a whole ClassAd from its textual form: one `Name = <expr>` per
 /// line, `#` comments and blank lines ignored. Inverse of
 /// ClassAd::to_string(). Throws ParseError on malformed input.

@@ -103,7 +103,6 @@ std::uint64_t Harness::machine_ad_builds() const {
 void Harness::build_condor() {
   condor::NegotiatorConfig ncfg;
   ncfg.cycle_interval = config_.negotiation_interval;
-  ncfg.order = condor::MachineOrder::kRandom;
   ncfg.negotiation = config_.negotiation;
   negotiator_ = std::make_unique<condor::Negotiator>(
       sim_, schedd_, collector_,
@@ -272,6 +271,12 @@ std::size_t Harness::run_for(SimTime dt) { return run_until(sim_.now() + dt); }
 
 ExperimentResult Harness::run_to_completion() {
   ensure_started();
+  // With nothing left to finish, no terminal transition will stop the
+  // periodic timers, and the queue would never drain.
+  if (complete()) {
+    negotiator_->stop();
+    if (sampler_ != nullptr) sampler_->stop();
+  }
   sim_.run();
   PHISCHED_CHECK(
       complete(),

@@ -97,7 +97,6 @@ JobRequest job_request(const classad::ClassAd& job) {
 JobView job_view(const classad::ClassAd& job) {
   JobView view;
   view.request = job_request(job);
-  view.prio = job.eval_integer(kAttrJobPrio).value_or(0);
   view.never_met = classad::requirements_never_met(job);
   view.required_name = classad::required_name(job);
   view.pinned_device = job.eval_integer(kAttrPinnedDevice);

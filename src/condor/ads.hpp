@@ -64,9 +64,6 @@ inline constexpr const char* kAttrPinnedDevice = "PinnedDevice";
 /// Set by the add-on on every pin (single-device and gang): the chosen
 /// node's name. Marks the ad as carrying a live scheduling decision.
 inline constexpr const char* kAttrPinnedNode = "PinnedNode";
-/// Optional job priority (higher first; default 0). Jobs of equal
-/// priority keep FIFO order, as in Condor.
-inline constexpr const char* kAttrJobPrio = "JobPrio";
 
 /// Canonical machine name for a node ("node0", "node1", ...).
 [[nodiscard]] std::string machine_name(NodeId node);
@@ -133,7 +130,6 @@ struct JobRequest {
 /// two-way match itself. The schedd caches one per job (Schedd::view).
 struct JobView {
   JobRequest request;  ///< job_request(job)
-  std::int64_t prio = 0;  ///< JobPrio, else 0
   /// classad::requirements_never_met(job): no machine can match.
   bool never_met = false;
   /// classad::required_name(job): the one machine Name it can match.

@@ -53,7 +53,7 @@ void Negotiator::run_cycle() {
   MachineAds machines = collector_.machine_ads();
   if (pre_cycle_) pre_cycle_(machines);
 
-  PendingJobs pending = schedd_.pending();
+  const PendingJobs pending = schedd_.pending();
 
   if (obs_.rec != nullptr) {
     obs_.cycles->inc();
@@ -65,11 +65,8 @@ void Negotiator::run_cycle() {
     }
   }
 
-  pending = by_priority(schedd_, std::move(pending));
-
   MatchCycle cycle{schedd_,
                    rng_,
-                   config_.order,
                    machines,
                    pending,
                    dispatch_,

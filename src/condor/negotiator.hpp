@@ -2,8 +2,8 @@
 // ads (Section II-D).
 //
 // Each negotiation cycle snapshots the machine ads once, runs the
-// pre-cycle hook over that snapshot, orders pending jobs (priority, then
-// FIFO), and hands both to the configured MatchStrategy (see
+// pre-cycle hook over that snapshot, and hands it with the pending jobs,
+// in FIFO order, to the configured MatchStrategy (see
 // condor/strategy.hpp): the default FifoStrategy walks jobs one at a time
 // exactly like stock Condor; BatchStrategy drains a batch and solves its
 // placement jointly under occupancy thresholds. A successful claim takes
@@ -34,7 +34,6 @@ namespace phisched::condor {
 
 struct NegotiatorConfig {
   SimTime cycle_interval = 10.0;
-  MachineOrder order = MachineOrder::kRandom;
   /// Which matchmaking strategy runs the cycle (default: the paper's
   /// per-job FIFO walk).
   NegotiationConfig negotiation;
@@ -79,9 +78,6 @@ class Negotiator {
   void run_cycle();
 
   [[nodiscard]] const NegotiatorStats& stats() const { return stats_; }
-  [[nodiscard]] MatchStrategyKind strategy_kind() const {
-    return strategy_->kind();
-  }
 
   /// Registers matchmaking instruments under `prefix` (e.g.
   /// "condor.negotiator"): cycle/match/rejection counters, the

@@ -114,15 +114,14 @@ AutoclusterId Schedd::autocluster(const JobRecord& rec) {
 }
 
 AutoclusterId Schedd::classify(JobRecord& rec) {
-  // The significant names, each once: Requirements, Rank, the
-  // machine-side names, then every MY. or bare reference of the job's
+  // The significant names, each once: Requirements, the machine-side
+  // names, then every MY. or bare reference of the job's
   // expressions for names already listed. Each name's expression decides
   // which names follow it, so signatures that agree expression by
   // expression also agree name by name, and comparing the expressions
   // in order compares the whole key. The views point into
   // machine_side_names_ and into the job's ad, which outlive this call.
   static constexpr std::string_view kRequirements = "Requirements";
-  static constexpr std::string_view kRank = "Rank";
   auto& names = classify_names_;
   auto& exprs = classify_exprs_;
   names.clear();
@@ -134,7 +133,6 @@ AutoclusterId Schedd::classify(JobRecord& rec) {
     names.emplace_back(hash, name);
   };
   add(classad::name_hash(kRequirements), kRequirements);
-  add(classad::name_hash(kRank), kRank);
   for (const auto& [hash, name] : machine_side_names_) add(hash, name);
 
   std::uint64_t key = 0;

@@ -109,11 +109,11 @@ class Schedd {
   /// The job's autocluster id, assigned the first time it is asked for
   /// after a submit, qedit or requeue. Two jobs share an id only when
   /// their expressions are structurally identical (classad::same_expr)
-  /// for Requirements, Rank, every machine-side name, and every name
-  /// those reach through MY. or bare references, followed transitively.
-  /// Together these are everything a two-way match or a Rank evaluation
-  /// reads from the job, so jobs that share an id match the same
-  /// machines, with the same Ranks, against any snapshot.
+  /// for Requirements, every machine-side name, and every name those
+  /// reach through MY. or bare references, followed transitively.
+  /// Together these are everything a two-way match reads from the job,
+  /// so jobs that share an id match the same machines against any
+  /// snapshot.
   [[nodiscard]] AutoclusterId autocluster(const JobRecord& rec);
 
   /// Distinct autoclusters held, live jobs' and not yet compacted ones.

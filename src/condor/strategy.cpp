@@ -78,7 +78,7 @@ void enact(MatchCycle& cycle, const JobRecord& rec, NodeId node,
 void match_one(MatchCycle& cycle, const JobRecord& rec,
                CycleOutcome& outcome) {
   if (rec.state != JobState::kPending) return;  // hook may have acted
-  const auto chosen = cycle.candidates.choose(rec, cycle.order, cycle.rng);
+  const auto chosen = cycle.candidates.choose(rec, cycle.rng);
   if (!chosen.has_value()) return;
   auto& [node, machine] = cycle.machines[*chosen];
   enact(cycle, rec, node, machine, outcome);
@@ -146,7 +146,7 @@ class BatchStrategy final : public MatchStrategy {
     CycleOutcome outcome;
 
     // Drain up to batch_size live pending jobs, preserving the shared
-    // priority-then-FIFO order; the remainder waits for the next cycle.
+    // FIFO order; the remainder waits for the next cycle.
     // Jobs that currently match no machine are passed over rather than
     // drained: under MCCK the add-on parks jobs at `Requirements = false`
     // until it pins them, and its knapsack pins by value, not queue
@@ -322,14 +322,6 @@ std::size_t parse_count(const std::string& key, const std::string& value) {
 
 }  // namespace
 
-const char* match_strategy_name(MatchStrategyKind kind) {
-  switch (kind) {
-    case MatchStrategyKind::kFifo: return "fifo";
-    case MatchStrategyKind::kBatch: return "batch";
-  }
-  return "?";
-}
-
 NegotiationConfig parse_negotiation(const std::string& spec) {
   NegotiationConfig config;
   const std::size_t colon = spec.find(':');
@@ -407,16 +399,6 @@ std::string negotiation_to_string(const NegotiationConfig& c) {
          ",packer=" + knapsack::solver_kind_name(c.batch.packer);
 }
 
-PendingJobs by_priority(Schedd& schedd, PendingJobs pending) {
-  const auto higher = [&schedd](const JobRecord* a, const JobRecord* b) {
-    return schedd.view(*a).prio > schedd.view(*b).prio;
-  };
-  if (!std::is_sorted(pending.begin(), pending.end(), higher)) {
-    std::stable_sort(pending.begin(), pending.end(), higher);
-  }
-  return pending;
-}
-
 CandidateMemo::CandidateMemo(Schedd& schedd, const MachineAds& machines)
     : schedd_(schedd), machines_(machines) {
   schedd_.set_machine_side_names(machine_side_names(machines_));
@@ -427,16 +409,17 @@ bool CandidateMemo::matches(const classad::ClassAd& job_ad, std::size_t m) {
   return classad::symmetric_match(job_ad, machines_[m].second);
 }
 
-CandidateMemo::Entry* CandidateMemo::entry(const JobRecord& rec) {
+const std::vector<std::size_t>& CandidateMemo::candidates(
+    const JobRecord& rec) {
+  static const std::vector<std::size_t> kNone;
   // A constant Requirements other than true (MCCK's parked jobs) matches
   // nothing; answering before classification keeps parked jobs out of
   // the autocluster table.
   const JobView& view = schedd_.view(rec);
-  if (view.never_met) return nullptr;
+  if (view.never_met) return kNone;
   Entry& entry = entries_[schedd_.autocluster(rec)];
   if (entry.version != version_) {
     entry.version = version_;
-    entry.best_rank.reset();
     entry.machines.clear();
     // Jobs of one autocluster have structurally identical Requirements,
     // so they all require the same Name, if any.
@@ -448,7 +431,7 @@ CandidateMemo::Entry* CandidateMemo::entry(const JobRecord& rec) {
       }
     }
   }
-  return &entry;
+  return entry.machines;
 }
 
 void CandidateMemo::scan_named(const JobRecord& rec, const std::string& name,
@@ -491,43 +474,12 @@ void CandidateMemo::scan_named(const JobRecord& rec, const std::string& name,
   for (; computed != computed_names_.end(); ++computed) scan(*computed);
 }
 
-const std::vector<std::size_t>& CandidateMemo::candidates(
-    const JobRecord& rec) {
-  static const std::vector<std::size_t> kNone;
-  const Entry* found = entry(rec);
-  return found != nullptr ? found->machines : kNone;
-}
-
 std::optional<std::size_t> CandidateMemo::choose(const JobRecord& rec,
-                                                 MachineOrder order,
                                                  Rng& rng) {
-  Entry* found = entry(rec);
+  const std::vector<std::size_t>& list = candidates(rec);
   // An empty candidate set draws no RNG.
-  if (found == nullptr || found->machines.empty()) return std::nullopt;
-  const std::vector<std::size_t>& list = found->machines;
-  switch (order) {
-    case MachineOrder::kFirstFit:
-      return list.front();
-    case MachineOrder::kRandom:
-      return list[rng.index(list.size())];
-    case MachineOrder::kBestRank:
-      if (!found->best_rank.has_value()) {
-        // Strictly-greater updates over candidates in ascending machine
-        // order: equal-Rank ties resolve to the lowest node id.
-        std::size_t best = list.front();
-        double best_rank = classad::eval_rank(rec.ad, machines_[best].second);
-        for (const std::size_t m : list) {
-          const double rank = classad::eval_rank(rec.ad, machines_[m].second);
-          if (rank > best_rank) {
-            best_rank = rank;
-            best = m;
-          }
-        }
-        found->best_rank = best;
-      }
-      return found->best_rank;
-  }
-  return std::nullopt;
+  if (list.empty()) return std::nullopt;
+  return list[rng.index(list.size())];
 }
 
 std::unique_ptr<MatchStrategy> make_match_strategy(

@@ -1,13 +1,13 @@
 // Matchmaking strategies: the pluggable core of the negotiator.
 //
 // Negotiator::run_cycle() owns the cycle mechanics every strategy shares —
-// the machine-ad snapshot, the pre-cycle hook, the priority-then-FIFO job
-// order, queue telemetry, and the cycle event — and delegates the actual
-// matchmaking to a MatchStrategy:
+// the machine-ad snapshot, the pre-cycle hook, the FIFO job order, queue
+// telemetry, and the cycle event — and delegates the actual matchmaking
+// to a MatchStrategy:
 //
 //   FifoStrategy   the paper's Section II-D walk: one job at a time in
 //                  order, candidates via the two-way Requirements check,
-//                  one machine chosen per MachineOrder, one slot claimed
+//                  one matching machine drawn at random, one slot claimed
 //                  from the cycle-local ad copy. Bit-identical to the
 //                  pre-refactor negotiator (pinned by
 //                  tests/cluster/test_fifo_equivalence.cpp).
@@ -45,22 +45,10 @@
 
 namespace phisched::condor {
 
-/// How the negotiator orders candidate machines for each job.
-enum class MachineOrder {
-  kFirstFit,  ///< lowest node id that matches
-  kRandom,    ///< uniformly random matching machine (the paper's MCC:
-              ///< "jobs are selected randomly at the cluster level")
-  kBestRank,  ///< machine maximizing the job ad's Rank expression
-              ///< (Condor's preference mechanism); ties go to the lowest
-              ///< node id, jobs without Rank behave like kFirstFit
-};
-
 enum class MatchStrategyKind {
   kFifo,   ///< per-job FIFO walk (the paper's negotiator; default)
   kBatch,  ///< batched, occupancy-gated admission via the batch packer
 };
-
-[[nodiscard]] const char* match_strategy_name(MatchStrategyKind kind);
 
 /// Knobs for the batched strategy.
 struct BatchNegotiationConfig {
@@ -119,11 +107,12 @@ class CandidateMemo {
   [[nodiscard]] const std::vector<std::size_t>& candidates(
       const JobRecord& rec);
 
-  /// One candidate per `order`: kRandom draws exactly one rng.index when
-  /// there is a candidate and none otherwise; kBestRank keeps the first
-  /// candidate of highest Rank. nullopt when nothing matches.
+  /// A uniformly random candidate (the paper's MCC: "jobs are selected
+  /// randomly at the cluster level"): exactly one rng.index draw over the
+  /// ascending list when there is a candidate, none and nullopt when
+  /// nothing matches.
   [[nodiscard]] std::optional<std::size_t> choose(const JobRecord& rec,
-                                                  MachineOrder order, Rng& rng);
+                                                  Rng& rng);
 
   /// The two-way match of one job against snapshot machine `m`.
   [[nodiscard]] bool matches(const classad::ClassAd& job_ad, std::size_t m);
@@ -138,12 +127,7 @@ class CandidateMemo {
   struct Entry {
     std::uint64_t version = 0;
     std::vector<std::size_t> machines;
-    std::optional<std::size_t> best_rank;  ///< kBestRank's pick, on demand
   };
-
-  /// The job's autocluster entry, rescanned if its version is stale;
-  /// null, without classifying the job, when it can match nothing.
-  Entry* entry(const JobRecord& rec);
 
   /// Appends, in ascending order, the machines a job that requires the
   /// Name `name` matches both ways.
@@ -170,9 +154,8 @@ class CandidateMemo {
 struct MatchCycle {
   Schedd& schedd;
   Rng& rng;
-  MachineOrder order;
   MachineAds& machines;
-  /// Pending records in priority-then-FIFO order (see by_priority).
+  /// Pending records in FIFO order, as Schedd::pending gives them.
   const PendingJobs& pending;
   const std::function<bool(JobId, NodeId)>& dispatch;
   SimTime now = 0.0;
@@ -205,12 +188,6 @@ class MatchStrategy {
 
   [[nodiscard]] virtual MatchStrategyKind kind() const = 0;
 };
-
-/// `pending` (FIFO, as Schedd::pending gives it) reordered higher JobPrio
-/// first, FIFO within equal priorities — the order every strategy
-/// consumes. Reads the cached priorities; a queue already in that order
-/// (no job sets JobPrio) costs one linear pass and no sort.
-[[nodiscard]] PendingJobs by_priority(Schedd& schedd, PendingJobs pending);
 
 [[nodiscard]] std::unique_ptr<MatchStrategy> make_match_strategy(
     const NegotiationConfig& config);

@@ -153,30 +153,6 @@ class BestFitPolicy final : public GreedyPolicy {
   }
 };
 
-class RandomPolicy final : public GreedyPolicy {
- public:
-  explicit RandomPolicy(Rng rng) : rng_(rng) {}
-  std::string name() const override { return "random"; }
-
- protected:
-  std::optional<std::size_t> choose(const PendingJobView& job,
-                                    const std::vector<DeviceView>& devices,
-                                    const std::vector<MiB>& free) override {
-    std::vector<std::size_t> fits;
-    for (std::size_t d = 0; d < devices.size(); ++d) {
-      if (free[d] >= job.mem_req_mib &&
-          job.threads_req <= devices[d].hw_threads) {
-        fits.push_back(d);
-      }
-    }
-    if (fits.empty()) return std::nullopt;
-    return fits[rng_.index(fits.size())];
-  }
-
- private:
-  Rng rng_;
-};
-
 class OracleLptPolicy final : public AssignmentPolicy {
  public:
   std::vector<Assignment> assign(
@@ -230,10 +206,6 @@ std::unique_ptr<AssignmentPolicy> make_first_fit_policy() {
 
 std::unique_ptr<AssignmentPolicy> make_best_fit_policy() {
   return std::make_unique<BestFitPolicy>();
-}
-
-std::unique_ptr<AssignmentPolicy> make_random_policy(Rng rng) {
-  return std::make_unique<RandomPolicy>(rng);
 }
 
 std::unique_ptr<AssignmentPolicy> make_oracle_lpt_policy() {

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "knapsack/solver.hpp"
 #include "knapsack/value.hpp"
@@ -94,10 +93,6 @@ struct KnapsackPolicyConfig {
 
 /// FIFO jobs, device whose free memory is tightest after the fit.
 [[nodiscard]] std::unique_ptr<AssignmentPolicy> make_best_fit_policy();
-
-/// FIFO jobs, uniformly random device with room (an addon-driven analogue
-/// of MCC's random selection; used in tests and ablations).
-[[nodiscard]] std::unique_ptr<AssignmentPolicy> make_random_policy(Rng rng);
 
 /// Longest-processing-time oracle: sorts pending jobs by ground-truth
 /// duration (longest first) and assigns each to the memory-fitting device

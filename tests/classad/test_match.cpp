@@ -137,20 +137,5 @@ TEST(Match, RequiredNameIgnoresEveryOtherShape) {
   }
 }
 
-TEST(Match, RankEvaluation) {
-  ClassAd job;
-  job.insert_expr("Rank", "TARGET.PhiFreeMemory");
-  const ClassAd machine = machine_ad(4096, 4);
-  EXPECT_DOUBLE_EQ(eval_rank(job, machine), 4096.0);
-  ClassAd no_rank;
-  EXPECT_DOUBLE_EQ(eval_rank(no_rank, machine), 0.0);
-}
-
-TEST(Match, RankNonNumericIsZero) {
-  ClassAd job;
-  job.insert_expr("Rank", "\"not a number\"");
-  EXPECT_DOUBLE_EQ(eval_rank(job, machine_ad(1, 1)), 0.0);
-}
-
 }  // namespace
 }  // namespace phisched::classad

@@ -9,10 +9,16 @@
 # padded count is refused in a flag, a `--negotiation` key and an
 # `--arrivals` key alike; each used to run with the value in effect.
 # No message may carry the build's source directory (SOURCE_DIR): a
-# contract failure names its file relative to the tree.
+# contract failure names its file relative to the tree. A batch run
+# with no job (`--jobs 0`, or a job set file holding only its header)
+# used to spin idle negotiation cycles until the simulator's runaway
+# guard threw, minutes later; each case is bounded by a timeout.
+file(WRITE ${WORKDIR}/empty.jobs "# phisched jobset v1\n")
 foreach(case
     "--nodes;-1;nodes"
     "--jobs;-5;jobs"
+    "--jobs;0;jobs"
+    "--load-jobs;empty.jobs;holds no jobs"
     "--devices;99999999999;devices"
     "--devices;65;devices"
     "--devices;65x5110P;devices"
@@ -31,6 +37,7 @@ foreach(case
   list(POP_BACK case option)
   # --jobs 1 comes first so a case that sets --jobs overrides it.
   execute_process(COMMAND ${CLI} --jobs 1 ${case}
+                  WORKING_DIRECTORY ${WORKDIR} TIMEOUT 60
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 2)
     message(FATAL_ERROR "${case} exited ${rc}, expected 2:\n${out}${err}")

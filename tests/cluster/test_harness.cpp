@@ -285,6 +285,24 @@ TEST(Harness, ResultBeforeCompletionThrows) {
   EXPECT_THROW((void)harness.result(), std::exception);
 }
 
+// With nothing submitted, no terminal transition stops the periodic
+// negotiator and sampler; run_to_completion() used to step idle cycles
+// until the simulator's runaway guard threw, minutes later.
+TEST(Harness, RunToCompletionWithNothingSubmittedReturns) {
+  for (const StackConfig stack :
+       {StackConfig::kMC, StackConfig::kMCC, StackConfig::kMCCK}) {
+    SCOPED_TRACE(stack_config_name(stack));
+    Harness harness(small_cluster(stack, 1));
+    const ExperimentResult r = harness.run_to_completion();
+    EXPECT_EQ(r.jobs_completed, 0u);
+    EXPECT_EQ(r.jobs_failed, 0u);
+    EXPECT_EQ(r.makespan, 0.0);
+    EXPECT_LE(r.events_processed, 1u);  // the first negotiation cycle
+    EXPECT_EQ(run_experiment(small_cluster(stack, 1), {}).jobs_completed,
+              0u);
+  }
+}
+
 TEST(Harness, DuplicateJobIdIsRejected) {
   Harness harness(small_cluster(StackConfig::kMCC, 1));
   const auto jobs = workload::make_real_jobset(3, Rng(1).child("jobs"));

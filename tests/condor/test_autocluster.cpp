@@ -5,13 +5,13 @@
 // CandidateMemo, and once through a copy of the per-job scan the memo
 // replaced (reference_choose below, kept verbatim). Both must make the
 // same dispatch decisions in the same order and leave the RNG in the
-// same state, for every machine order. The ads exercise everything the
-// autocluster key must cover: MY., TARGET. and bare references, names
-// missing on one side, machine attributes that read TARGET.x, Rank,
-// literal and non-literal Requirements, qedits and requeues between
-// cycles, and slot claims within a cycle. A second property test replays
-// jobs that name a machine against machines whose Name takes every form
-// the memo's name index must tell apart.
+// same state. The ads exercise everything the autocluster key must
+// cover: MY., TARGET. and bare references, names missing on one side,
+// machine attributes that read TARGET.x, a Rank that only Requirements
+// reads, literal and non-literal Requirements, qedits and requeues
+// between cycles, and slot claims within a cycle. A second property
+// test replays jobs that name a machine against machines whose Name
+// takes every form the memo's name index must tell apart.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -34,7 +34,7 @@ std::uint64_t reference_evaluations = 0;
 
 std::optional<std::size_t> reference_choose(const classad::ClassAd& job_ad,
                                             const MachineAds& machines,
-                                            MachineOrder order, Rng& rng) {
+                                            Rng& rng) {
   if (classad::requirements_never_met(job_ad)) return std::nullopt;
   std::vector<std::size_t> candidates;
   for (std::size_t m = 0; m < machines.size(); ++m) {
@@ -44,26 +44,7 @@ std::optional<std::size_t> reference_choose(const classad::ClassAd& job_ad,
     }
   }
   if (candidates.empty()) return std::nullopt;
-  std::size_t chosen = candidates.front();
-  switch (order) {
-    case MachineOrder::kFirstFit:
-      break;
-    case MachineOrder::kRandom:
-      chosen = candidates[rng.index(candidates.size())];
-      break;
-    case MachineOrder::kBestRank: {
-      double best_rank = classad::eval_rank(job_ad, machines[chosen].second);
-      for (const std::size_t m : candidates) {
-        const double rank = classad::eval_rank(job_ad, machines[m].second);
-        if (rank > best_rank) {
-          best_rank = rank;
-          chosen = m;
-        }
-      }
-      break;
-    }
-  }
-  return chosen;
+  return candidates[rng.index(candidates.size())];
 }
 
 struct Decision {
@@ -77,13 +58,13 @@ using DispatchFn = std::function<bool(JobId, NodeId)>;
 
 /// The FIFO walk with one scan per job, claiming a slot per accepted
 /// dispatch exactly as the strategy does.
-void reference_cycle(Schedd& schedd, MachineAds machines, MachineOrder order,
-                     Rng& rng, const DispatchFn& dispatch) {
-  for (const JobRecord* job : by_priority(schedd, schedd.pending())) {
+void reference_cycle(Schedd& schedd, MachineAds machines, Rng& rng,
+                     const DispatchFn& dispatch) {
+  for (const JobRecord* job : schedd.pending()) {
     const JobId id = job->id;
     const JobRecord& rec = schedd.record(id);
     if (rec.state != JobState::kPending) continue;
-    const auto chosen = reference_choose(rec.ad, machines, order, rng);
+    const auto chosen = reference_choose(rec.ad, machines, rng);
     if (!chosen.has_value()) continue;
     auto& [node, machine] = machines[*chosen];
     schedd.mark_matched(id, node);
@@ -100,12 +81,11 @@ void reference_cycle(Schedd& schedd, MachineAds machines, MachineOrder order,
 }
 
 /// One FifoStrategy cycle; returns the two-way matches it evaluated.
-std::uint64_t memo_cycle(Schedd& schedd, MachineAds machines,
-                         MachineOrder order, Rng& rng,
+std::uint64_t memo_cycle(Schedd& schedd, MachineAds machines, Rng& rng,
                          const DispatchFn& dispatch) {
   const auto strategy = make_match_strategy(NegotiationConfig{});
-  const PendingJobs pending = by_priority(schedd, schedd.pending());
-  MatchCycle cycle{schedd, rng, order, machines, pending, dispatch, 0.0, false};
+  const PendingJobs pending = schedd.pending();
+  MatchCycle cycle{schedd, rng, machines, pending, dispatch, 0.0, false};
   (void)strategy->run(cycle);
   return cycle.candidates.evaluations();
 }
@@ -160,9 +140,6 @@ classad::ClassAd random_job(Rng& rng, JobId id) {
   if (rng.bernoulli(0.5)) ad.insert_integer("Limit", rng.uniform_int(1, 2));
   if (rng.bernoulli(0.6)) ad.insert_expr("Want", "TARGET.Load < Limit");
   if (rng.bernoulli(0.3)) ad.insert_integer("Weight", rng.uniform_int(1, 2));
-  if (rng.bernoulli(0.2)) {
-    ad.insert_integer(kAttrJobPrio, rng.uniform_int(0, 1));
-  }
   if (rng.bernoulli(0.7)) {
     ad.insert_expr("Rank",
                    pick<std::string>(
@@ -214,71 +191,66 @@ TEST(AutoclusterProperty, MemoChoosesExactlyWhatThePerJobScanChose) {
   constexpr int kCycles = 6;
   std::uint64_t memo_evaluations = 0;
   reference_evaluations = 0;
-  for (const MachineOrder order :
-       {MachineOrder::kFirstFit, MachineOrder::kRandom,
-        MachineOrder::kBestRank}) {
-    for (int scenario = 0; scenario < kScenarios; ++scenario) {
-      SCOPED_TRACE("order " + std::to_string(static_cast<int>(order)) +
-                   " scenario " + std::to_string(scenario));
-      Rng gen = Rng(2024).child("scenario" + std::to_string(scenario));
-      Replay memo;
-      Replay reference;
-      Rng memo_rng(static_cast<std::uint64_t>(scenario));
-      Rng reference_rng(static_cast<std::uint64_t>(scenario));
-      JobId next = 0;
-      const auto submit = [&](int count) {
-        for (int i = 0; i < count; ++i) {
-          const classad::ClassAd ad = random_job(gen, next);
-          memo.schedd().submit(next, ad);
-          reference.schedd().submit(next, ad);
-          ++next;
-        }
-      };
-      submit(static_cast<int>(gen.uniform_int(15, 40)));
-      const auto machine_count = static_cast<NodeId>(gen.uniform_int(2, 6));
-
-      for (int cycle = 0; cycle < kCycles; ++cycle) {
-        MachineAds machines;
-        for (NodeId n = 0; n < machine_count; ++n) {
-          machines.emplace_back(n, random_machine(gen, n));
-        }
-        const auto salt =
-            static_cast<std::uint64_t>(gen.uniform_int(0, 1 << 30));
-        memo_evaluations += memo_cycle(memo.schedd(), machines, order,
-                                       memo_rng, memo.dispatcher(salt));
-        reference_cycle(reference.schedd(), machines, order, reference_rng,
-                        reference.dispatcher(salt));
-        ASSERT_EQ(memo.log(), reference.log()) << "cycle " << cycle;
-        ASSERT_TRUE(memo_rng.engine() == reference_rng.engine())
-            << "cycle " << cycle;
-
-        // Between cycles: matched jobs run, then finish or are requeued
-        // with a fresh ad; some pending jobs are qedited; more arrive.
-        for (JobId id = 0; id < next; ++id) {
-          const JobRecord& rec = memo.schedd().record(id);
-          if (rec.state == JobState::kMatched) {
-            memo.schedd().mark_running(id);
-            reference.schedd().mark_running(id);
-            if (gen.bernoulli(0.4)) {
-              const classad::ClassAd ad = random_job(gen, id);
-              memo.schedd().requeue(id, ad);
-              reference.schedd().requeue(id, ad);
-            } else {
-              memo.schedd().mark_completed(id);
-              reference.schedd().mark_completed(id);
-            }
-          } else if (rec.state == JobState::kPending && gen.bernoulli(0.3)) {
-            const classad::ClassAd donor = random_job(gen, id);
-            const char* attr = pick<const char*>(
-                gen, {"Requirements", "NeedMem", "Owner", "Tier", "Rank"});
-            classad::ExprPtr expr = donor.lookup(attr);
-            if (expr == nullptr) expr = classad::parse("undefined");
-            memo.schedd().qedit(id, attr, expr);
-            reference.schedd().qedit(id, attr, expr);
-          }
-        }
-        submit(static_cast<int>(gen.uniform_int(0, 8)));
+  for (int scenario = 0; scenario < kScenarios; ++scenario) {
+    SCOPED_TRACE("scenario " + std::to_string(scenario));
+    Rng gen = Rng(2024).child("scenario" + std::to_string(scenario));
+    Replay memo;
+    Replay reference;
+    Rng memo_rng(static_cast<std::uint64_t>(scenario));
+    Rng reference_rng(static_cast<std::uint64_t>(scenario));
+    JobId next = 0;
+    const auto submit = [&](int count) {
+      for (int i = 0; i < count; ++i) {
+        const classad::ClassAd ad = random_job(gen, next);
+        memo.schedd().submit(next, ad);
+        reference.schedd().submit(next, ad);
+        ++next;
       }
+    };
+    submit(static_cast<int>(gen.uniform_int(15, 40)));
+    const auto machine_count = static_cast<NodeId>(gen.uniform_int(2, 6));
+
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+      MachineAds machines;
+      for (NodeId n = 0; n < machine_count; ++n) {
+        machines.emplace_back(n, random_machine(gen, n));
+      }
+      const auto salt =
+          static_cast<std::uint64_t>(gen.uniform_int(0, 1 << 30));
+      memo_evaluations += memo_cycle(memo.schedd(), machines, memo_rng,
+                                     memo.dispatcher(salt));
+      reference_cycle(reference.schedd(), machines, reference_rng,
+                      reference.dispatcher(salt));
+      ASSERT_EQ(memo.log(), reference.log()) << "cycle " << cycle;
+      ASSERT_TRUE(memo_rng.engine() == reference_rng.engine())
+          << "cycle " << cycle;
+
+      // Between cycles: matched jobs run, then finish or are requeued
+      // with a fresh ad; some pending jobs are qedited; more arrive.
+      for (JobId id = 0; id < next; ++id) {
+        const JobRecord& rec = memo.schedd().record(id);
+        if (rec.state == JobState::kMatched) {
+          memo.schedd().mark_running(id);
+          reference.schedd().mark_running(id);
+          if (gen.bernoulli(0.4)) {
+            const classad::ClassAd ad = random_job(gen, id);
+            memo.schedd().requeue(id, ad);
+            reference.schedd().requeue(id, ad);
+          } else {
+            memo.schedd().mark_completed(id);
+            reference.schedd().mark_completed(id);
+          }
+        } else if (rec.state == JobState::kPending && gen.bernoulli(0.3)) {
+          const classad::ClassAd donor = random_job(gen, id);
+          const char* attr = pick<const char*>(
+              gen, {"Requirements", "NeedMem", "Owner", "Tier", "Rank"});
+          classad::ExprPtr expr = donor.lookup(attr);
+          if (expr == nullptr) expr = classad::parse("undefined");
+          memo.schedd().qedit(id, attr, expr);
+          reference.schedd().qedit(id, attr, expr);
+        }
+      }
+      submit(static_cast<int>(gen.uniform_int(0, 8)));
     }
   }
   // The scenarios do share lists, so the memo is really exercised.
@@ -359,68 +331,63 @@ TEST(AutoclusterProperty, NameIndexChoosesExactlyWhatThePerJobScanChose) {
   constexpr int kCycles = 6;
   std::uint64_t memo_evaluations = 0;
   reference_evaluations = 0;
-  for (const MachineOrder order :
-       {MachineOrder::kFirstFit, MachineOrder::kRandom,
-        MachineOrder::kBestRank}) {
-    for (int scenario = 0; scenario < kScenarios; ++scenario) {
-      SCOPED_TRACE("order " + std::to_string(static_cast<int>(order)) +
-                   " scenario " + std::to_string(scenario));
-      Rng gen = Rng(2718).child("named" + std::to_string(scenario));
-      Replay memo;
-      Replay reference;
-      Rng memo_rng(static_cast<std::uint64_t>(scenario));
-      Rng reference_rng(static_cast<std::uint64_t>(scenario));
-      JobId next = 0;
-      const auto submit = [&](int count) {
-        for (int i = 0; i < count; ++i) {
-          const classad::ClassAd ad = random_named_job(gen, next);
-          memo.schedd().submit(next, ad);
-          reference.schedd().submit(next, ad);
-          ++next;
-        }
-      };
-      submit(static_cast<int>(gen.uniform_int(15, 40)));
-      const auto machine_count = static_cast<NodeId>(gen.uniform_int(3, 8));
-
-      for (int cycle = 0; cycle < kCycles; ++cycle) {
-        MachineAds machines;
-        for (NodeId n = 0; n < machine_count; ++n) {
-          machines.emplace_back(n, random_named_machine(gen, n));
-        }
-        const auto salt =
-            static_cast<std::uint64_t>(gen.uniform_int(0, 1 << 30));
-        memo_evaluations += memo_cycle(memo.schedd(), machines, order,
-                                       memo_rng, memo.dispatcher(salt));
-        reference_cycle(reference.schedd(), machines, order, reference_rng,
-                        reference.dispatcher(salt));
-        ASSERT_EQ(memo.log(), reference.log()) << "cycle " << cycle;
-        ASSERT_TRUE(memo_rng.engine() == reference_rng.engine())
-            << "cycle " << cycle;
-
-        // Between cycles: matched jobs finish or are requeued with a
-        // fresh ad, some pending jobs are re-pinned, more arrive.
-        for (JobId id = 0; id < next; ++id) {
-          const JobRecord& rec = memo.schedd().record(id);
-          if (rec.state == JobState::kMatched) {
-            memo.schedd().mark_running(id);
-            reference.schedd().mark_running(id);
-            if (gen.bernoulli(0.4)) {
-              const classad::ClassAd ad = random_named_job(gen, id);
-              memo.schedd().requeue(id, ad);
-              reference.schedd().requeue(id, ad);
-            } else {
-              memo.schedd().mark_completed(id);
-              reference.schedd().mark_completed(id);
-            }
-          } else if (rec.state == JobState::kPending && gen.bernoulli(0.3)) {
-            const classad::ExprPtr expr =
-                random_named_job(gen, id).lookup(kAttrRequirements);
-            memo.schedd().qedit(id, kAttrRequirements, expr);
-            reference.schedd().qedit(id, kAttrRequirements, expr);
-          }
-        }
-        submit(static_cast<int>(gen.uniform_int(0, 8)));
+  for (int scenario = 0; scenario < kScenarios; ++scenario) {
+    SCOPED_TRACE("scenario " + std::to_string(scenario));
+    Rng gen = Rng(2718).child("named" + std::to_string(scenario));
+    Replay memo;
+    Replay reference;
+    Rng memo_rng(static_cast<std::uint64_t>(scenario));
+    Rng reference_rng(static_cast<std::uint64_t>(scenario));
+    JobId next = 0;
+    const auto submit = [&](int count) {
+      for (int i = 0; i < count; ++i) {
+        const classad::ClassAd ad = random_named_job(gen, next);
+        memo.schedd().submit(next, ad);
+        reference.schedd().submit(next, ad);
+        ++next;
       }
+    };
+    submit(static_cast<int>(gen.uniform_int(15, 40)));
+    const auto machine_count = static_cast<NodeId>(gen.uniform_int(3, 8));
+
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+      MachineAds machines;
+      for (NodeId n = 0; n < machine_count; ++n) {
+        machines.emplace_back(n, random_named_machine(gen, n));
+      }
+      const auto salt =
+          static_cast<std::uint64_t>(gen.uniform_int(0, 1 << 30));
+      memo_evaluations += memo_cycle(memo.schedd(), machines, memo_rng,
+                                     memo.dispatcher(salt));
+      reference_cycle(reference.schedd(), machines, reference_rng,
+                      reference.dispatcher(salt));
+      ASSERT_EQ(memo.log(), reference.log()) << "cycle " << cycle;
+      ASSERT_TRUE(memo_rng.engine() == reference_rng.engine())
+          << "cycle " << cycle;
+
+      // Between cycles: matched jobs finish or are requeued with a
+      // fresh ad, some pending jobs are re-pinned, more arrive.
+      for (JobId id = 0; id < next; ++id) {
+        const JobRecord& rec = memo.schedd().record(id);
+        if (rec.state == JobState::kMatched) {
+          memo.schedd().mark_running(id);
+          reference.schedd().mark_running(id);
+          if (gen.bernoulli(0.4)) {
+            const classad::ClassAd ad = random_named_job(gen, id);
+            memo.schedd().requeue(id, ad);
+            reference.schedd().requeue(id, ad);
+          } else {
+            memo.schedd().mark_completed(id);
+            reference.schedd().mark_completed(id);
+          }
+        } else if (rec.state == JobState::kPending && gen.bernoulli(0.3)) {
+          const classad::ExprPtr expr =
+              random_named_job(gen, id).lookup(kAttrRequirements);
+          memo.schedd().qedit(id, kAttrRequirements, expr);
+          reference.schedd().qedit(id, kAttrRequirements, expr);
+        }
+      }
+      submit(static_cast<int>(gen.uniform_int(0, 8)));
     }
   }
   EXPECT_LT(memo_evaluations, reference_evaluations);
@@ -475,12 +442,17 @@ TEST_F(AutoclusterTest, ReferencesAreFollowedTransitively) {
   EXPECT_EQ(id_of(5), id_of(6));
 }
 
-TEST_F(AutoclusterTest, RankIsSignificant) {
+TEST_F(AutoclusterTest, RankIsAnOrdinaryAttribute) {
+  // Nothing evaluates Rank, so jobs that differ only in it share an id...
   submit(1, "Requirements = true\nRank = TARGET.Mem");
   submit(2, "Requirements = true\nRank = -TARGET.Mem");
   submit(3, "Requirements = true");
-  EXPECT_NE(id_of(1), id_of(2));
-  EXPECT_NE(id_of(1), id_of(3));
+  EXPECT_EQ(id_of(1), id_of(2));
+  EXPECT_EQ(id_of(1), id_of(3));
+  // ...unless their Requirements reads it, like any other name.
+  submit(4, "Requirements = MY.Rank > 0\nRank = 1");
+  submit(5, "Requirements = MY.Rank > 0\nRank = 2");
+  EXPECT_NE(id_of(4), id_of(5));
 }
 
 TEST_F(AutoclusterTest, MachineSideNamesJoinTheKey) {

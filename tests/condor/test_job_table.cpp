@@ -2,11 +2,10 @@
 //
 // The property test drives randomized sequences of submit, qedit, match,
 // release, requeue and terminal transitions. After every step, each
-// pending record's view must equal a fresh decode of its ad, and
-// by_priority must order the queue exactly as the per-cycle evaluation
-// it replaced (reference_ordered_pending below, kept verbatim) does. The
-// qedits cover every attribute a view holds: the RequestPhi* attributes,
-// JobPrio as a literal and as an expression over another attribute,
+// pending record's view must equal a fresh decode of its ad, and the
+// pending queue must hold exactly the pending jobs in submission order.
+// The qedits cover every attribute a view holds: the RequestPhi*
+// attributes as literals and as expressions over other attributes,
 // literal and non-literal Requirements, PinnedDevice and PinnedNode.
 #include <gtest/gtest.h>
 
@@ -19,30 +18,11 @@
 #include "classad/parser.hpp"
 #include "common/rng.hpp"
 #include "condor/ads.hpp"
-#include "condor/strategy.hpp"
+#include "condor/schedd.hpp"
 #include "sim/simulator.hpp"
 
 namespace phisched::condor {
 namespace {
-
-/// The order the negotiator used before the schedd cached priorities.
-std::vector<JobId> reference_ordered_pending(const Schedd& schedd,
-                                             std::vector<JobId> pending) {
-  // Higher JobPrio first; FIFO (the schedd's order) within equal
-  // priorities. Jobs without the attribute have priority 0. Priorities
-  // are evaluated once per job per cycle.
-  std::vector<std::pair<std::int64_t, JobId>> ordered;
-  ordered.reserve(pending.size());
-  for (const JobId id : pending) {
-    ordered.emplace_back(
-        schedd.record(id).ad.eval_integer(kAttrJobPrio).value_or(0), id);
-  }
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const auto& a, const auto& b) { return a.first > b.first; });
-  pending.clear();
-  for (const auto& [prio, id] : ordered) pending.push_back(id);
-  return pending;
-}
 
 std::vector<JobId> ids_of(const PendingJobs& records) {
   std::vector<JobId> ids;
@@ -66,10 +46,10 @@ std::pair<std::string, std::string> random_edit(Rng& rng) {
             {kAttrRequestPhiDevices, std::to_string(rng.uniform_int(1, 3))},
             {kAttrRequestPhiMemBandwidth, "1500.5"},
             {kAttrRequestPhiMemBandwidth, "undefined"},
-            {kAttrJobPrio, std::to_string(rng.uniform_int(-2, 2))},
-            {kAttrJobPrio, "Weight * 2"},
-            {kAttrJobPrio, "ifThenElse(Urgent, 3, -1)"},
-            {kAttrJobPrio, "\"high\""},
+            {kAttrRequestPhiDevices, std::to_string(rng.uniform_int(-2, 2))},
+            {kAttrRequestPhiThreads, "Weight * 2"},
+            {kAttrRequestPhiDevices, "ifThenElse(Urgent, 3, -1)"},
+            {kAttrRequestPhiThreads, "\"high\""},
             {"Weight", std::to_string(rng.uniform_int(-1, 2))},
             {"Urgent", pick<std::string>(rng, {"true", "false"})},
             {kAttrRequirements, pick<std::string>(
@@ -94,22 +74,25 @@ classad::ClassAd random_ad(Rng& rng, JobId id) {
   return ad;
 }
 
-/// Every pending view against a fresh decode, and the order against the
-/// reference. Reading the views again decodes nothing.
-void check(Schedd& schedd, int step) {
+/// Every pending view against a fresh decode, and the queue against the
+/// pending jobs of `submitted`, which lists every id in submission order.
+/// Reading the views again decodes nothing.
+void check(Schedd& schedd, const std::vector<JobId>& submitted, int step) {
   SCOPED_TRACE("step " + std::to_string(step));
   const PendingJobs pending = schedd.pending();
   for (const JobRecord* rec : pending) {
     SCOPED_TRACE("job " + std::to_string(rec->id));
     const JobView& view = schedd.view(*rec);
     EXPECT_EQ(view.request, job_request(rec->ad));
-    EXPECT_EQ(view.prio, rec->ad.eval_integer(kAttrJobPrio).value_or(0));
     EXPECT_EQ(view.never_met, classad::requirements_never_met(rec->ad));
     EXPECT_EQ(view.pinned_device, rec->ad.eval_integer(kAttrPinnedDevice));
     EXPECT_EQ(view.pinned_node, rec->ad.has(kAttrPinnedNode));
   }
-  EXPECT_EQ(ids_of(by_priority(schedd, pending)),
-            reference_ordered_pending(schedd, ids_of(pending)));
+  std::vector<JobId> expected;
+  for (const JobId id : submitted) {
+    if (schedd.record(id).state == JobState::kPending) expected.push_back(id);
+  }
+  EXPECT_EQ(ids_of(pending), expected);
   const std::uint64_t decodes = schedd.view_decodes();
   for (const JobRecord* rec : pending) (void)schedd.view(*rec);
   EXPECT_EQ(schedd.view_decodes(), decodes);
@@ -166,7 +149,7 @@ TEST(JobTableProperty, ViewsAndOrderMatchAFreshDecode) {
           schedd.mark_failed(*rec);
         }
       }
-      check(schedd, step);
+      check(schedd, ids, step);
       if (::testing::Test::HasFailure()) return;
     }
   }

@@ -230,52 +230,11 @@ TEST_F(NegotiatorTest, NamePinnedJobsAreMatchedOnlyAgainstTheirNode) {
 TEST_F(NegotiatorTest, RandomOrderSpreadsAcrossMachines) {
   for (NodeId n = 0; n < 4; ++n) add_machine(n, 10000, 100);
   for (JobId id = 0; id < 40; ++id) submit_job(id, 100, sharing_requirements());
-  NegotiatorConfig config;
-  config.order = MachineOrder::kRandom;
-  auto negotiator = make(config);
+  auto negotiator = make();
   negotiator.run_cycle();
   std::map<NodeId, int> per_node;
   for (const auto& [job, node] : dispatched_) per_node[node] += 1;
   EXPECT_EQ(per_node.size(), 4u);  // all machines used
-}
-
-TEST_F(NegotiatorTest, FirstFitOrderAlwaysPicksLowestNode) {
-  for (NodeId n = 0; n < 4; ++n) add_machine(n, 10000, 100);
-  for (JobId id = 0; id < 10; ++id) submit_job(id, 100, sharing_requirements());
-  NegotiatorConfig config;
-  config.order = MachineOrder::kFirstFit;
-  auto negotiator = make(config);
-  negotiator.run_cycle();
-  for (const auto& [job, node] : dispatched_) EXPECT_EQ(node, 0);
-}
-
-TEST_F(NegotiatorTest, BestRankBreaksTiesTowardLowestNodeId) {
-  // Regression: equal-Rank candidates must resolve to the LOWEST node id
-  // (the strictly-greater scan over candidates in ascending machine
-  // order), not whichever machine was seen last.
-  add_machine(0, 100, 4);    // rank 100
-  add_machine(1, 5000, 4);   // rank 5000 — tied best
-  add_machine(2, 5000, 4);   // rank 5000 — tied best, higher id
-  submit_job(1, 50, arbitrary_requirements());
-  schedd_.qedit_expr(1, "Rank", "TARGET.PhiFreeMemory");
-  NegotiatorConfig config;
-  config.order = MachineOrder::kBestRank;
-  auto negotiator = make(config);
-  negotiator.run_cycle();
-  ASSERT_EQ(dispatched_.size(), 1u);
-  EXPECT_EQ(dispatched_[0].second, 1);
-}
-
-TEST_F(NegotiatorTest, BestRankWithoutRankActsLikeFirstFit) {
-  add_machine(0, 100, 4);
-  add_machine(1, 5000, 4);
-  submit_job(1, 50, arbitrary_requirements());  // no Rank: all rank 0
-  NegotiatorConfig config;
-  config.order = MachineOrder::kBestRank;
-  auto negotiator = make(config);
-  negotiator.run_cycle();
-  ASSERT_EQ(dispatched_.size(), 1u);
-  EXPECT_EQ(dispatched_[0].second, 0);
 }
 
 TEST_F(NegotiatorTest, StaleDeviceCountOversubscribesWithoutDeduction) {

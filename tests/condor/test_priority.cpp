@@ -1,7 +1,6 @@
-// Job priorities: the negotiator examines higher-JobPrio jobs first,
-// FIFO within equal priorities. The schedd caches each job's priority, so
-// the cases below also edit priorities, and the attributes they read,
-// between cycles.
+// The negotiator examines pending jobs in FIFO order: submission order,
+// not id order. A refused dispatch or a requeue changes a job's state,
+// not its place.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -15,19 +14,18 @@ namespace {
 class PriorityTest : public ::testing::Test {
  protected:
   PriorityTest() : schedd_(sim_) {
-    collector_.advertise(0, [this] {
+    collector_.advertise(0, [] {
       classad::ClassAd ad;
       ad.insert_string(kAttrName, machine_name(0));
-      ad.insert_integer(kAttrFreeSlots, slots_);
+      ad.insert_integer(kAttrFreeSlots, 100);
       return ad;
     });
   }
 
-  void submit(JobId id, std::optional<std::int64_t> prio) {
+  void submit(JobId id) {
     classad::ClassAd ad;
     ad.insert_integer(kAttrJobId, static_cast<std::int64_t>(id));
     ad.insert_expr(kAttrRequirements, "TARGET.FreeSlots >= 1");
-    if (prio.has_value()) ad.insert_integer(kAttrJobPrio, *prio);
     schedd_.submit(id, ad);
   }
 
@@ -56,94 +54,35 @@ class PriorityTest : public ::testing::Test {
   Simulator sim_;
   Schedd schedd_;
   Collector collector_;
-  std::int64_t slots_ = 100;
 };
 
-TEST_F(PriorityTest, HigherPriorityExaminedFirst) {
-  submit(1, 0);
-  submit(2, 10);
-  submit(3, 5);
-  EXPECT_EQ(run_one_cycle(), (std::vector<JobId>{2, 3, 1}));
-}
-
 TEST_F(PriorityTest, FifoWithinEqualPriority) {
-  submit(5, 3);
-  submit(1, 3);
-  submit(9, 3);
+  submit(5);
+  submit(1);
+  submit(9);
   EXPECT_EQ(run_one_cycle(), (std::vector<JobId>{5, 1, 9}));
 }
 
-TEST_F(PriorityTest, MissingPriorityIsZero) {
-  submit(1, std::nullopt);
-  submit(2, -1);
-  submit(3, 1);
-  EXPECT_EQ(run_one_cycle(), (std::vector<JobId>{3, 1, 2}));
-}
-
-TEST_F(PriorityTest, QeditOfJobPrioReordersTheNextCycle) {
-  submit(1, 0);
-  submit(2, 0);
-  submit(3, 0);
-  EXPECT_EQ(examination_order(), (std::vector<JobId>{1, 2, 3}));
-  schedd_.qedit_expr(3, kAttrJobPrio, "5");
-  EXPECT_EQ(examination_order(), (std::vector<JobId>{3, 1, 2}));
-  schedd_.qedit_expr(1, kAttrJobPrio, "7");
-  EXPECT_EQ(examination_order(), (std::vector<JobId>{1, 3, 2}));
-  schedd_.qedit_expr(3, kAttrJobPrio, "-1");
-  EXPECT_EQ(examination_order(), (std::vector<JobId>{1, 2, 3}));
-}
-
-TEST_F(PriorityTest, JobPrioExpressionFollowsTheAttributeItReads) {
-  submit(1, 0);
-  submit(2, std::nullopt);
-  schedd_.qedit_expr(2, kAttrJobPrio, "Boost * 2");
-  schedd_.qedit_expr(2, "Boost", "0");
-  EXPECT_EQ(examination_order(), (std::vector<JobId>{1, 2}));
-  schedd_.qedit_expr(2, "Boost", "3");
-  EXPECT_EQ(examination_order(), (std::vector<JobId>{2, 1}));
-  schedd_.qedit_expr(2, "Boost", "-1");
-  EXPECT_EQ(examination_order(), (std::vector<JobId>{1, 2}));
-}
-
 TEST_F(PriorityTest, RefusedAndRequeuedJobsKeepTheirPlace) {
-  submit(1, 0);
-  submit(2, 0);
-  submit(3, 0);
-  submit(4, 5);
+  submit(1);
+  submit(2);
+  submit(3);
   // Job 2's dispatch is refused; jobs 1 and 3 start.
-  EXPECT_EQ(run_one_cycle([](JobId job) { return job != 2 && job != 4; }),
-            (std::vector<JobId>{4, 1, 2, 3}));
-  submit(5, 0);
-  submit(6, 5);
-  // The refused jobs keep their submission places within their
-  // priorities, ahead of later submissions.
-  EXPECT_EQ(examination_order(), (std::vector<JobId>{4, 6, 2, 5}));
+  EXPECT_EQ(run_one_cycle([](JobId job) { return job != 2; }),
+            (std::vector<JobId>{1, 2, 3}));
+  submit(5);
+  submit(4);
+  // The refused job keeps its submission place, ahead of later
+  // submissions.
+  EXPECT_EQ(examination_order(), (std::vector<JobId>{2, 5, 4}));
 
-  // Job 1 fails and is requeued with a fresh ad of the same priority: it
-  // too keeps its place.
+  // Job 1 fails and is requeued with a fresh ad: it too keeps its place.
   schedd_.mark_running(1);
   classad::ClassAd fresh;
   fresh.insert_integer(kAttrJobId, 1);
   fresh.insert_expr(kAttrRequirements, "TARGET.FreeSlots >= 1");
   schedd_.requeue(1, fresh);
-  EXPECT_EQ(examination_order(), (std::vector<JobId>{4, 6, 1, 2, 5}));
-
-  // Requeued with a higher priority, it moves up to that priority's
-  // FIFO place.
-  schedd_.mark_matched(1, 0);
-  schedd_.mark_running(1);
-  fresh.insert_integer(kAttrJobPrio, 5);
-  schedd_.requeue(1, fresh);
-  EXPECT_EQ(examination_order(), (std::vector<JobId>{1, 4, 6, 2, 5}));
-}
-
-TEST_F(PriorityTest, PriorityWinsScarceSlots) {
-  slots_ = 1;
-  submit(1, 0);
-  submit(2, 100);
-  const auto dispatched = run_one_cycle();
-  ASSERT_EQ(dispatched.size(), 1u);
-  EXPECT_EQ(dispatched[0], 2u);
+  EXPECT_EQ(examination_order(), (std::vector<JobId>{1, 2, 5, 4}));
 }
 
 }  // namespace

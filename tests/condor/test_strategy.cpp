@@ -164,12 +164,10 @@ class StrategyTest : public ::testing::Test {
     schedd_.submit(id, make_job_ad(spec, arbitrary_requirements()));
   }
 
-  CycleOutcome run(const NegotiationConfig& config,
-                   MachineOrder order = MachineOrder::kFirstFit) {
+  CycleOutcome run(const NegotiationConfig& config) {
     auto strategy = make_match_strategy(config);
-    const PendingJobs pending = by_priority(schedd_, schedd_.pending());
-    MatchCycle cycle{schedd_, rng_,      order, machines_,
-                     pending, dispatch_, 0.0, false};
+    const PendingJobs pending = schedd_.pending();
+    MatchCycle cycle{schedd_, rng_, machines_, pending, dispatch_, 0.0, false};
     return strategy->run(cycle);
   }
 
@@ -365,36 +363,6 @@ TEST_F(StrategyTest, FifoStrategyMatchesInOrder) {
   EXPECT_EQ(dispatched_[1].first, 1u);
 }
 
-TEST_F(StrategyTest, OrderedPendingSortsByPriorityThenFifo) {
-  add_machine(0, machine_ad(0, 16, 7600, 7600, 240));
-  submit(0, 100, 30);
-  submit(1, 100, 30);
-  submit(2, 100, 30);
-  schedd_.qedit_expr(1, kAttrJobPrio, "10");
-
-  const PendingJobs ordered = by_priority(schedd_, schedd_.pending());
-  ASSERT_EQ(ordered.size(), 3u);
-  EXPECT_EQ(ordered[0]->id, 1u);  // highest priority first
-  EXPECT_EQ(ordered[1]->id, 0u);  // then FIFO
-  EXPECT_EQ(ordered[2]->id, 2u);
-}
-
-TEST_F(StrategyTest, BatchRespectsPriorityOrderWhenCapacityIsShort) {
-  // Budget fits exactly one 200-thread job; the high-priority latecomer
-  // must win the slot.
-  add_machine(0, machine_ad(0, 16, 7600, 7600, 240));
-  submit(0, 100, 200);
-  submit(1, 100, 200);
-  schedd_.qedit_expr(1, kAttrJobPrio, "5");
-
-  NegotiationConfig config;
-  config.strategy = MatchStrategyKind::kBatch;
-  const CycleOutcome outcome = run(config);
-  EXPECT_EQ(outcome.matches, 1u);
-  ASSERT_EQ(dispatched_.size(), 1u);
-  EXPECT_EQ(dispatched_[0].first, 1u);
-}
-
 TEST_F(StrategyTest, ChooseMachineDrawsNoRngWhenNothingMatches) {
   add_machine(0, machine_ad(0, 0, 7600, 7600, 240));  // no free slots
   submit(9, 10, 10);
@@ -402,8 +370,7 @@ TEST_F(StrategyTest, ChooseMachineDrawsNoRngWhenNothingMatches) {
   CandidateMemo memo(schedd_, machines_);
   Rng a(77);
   Rng b(77);
-  EXPECT_FALSE(
-      memo.choose(schedd_.record(9), MachineOrder::kRandom, a).has_value());
+  EXPECT_FALSE(memo.choose(schedd_.record(9), a).has_value());
   // a must be untouched: same next draw as the pristine twin.
   EXPECT_EQ(a.index(1000), b.index(1000));
 }
@@ -411,8 +378,7 @@ TEST_F(StrategyTest, ChooseMachineDrawsNoRngWhenNothingMatches) {
 TEST_F(StrategyTest, ConstantRequirementsFoldBeforeTheScan) {
   // MCCK parks unpinned jobs at `Requirements = false`. A literal other
   // than true accepts no machine, so the memo answers without a scan,
-  // without classifying the job and without touching the RNG, whatever
-  // the order.
+  // without classifying the job and without touching the RNG.
   for (NodeId n = 0; n < 4; ++n) {
     add_machine(n, machine_ad(n, 16, 7600, 7600, 240));
   }
@@ -429,25 +395,21 @@ TEST_F(StrategyTest, ConstantRequirementsFoldBeforeTheScan) {
   for (const char* literal : {"false", "undefined", "error", "1", "\"yes\""}) {
     const JobRecord& job = schedd_.record(submit_with(literal));
     EXPECT_TRUE(classad::requirements_never_met(job.ad)) << literal;
-    for (const MachineOrder order :
-         {MachineOrder::kFirstFit, MachineOrder::kRandom,
-          MachineOrder::kBestRank}) {
-      Rng rng(77);
-      Rng pristine = rng;
-      EXPECT_EQ(memo.choose(job, order, rng), std::nullopt) << literal;
-      EXPECT_TRUE(rng.engine() == pristine.engine()) << literal;
-    }
+    Rng rng(77);
+    Rng pristine = rng;
+    EXPECT_EQ(memo.choose(job, rng), std::nullopt) << literal;
+    EXPECT_TRUE(rng.engine() == pristine.engine()) << literal;
     EXPECT_TRUE(memo.candidates(job).empty()) << literal;
     EXPECT_EQ(job.autocluster, 0u) << literal;
   }
   EXPECT_EQ(memo.evaluations(), 0u);
-  // `true` and a non-literal expression still scan.
+  // `true` and a non-literal expression still scan, and draw once.
   for (const char* reqs : {"true", "TARGET.FreeSlots >= 1"}) {
     const JobRecord& job = schedd_.record(submit_with(reqs));
     EXPECT_FALSE(classad::requirements_never_met(job.ad)) << reqs;
-    EXPECT_EQ(memo.choose(job, MachineOrder::kFirstFit, rng_),
-              std::optional<std::size_t>{0})
-        << reqs;
+    Rng twin = rng_;
+    EXPECT_EQ(memo.choose(job, rng_), std::optional{twin.index(4)}) << reqs;
+    EXPECT_TRUE(rng_.engine() == twin.engine()) << reqs;
   }
   EXPECT_EQ(memo.evaluations(), 8u);
 }

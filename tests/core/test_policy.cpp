@@ -137,18 +137,6 @@ TEST(BestFitPolicy, PicksTightestDevice) {
   EXPECT_EQ(assignments[0].device, (DeviceAddress{1, 0}));
 }
 
-TEST(RandomPolicy, OnlyAssignsWhereItFits) {
-  auto policy = make_random_policy(Rng(3));
-  const std::vector<PendingJobView> pending = {
-      job(1, 5000, 60), job(2, 5000, 60), job(3, 5000, 60)};
-  const std::vector<DeviceView> devices = {device(0, 0, 7680),
-                                           device(1, 0, 7680)};
-  const auto assignments = policy->assign(pending, devices);
-  EXPECT_EQ(assignments.size(), 2u);  // third job fits nowhere
-  const auto load = load_by_device(assignments, pending);
-  for (const auto& [addr, mem] : load) EXPECT_LE(mem, 7680);
-}
-
 TEST(GreedyPolicies, NoDevicesMeansNoAssignments) {
   const std::vector<PendingJobView> pending = {job(1, 100, 60)};
   EXPECT_TRUE(make_first_fit_policy()->assign(pending, {}).empty());
@@ -159,7 +147,6 @@ TEST(GreedyPolicies, NoDevicesMeansNoAssignments) {
 TEST(GreedyPolicies, Names) {
   EXPECT_EQ(make_first_fit_policy()->name(), "first-fit");
   EXPECT_EQ(make_best_fit_policy()->name(), "best-fit");
-  EXPECT_EQ(make_random_policy(Rng(1))->name(), "random");
 }
 
 }  // namespace

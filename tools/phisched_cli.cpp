@@ -39,7 +39,7 @@ options:
   --compare             run MC, MCC and MCCK side by side
   --workload NAME       real | uniform | normal | lowskew | highskew
                         (default real)
-  --jobs N              job count (default 1000)
+  --jobs N              job count, at least 1 (default 1000)
   --nodes N             cluster size (default 8)
   --devices SPEC        Xeon Phi cards per node: a count N of 5110Ps
                         (default 1; N is Nx5110P) or a fleet spec like
@@ -347,11 +347,19 @@ int main(int argc, char** argv) {
     const auto job_count =
         static_cast<std::size_t>(count_arg(args, "jobs", 1000));
 
+    // A batch run needs a job: with none, the comparison has no baseline.
     workload::JobSet jobs;
     if (const auto path = args.get("load-jobs"); path.has_value()) {
       jobs = workload::load_jobset(*path);
+      if (jobs.empty()) {
+        throw std::invalid_argument("--load-jobs " + *path + " holds no jobs");
+      }
       std::printf("loaded %zu jobs from %s\n", jobs.size(), path->c_str());
     } else {
+      if (job_count == 0) {
+        throw std::invalid_argument(
+            "--jobs 0 runs no jobs (0 means unbounded only with --serve)");
+      }
       jobs = make_jobs(workload_name, job_count, seed);
     }
     if (const auto path = args.get("save-jobs"); path.has_value()) {
