@@ -451,20 +451,12 @@ void Harness::roll_up(obs::Recorder& rec, const ExperimentResult& r) const {
   m.gauge("cluster.avg_core_utilization").set(r.avg_core_utilization);
   m.gauge("cluster.device_energy_mj").set(r.device_energy_mj);
   m.gauge("cluster.mean_turnaround_s").set(r.mean_turnaround);
-  // Counters advance by delta so re-finalization (mid-run snapshots, a
-  // run resumed by later submissions) lands on the same absolute values
-  // the one-shot path writes.
-  auto& completed = m.counter("cluster.jobs_completed");
-  completed.inc(r.jobs_completed - completed.value());
-  auto& failed = m.counter("cluster.jobs_failed");
-  failed.inc(r.jobs_failed - failed.value());
-  auto& retries = m.counter("cluster.job_retries");
-  retries.inc(r.job_retries - retries.value());
+  m.counter("cluster.jobs_completed").inc(r.jobs_completed);
+  m.counter("cluster.jobs_failed").inc(r.jobs_failed);
+  m.counter("cluster.job_retries").inc(r.job_retries);
   // Per-job slowdown (turnaround over solo full-speed duration) — the
-  // paper's fairness lens on sharing. Rebuilt from scratch each
-  // finalization for the same idempotency.
+  // paper's fairness lens on sharing.
   auto& slowdown = m.histogram("cluster.job_slowdown", 0.0, 20.0, 40);
-  slowdown.reset();
   schedd_.for_each_by_id([this, &slowdown](const condor::JobRecord& jrec) {
     const double solo = jobs_.at(jrec.id).spec.profile.total_duration();
     if (jrec.finish_time >= 0.0 && solo > 0.0) {
@@ -473,10 +465,7 @@ void Harness::roll_up(obs::Recorder& rec, const ExperimentResult& r) const {
   });
 }
 
-ExperimentResult Harness::snapshot() const {
-  // Mid-run horizon: the current clock (>= every instrument's last
-  // update). At completion this coincides with the makespan.
-  const SimTime until = sim_.now();
+ExperimentResult Harness::finish(SimTime until) const {
   ExperimentResult r = gather(until);
   if (recorder_ != nullptr) {
     // Finalize a COPY of the recorder: close any open oversubscription
@@ -495,27 +484,19 @@ ExperimentResult Harness::snapshot() const {
   return r;
 }
 
+ExperimentResult Harness::snapshot() const {
+  // Mid-run horizon: the current clock (>= every instrument's last
+  // update). At completion this coincides with the makespan.
+  return finish(sim_.now());
+}
+
 const ExperimentResult& Harness::result() {
   PHISCHED_REQUIRE(complete(),
                    "harness: result() requires every submitted job to be "
                    "terminal (use snapshot() mid-run)");
-  if (final_.has_value()) return *final_;
   // Integrate time-weighted metrics exactly to the makespan, not to a
   // possibly-overshot clock (run_until(t) may have advanced past it).
-  ExperimentResult r = gather(schedd_.last_finish_time());
-  if (recorder_ != nullptr) {
-    // Close out per-device telemetry (end any oversubscription episode
-    // the run stopped inside) before the snapshot below reads it.
-    for (const auto& node : nodes_) {
-      for (DeviceId d = 0; d < node->device_count(); ++d) {
-        node->device(d).finalize_telemetry();
-      }
-    }
-    roll_up(*recorder_, r);
-    r.telemetry = std::make_shared<const obs::Snapshot>(
-        obs::take_snapshot(*recorder_, r.makespan));
-  }
-  final_ = std::move(r);
+  if (!final_.has_value()) final_ = finish(schedd_.last_finish_time());
   return *final_;
 }
 

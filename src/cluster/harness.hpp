@@ -153,8 +153,9 @@ class Harness {
 
   /// The finalized end-of-run result; requires complete(). Integrates
   /// exactly to the makespan (bit-identical to the one-shot
-  /// run_experiment() path) and finalizes the live recorder. Cached:
-  /// repeated calls return the same result until new work is submitted.
+  /// run_experiment() path) and finalizes telemetry the way snapshot()
+  /// does, on a copy of the recorder. Cached: repeated calls return the
+  /// same result until new work is submitted.
   [[nodiscard]] const ExperimentResult& result();
 
  private:
@@ -181,14 +182,17 @@ class Harness {
   bool dispatch(JobId job_id, NodeId node_id);
   /// The job's run ended on the node its record names.
   void on_job_done(Job& job, bool success);
-  /// Const core of result()/snapshot(): every field of ExperimentResult
-  /// except .telemetry, with time-integrated metrics run to `until`.
+  /// Every field of ExperimentResult except .telemetry, with
+  /// time-integrated metrics run to `until`.
   [[nodiscard]] ExperimentResult gather(SimTime until) const;
-  /// Cluster-level rollups written into a recorder's registry. Written
-  /// idempotently (set / inc-by-delta / rebuild) so the finalization can
-  /// run on the live recorder, on snapshot copies, and again after more
-  /// work was submitted, always landing on the same values.
+  /// Cluster-level rollups written into `rec`, a fresh copy of the live
+  /// recorder, which never holds them itself.
   void roll_up(obs::Recorder& rec, const ExperimentResult& r) const;
+  /// The one finalization behind result() and snapshot(): gather(until)
+  /// plus, with telemetry on, the snapshot of a finalized copy of the
+  /// recorder (open oversubscription episodes closed, rollups written),
+  /// with time-based instruments run to `until`. Mutates nothing.
+  [[nodiscard]] ExperimentResult finish(SimTime until) const;
 
   ExperimentConfig config_;
   Rng rng_;

@@ -31,11 +31,6 @@ void Histogram::add(double x, double weight) {
   total_ += weight;
 }
 
-void Histogram::clear() {
-  std::fill(counts_.begin(), counts_.end(), 0.0);
-  total_ = 0.0;
-}
-
 double Histogram::count(std::size_t bin) const {
   PHISCHED_REQUIRE(bin < counts_.size(), "Histogram: bin out of range");
   return counts_[bin];

@@ -20,11 +20,6 @@ class Histogram {
   /// total()/fraction() for every later read.
   void add(double x, double weight = 1.0);
 
-  /// Zeroes every bucket (bin edges are kept). A cleared histogram is
-  /// indistinguishable from a freshly constructed one, which lets
-  /// aggregations rebuild their distribution idempotently.
-  void clear();
-
   [[nodiscard]] std::size_t bins() const { return counts_.size(); }
   [[nodiscard]] double total() const { return total_; }
   [[nodiscard]] double count(std::size_t bin) const;

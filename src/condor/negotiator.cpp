@@ -24,18 +24,20 @@ void Negotiator::attach_telemetry(obs::Recorder& recorder,
   obs_.rec = &recorder;
   obs_.prefix = prefix;
   auto& m = recorder.metrics();
-  obs_.cycles = &m.counter(prefix + ".cycles");
-  obs_.matches = &m.counter(prefix + ".matches");
-  obs_.rejected_dispatches = &m.counter(prefix + ".rejected_dispatches");
+  m.counter(prefix + ".cycles", [this] { return stats_.cycles; });
+  m.counter(prefix + ".matches", [this] { return stats_.matches; });
+  m.counter(prefix + ".rejected_dispatches",
+            [this] { return stats_.rejected_dispatches; });
   obs_.pending_jobs = &m.series(prefix + ".pending_jobs");
   obs_.pending_age_max_s = &m.gauge(prefix + ".pending_age_max_s");
   obs_.pending_age_hist =
       &m.histogram(prefix + ".pending_age_hist", 0.0, 600.0, 24);
   obs_.pending_jobs->set(sim_.now(), 0.0);
   if (strategy_->kind() == MatchStrategyKind::kBatch) {
-    obs_.batch_jobs = &m.counter(prefix + ".batch_jobs");
-    obs_.packed = &m.counter(prefix + ".packed");
-    obs_.occupancy_rejected = &m.counter(prefix + ".occupancy_rejected");
+    m.counter(prefix + ".batch_jobs", [this] { return stats_.batch_jobs; });
+    m.counter(prefix + ".packed", [this] { return stats_.packed; });
+    m.counter(prefix + ".occupancy_rejected",
+              [this] { return stats_.occupancy_rejected; });
     obs_.match_latency =
         &m.histogram(prefix + ".match_latency", 0.0, 600.0, 24);
   }
@@ -56,7 +58,6 @@ void Negotiator::run_cycle() {
   const PendingJobs pending = schedd_.pending();
 
   if (obs_.rec != nullptr) {
-    obs_.cycles->inc();
     obs_.pending_jobs->set(sim_.now(), static_cast<double>(pending.size()));
     for (const JobRecord* rec : pending) {
       const double age = sim_.now() - rec->submit_time;
@@ -82,12 +83,7 @@ void Negotiator::run_cycle() {
   stats_.match_evaluations += cycle.candidates.evaluations();
 
   if (obs_.rec != nullptr) {
-    obs_.matches->inc(outcome.matches);
-    obs_.rejected_dispatches->inc(outcome.rejected_dispatches);
     if (strategy_->kind() == MatchStrategyKind::kBatch) {
-      obs_.batch_jobs->inc(outcome.batch_jobs);
-      obs_.packed->inc(outcome.packed);
-      obs_.occupancy_rejected->inc(outcome.occupancy_rejected);
       for (const SimTime latency : outcome.match_latencies) {
         obs_.match_latency->add(latency);
       }

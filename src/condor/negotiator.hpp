@@ -80,12 +80,13 @@ class Negotiator {
   [[nodiscard]] const NegotiatorStats& stats() const { return stats_; }
 
   /// Registers matchmaking instruments under `prefix` (e.g.
-  /// "condor.negotiator"): cycle/match/rejection counters, the
-  /// pending-queue depth series, the pending-age distribution, and one
-  /// "negotiation_cycle" event per cycle. A batch-strategy negotiator
-  /// additionally registers the batch_jobs / packed / occupancy_rejected
-  /// counters and the match_latency histogram — only then, so the FIFO
-  /// default exports byte-identical JSON to the pre-strategy negotiator.
+  /// "condor.negotiator"): cycle/match/rejection counters (bound to
+  /// stats()), the pending-queue depth series, the pending-age
+  /// distribution, and one "negotiation_cycle" event per cycle. A
+  /// batch-strategy negotiator additionally registers the batch_jobs /
+  /// packed / occupancy_rejected counters and the match_latency
+  /// histogram — only then, so the FIFO default exports byte-identical
+  /// JSON to the pre-strategy negotiator.
   void attach_telemetry(obs::Recorder& recorder, const std::string& prefix);
 
  private:
@@ -93,16 +94,10 @@ class Negotiator {
   struct Telemetry {
     obs::Recorder* rec = nullptr;
     std::string prefix;
-    obs::Counter* cycles = nullptr;
-    obs::Counter* matches = nullptr;
-    obs::Counter* rejected_dispatches = nullptr;
     obs::TimeSeriesGauge* pending_jobs = nullptr;
     obs::Gauge* pending_age_max_s = nullptr;
     obs::ValueHistogram* pending_age_hist = nullptr;
-    // Batch-only instruments (null under FifoStrategy).
-    obs::Counter* batch_jobs = nullptr;
-    obs::Counter* packed = nullptr;
-    obs::Counter* occupancy_rejected = nullptr;
+    // Batch-only instrument (null under FifoStrategy).
     obs::ValueHistogram* match_latency = nullptr;
   };
 

@@ -28,7 +28,6 @@ const JobRecord& Schedd::submit(JobId id, classad::ClassAd ad) {
   rec.submit_time = sim_.now();
   rec.seq_ = table_.size() - 1;
   live_.push_back(&rec);
-  if (obs_.rec != nullptr) obs_.jobs_submitted->inc();
   return rec;
 }
 
@@ -37,10 +36,13 @@ void Schedd::attach_telemetry(obs::Recorder& recorder,
   obs_.rec = &recorder;
   obs_.prefix = prefix;
   auto& m = recorder.metrics();
-  obs_.jobs_submitted = &m.counter(prefix + ".jobs_submitted");
-  obs_.jobs_completed = &m.counter(prefix + ".jobs_completed");
-  obs_.jobs_failed = &m.counter(prefix + ".jobs_failed");
-  obs_.jobs_requeued = &m.counter(prefix + ".jobs_requeued");
+  m.counter(prefix + ".jobs_submitted",
+            [this] { return static_cast<std::uint64_t>(table_.size()); });
+  m.counter(prefix + ".jobs_completed",
+            [this] { return static_cast<std::uint64_t>(completed_); });
+  m.counter(prefix + ".jobs_failed",
+            [this] { return static_cast<std::uint64_t>(failed_); });
+  m.counter(prefix + ".jobs_requeued", [this] { return requeued_; });
 }
 
 void Schedd::note_terminal(const JobRecord& rec, const char* type) {
@@ -218,10 +220,7 @@ void Schedd::mark_completed(const JobRecord& job) {
   last_finish_ = sim_.now();
   ++completed_;
   retire_from_live();
-  if (obs_.rec != nullptr) {
-    obs_.jobs_completed->inc();
-    note_terminal(rec, "job_completed");
-  }
+  note_terminal(rec, "job_completed");
   if (on_terminal_) on_terminal_(rec);
 }
 
@@ -235,10 +234,7 @@ void Schedd::mark_failed(const JobRecord& job) {
   last_finish_ = sim_.now();
   ++failed_;
   retire_from_live();
-  if (obs_.rec != nullptr) {
-    obs_.jobs_failed->inc();
-    note_terminal(rec, "job_failed");
-  }
+  note_terminal(rec, "job_failed");
   if (on_terminal_) on_terminal_(rec);
 }
 
@@ -254,7 +250,7 @@ void Schedd::requeue(const JobRecord& job, classad::ClassAd new_ad) {
   rec.autocluster = 0;
   rec.view_stale_ = true;
   rec.retries += 1;
-  if (obs_.rec != nullptr) obs_.jobs_requeued->inc();
+  ++requeued_;
 }
 
 void Schedd::release_match(const JobRecord& job) {

@@ -173,19 +173,16 @@ class Schedd {
   [[nodiscard]] SimTime last_finish_time() const { return last_finish_; }
 
   /// Registers queue-lifecycle instruments under `prefix` (e.g.
-  /// "condor.schedd"): submit/complete/fail/requeue counters plus a
-  /// terminal event per job carrying its turnaround time.
+  /// "condor.schedd"): submit/complete/fail/requeue counters (bound to
+  /// the table's own counts) plus a terminal event per job carrying its
+  /// turnaround time.
   void attach_telemetry(obs::Recorder& recorder, const std::string& prefix);
 
  private:
-  /// Cached instrument pointers; all null until attach_telemetry.
+  /// The attached recorder and name prefix; null until attach_telemetry.
   struct Telemetry {
     obs::Recorder* rec = nullptr;
     std::string prefix;
-    obs::Counter* jobs_submitted = nullptr;
-    obs::Counter* jobs_completed = nullptr;
-    obs::Counter* jobs_failed = nullptr;
-    obs::Counter* jobs_requeued = nullptr;
   };
 
   void note_terminal(const JobRecord& rec, const char* type);
@@ -219,6 +216,7 @@ class Schedd {
   std::size_t terminal_in_live_ = 0;
   std::size_t completed_ = 0;
   std::size_t failed_ = 0;
+  std::uint64_t requeued_ = 0;
   SimTime last_finish_ = 0.0;
   std::function<void(const JobRecord&)> on_terminal_;
   Telemetry obs_;

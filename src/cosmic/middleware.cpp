@@ -6,7 +6,6 @@
 
 #include "common/check.hpp"
 #include "common/json.hpp"
-#include "common/log.hpp"
 
 namespace phisched::cosmic {
 
@@ -29,11 +28,15 @@ void NodeMiddleware::attach_telemetry(obs::Recorder& recorder,
   obs_.rec = &recorder;
   obs_.prefix = prefix;
   obs::Registry& m = recorder.metrics();
-  obs_.offloads_admitted = &m.counter(prefix + ".offloads_admitted");
-  obs_.offloads_queued = &m.counter(prefix + ".offloads_queued");
-  obs_.container_kills = &m.counter(prefix + ".container_kills");
-  obs_.jobs_admitted = &m.counter(prefix + ".jobs_admitted");
-  obs_.jobs_parked = &m.counter(prefix + ".jobs_parked");
+  m.counter(prefix + ".offloads_admitted",
+            [this] { return stats_.offloads_admitted; });
+  m.counter(prefix + ".offloads_queued",
+            [this] { return stats_.offloads_queued; });
+  m.counter(prefix + ".container_kills",
+            [this] { return stats_.container_kills; });
+  m.counter(prefix + ".jobs_admitted",
+            [this] { return stats_.jobs_admitted; });
+  m.counter(prefix + ".jobs_parked", [this] { return stats_.jobs_parked; });
   obs_.admission_wait_s = &m.gauge(prefix + ".admission_wait_s");
   obs_.admission_wait_hist =
       &m.histogram(prefix + ".admission_wait_hist", 0.0, 200.0, 20);
@@ -79,17 +82,14 @@ void NodeMiddleware::note_admission_depth() {
 }
 
 void NodeMiddleware::note_admitted(const WaitingJob& w) {
-  if (obs_.rec == nullptr) return;
-  obs_.jobs_admitted->inc();
-  if (w.parked_at >= 0.0) {
-    const SimTime waited = sim_.now() - w.parked_at;
-    obs_.admission_wait_s->add(waited);
-    obs_.admission_wait_hist->add(waited);
-    obs_.rec->event(sim_.now(), "job_admitted",
-                    {{"node", obs_.prefix},
-                     {"job", std::to_string(w.job)},
-                     {"waited_s", json_number(waited)}});
-  }
+  if (obs_.rec == nullptr || w.parked_at < 0.0) return;
+  const SimTime waited = sim_.now() - w.parked_at;
+  obs_.admission_wait_s->add(waited);
+  obs_.admission_wait_hist->add(waited);
+  obs_.rec->event(sim_.now(), "job_admitted",
+                  {{"node", obs_.prefix},
+                   {"job", std::to_string(w.job)},
+                   {"waited_s", json_number(waited)}});
 }
 
 phi::Device& NodeMiddleware::device(DeviceId d) {
@@ -212,7 +212,6 @@ void NodeMiddleware::submit_job(JobId job, std::vector<DeviceId> pinned,
     stats_.jobs_parked += 1;
     w.parked_at = sim_.now();
     if (obs_.rec != nullptr) {
-      obs_.jobs_parked->inc();
       obs_.rec->event(sim_.now(), "job_parked",
                       {{"node", obs_.prefix},
                        {"job", std::to_string(w.job)},
@@ -262,11 +261,8 @@ bool NodeMiddleware::container_violation(JobId job, const Reservation& res,
   auto& ds = devices_[static_cast<std::size_t>(d)];
   const MiB prospective = ds.device->process_memory(job) + extra;
   if (prospective <= res.declared_mem) return false;
-  PHISCHED_WARN() << "COSMIC container kill: job " << job << " would use "
-                  << prospective << " MiB, declared " << res.declared_mem;
   stats_.container_kills += 1;
   if (obs_.rec != nullptr) {
-    obs_.container_kills->inc();
     obs_.rec->event(sim_.now(), "container_kill",
                     {{"node", obs_.prefix},
                      {"job", std::to_string(job)},
@@ -348,7 +344,6 @@ void NodeMiddleware::admit_offload(JobId job, ThreadCount threads, MiB memory,
     start_now(d, std::move(pending), /*was_queued=*/false);
   } else {
     stats_.offloads_queued += 1;
-    if (obs_.rec != nullptr) obs_.offloads_queued->inc();
     ds.queue.push_back(std::move(pending));
     note_queue_depth(d);
   }
@@ -358,7 +353,6 @@ void NodeMiddleware::start_now(DeviceId d, PendingOffload pending,
                                bool was_queued) {
   auto& ds = devices_[static_cast<std::size_t>(d)];
   stats_.offloads_admitted += 1;
-  if (obs_.rec != nullptr) obs_.offloads_admitted->inc();
   const SimTime duration =
       pending.duration +
       (was_queued ? config_.queued_resume_overhead_s : 0.0);

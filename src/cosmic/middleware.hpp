@@ -160,8 +160,9 @@ class NodeMiddleware {
 
   /// Registers this node's instruments under `prefix` (e.g.
   /// "cosmic.node0"): per-device offload queue depth series, admission
-  /// queue depth and wait distribution, park/admit/kill counters and
-  /// events. Null until called; then each site costs one pointer test.
+  /// queue depth and wait distribution, park/admit/kill counters (bound
+  /// to stats()) and events. Null until called; then each site costs one
+  /// pointer test.
   void attach_telemetry(obs::Recorder& recorder, const std::string& prefix);
 
  private:
@@ -207,11 +208,6 @@ class NodeMiddleware {
   struct Telemetry {
     obs::Recorder* rec = nullptr;
     std::string prefix;
-    obs::Counter* offloads_admitted = nullptr;
-    obs::Counter* offloads_queued = nullptr;
-    obs::Counter* container_kills = nullptr;
-    obs::Counter* jobs_admitted = nullptr;
-    obs::Counter* jobs_parked = nullptr;
     obs::Gauge* admission_wait_s = nullptr;
     obs::ValueHistogram* admission_wait_hist = nullptr;
     obs::TimeSeriesGauge* admission_depth = nullptr;

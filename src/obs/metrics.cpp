@@ -6,6 +6,11 @@ Counter& Registry::counter(const std::string& name) {
   return counters_[name];
 }
 
+void Registry::counter(const std::string& name,
+                       std::function<std::uint64_t()> source) {
+  bound_counters_[name] = std::move(source);
+}
+
 Gauge& Registry::gauge(const std::string& name) {
   return gauges_[name];
 }
@@ -48,6 +53,9 @@ MetricsSnapshot::HistogramData flatten(const Histogram& h) {
 MetricsSnapshot Registry::snapshot(SimTime until) const {
   MetricsSnapshot snap;
   for (const auto& [name, c] : counters_) snap.counters.emplace(name, c.value());
+  for (const auto& [name, source] : bound_counters_) {
+    snap.counters.emplace(name, source());
+  }
   for (const auto& [name, g] : gauges_) snap.gauges.emplace(name, g.value());
   for (const auto& [name, s] : series_) {
     snap.gauges.emplace(name + ".mean", s.mean_until(until));

@@ -4,7 +4,11 @@
 // (phi::Device, cosmic::NodeMiddleware, condor::Negotiator/Schedd,
 // cluster::Experiment) update during a run:
 //
-//   Counter         monotone event count (OOM kills, match cycles, ...)
+//   bound counter   monotone event count (OOM kills, match cycles, ...)
+//                   read at snapshot time from the count the component
+//                   already keeps in its stats
+//   Counter         a monotone count the registry keeps itself (cluster
+//                   and SLA rollups)
 //   Gauge           last-write-wins scalar (makespan, max pending age)
 //   TimeSeriesGauge piecewise-constant signal integrated over SIM time
 //                   (busy cores, offload queue depth, device speed)
@@ -14,7 +18,8 @@
 // Instruments are registered lazily by name; names are dotted paths,
 // layer first ("phi.node0.mic0.oom_kills"). References returned by the
 // registry are stable for its lifetime, so hot paths cache pointers and
-// pay one branch when telemetry is off.
+// pay one branch when telemetry is off. A bound counter costs the hot
+// path nothing: the component counts once, in its own stats.
 //
 // snapshot() flattens everything into a MetricsSnapshot — plain ordered
 // data with operator==, which is what the determinism tests compare and
@@ -22,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -114,9 +120,6 @@ class ValueHistogram {
  public:
   ValueHistogram(double lo, double hi, std::size_t bins) : hist_(lo, hi, bins) {}
   void add(double x, double weight = 1.0) { hist_.add(x, weight); }
-  /// Drops all samples (bin edges survive) so a finalization pass can
-  /// rebuild the distribution from scratch, idempotently.
-  void reset() { hist_.clear(); }
   [[nodiscard]] const Histogram& histogram() const { return hist_; }
 
  private:
@@ -144,6 +147,11 @@ class Registry {
  public:
   /// Get-or-create; references stay valid for the registry's lifetime.
   Counter& counter(const std::string& name);
+  /// Binds `name` to a count its component keeps: every snapshot reads
+  /// `source()`, so the export cannot drift from the component's stats.
+  /// The component must outlive every snapshot of this registry and of
+  /// its copies. Rebinding a name replaces its source.
+  void counter(const std::string& name, std::function<std::uint64_t()> source);
   Gauge& gauge(const std::string& name);
   TimeSeriesGauge& series(const std::string& name);
   TimeHistogram& time_histogram(const std::string& name, double lo, double hi,
@@ -158,6 +166,7 @@ class Registry {
 
  private:
   std::map<std::string, Counter> counters_;
+  std::map<std::string, std::function<std::uint64_t()>> bound_counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, TimeSeriesGauge> series_;
   std::map<std::string, TimeHistogram> time_histograms_;

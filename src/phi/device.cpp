@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 
 namespace phisched::phi {
 
@@ -87,12 +86,16 @@ void Device::attach_telemetry(obs::Recorder& recorder,
   obs_.rec = &recorder;
   obs_.prefix = prefix;
   obs::Registry& m = recorder.metrics();
-  obs_.oversub_episodes = &m.counter(prefix + ".oversub_episodes");
-  obs_.oom_kills = &m.counter(prefix + ".oom_kills");
-  obs_.container_kills = &m.counter(prefix + ".container_kills");
-  obs_.admin_kills = &m.counter(prefix + ".admin_kills");
-  obs_.offloads_started = &m.counter(prefix + ".offloads_started");
-  obs_.offloads_completed = &m.counter(prefix + ".offloads_completed");
+  m.counter(prefix + ".oversub_episodes",
+            [this] { return stats_.oversub_episodes; });
+  m.counter(prefix + ".oom_kills", [this] { return stats_.oom_kills; });
+  m.counter(prefix + ".container_kills",
+            [this] { return stats_.container_kills; });
+  m.counter(prefix + ".admin_kills", [this] { return stats_.admin_kills; });
+  m.counter(prefix + ".offloads_started",
+            [this] { return stats_.offloads_started; });
+  m.counter(prefix + ".offloads_completed",
+            [this] { return stats_.offloads_completed; });
   obs_.speed = &m.series(prefix + ".speed");
   obs_.busy_cores = &m.series(prefix + ".busy_cores");
   obs_.speed_seconds = &m.time_histogram(prefix + ".speed_seconds", 0.0, 1.0, 10);
@@ -124,16 +127,6 @@ void Device::note_container(JobId job) {
   const std::string base = obs_.prefix + ".container" + std::to_string(job);
   m.series(base + ".resident_mb").set(sim_.now(), resident_mb);
   m.series(base + ".threads").set(sim_.now(), threads);
-}
-
-void Device::finalize_telemetry() {
-  settle();
-  if (!oversub_active_) return;
-  oversub_active_ = false;
-  if (obs_.rec != nullptr) {
-    obs_.rec->event(sim_.now(), "oversub_end",
-                    {{"device", obs_.prefix}, {"at_run_end", "1"}});
-  }
 }
 
 void Device::finalize_telemetry_into(obs::Recorder& recorder) const {
@@ -168,7 +161,6 @@ OffloadId Device::start_offload(JobId job, ThreadCount threads, MiB memory,
   pit->second.active_threads += threads;
   memory_used_ += memory;
   stats_.offloads_started += 1;
-  if (obs_.rec != nullptr) obs_.offloads_started->inc();
   note_container(job);
 
   reconcile();
@@ -280,7 +272,6 @@ void Device::reconcile() {
     if (over) {
       stats_.oversub_episodes += 1;
       if (obs_.rec != nullptr) {
-        obs_.oversub_episodes->inc();
         obs_.rec->event(sim_.now(), "oversub_begin",
                         {{"device", obs_.prefix},
                          {"demand", std::to_string(active_thread_demand())},
@@ -333,7 +324,6 @@ void Device::finish_offload(OffloadId id) {
 
   offloads_.erase(it);
   stats_.offloads_completed += 1;
-  if (obs_.rec != nullptr) obs_.offloads_completed->inc();
   note_container(job);
   reconcile();
 
@@ -348,11 +338,7 @@ void Device::check_oom() {
     // Section II-C: "randomly terminates processes").
     auto it = procs_.begin();
     std::advance(it, static_cast<std::ptrdiff_t>(rng_.index(procs_.size())));
-    const JobId victim = it->first;
-    PHISCHED_WARN() << name_ << ": OOM killer terminating job " << victim
-                    << " (used " << memory_used_ << " MiB of "
-                    << usable_memory() << ")";
-    do_kill(victim, KillReason::kOom);
+    do_kill(it->first, KillReason::kOom);
   }
   in_oom_sweep_ = false;
 }
@@ -408,18 +394,9 @@ void Device::do_kill(JobId job, KillReason reason, bool invoke_callback) {
   note_container(job);
 
   switch (reason) {
-    case KillReason::kOom:
-      stats_.oom_kills += 1;
-      if (obs_.rec != nullptr) obs_.oom_kills->inc();
-      break;
-    case KillReason::kContainerLimit:
-      stats_.container_kills += 1;
-      if (obs_.rec != nullptr) obs_.container_kills->inc();
-      break;
-    case KillReason::kAdmin:
-      stats_.admin_kills += 1;
-      if (obs_.rec != nullptr) obs_.admin_kills->inc();
-      break;
+    case KillReason::kOom: stats_.oom_kills += 1; break;
+    case KillReason::kContainerLimit: stats_.container_kills += 1; break;
+    case KillReason::kAdmin: stats_.admin_kills += 1; break;
   }
 
   reconcile();

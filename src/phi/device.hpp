@@ -198,25 +198,20 @@ class Device {
 
   /// Registers this device's instruments under `prefix` (e.g.
   /// "phi.node0.mic0") and starts recording: busy-core and speed time
-  /// series, kill/oversubscription counters, per-episode events,
-  /// per-container residency gauges ("<prefix>.container<job>.*"), and —
-  /// when the PCIe link is enabled — its "<prefix>.pcie.*" instruments.
-  /// Without this call telemetry costs one null check per site.
+  /// series, kill/oversubscription counters (bound to stats()),
+  /// per-episode events, per-container residency gauges
+  /// ("<prefix>.container<job>.*"), and — when the PCIe link is enabled
+  /// — its "<prefix>.pcie.*" instruments. Without this call telemetry
+  /// costs one null check per site.
   void attach_telemetry(obs::Recorder& recorder, const std::string& prefix);
 
-  /// End-of-run bookkeeping: integrates busy time up to now() and, if an
-  /// oversubscription episode is still open because the simulation was
-  /// stopped mid-episode, emits the matching `oversub_end` event so
-  /// episode events always come in begin/end pairs and the episode
-  /// counter agrees with the integrated gauges.
-  void finalize_telemetry();
-
-  /// Copy-safe variant for mid-run snapshots: performs the same
-  /// episode-closing bookkeeping as finalize_telemetry(), but writes
-  /// into `recorder` (a copy of the attached one) and leaves this
-  /// device — including its open-episode flag and integrated busy time
-  /// — completely untouched, so a snapshot cannot perturb the run.
-  /// No-op unless telemetry was attached.
+  /// End-of-run bookkeeping for a snapshot: if an oversubscription
+  /// episode is still open because the simulation stopped mid-episode,
+  /// emits the matching `oversub_end` event (marked `at_run_end`) into
+  /// `recorder`, a copy of the attached one, so the exported episode
+  /// events come in begin/end pairs. Leaves this device — its
+  /// open-episode flag included — untouched, so a snapshot cannot
+  /// perturb the run. No-op unless telemetry was attached.
   void finalize_telemetry_into(obs::Recorder& recorder) const;
 
  private:
@@ -259,12 +254,6 @@ class Device {
   struct Telemetry {
     obs::Recorder* rec = nullptr;
     std::string prefix;
-    obs::Counter* oversub_episodes = nullptr;
-    obs::Counter* oom_kills = nullptr;
-    obs::Counter* container_kills = nullptr;
-    obs::Counter* admin_kills = nullptr;
-    obs::Counter* offloads_started = nullptr;
-    obs::Counter* offloads_completed = nullptr;
     obs::TimeSeriesGauge* speed = nullptr;
     obs::TimeSeriesGauge* busy_cores = nullptr;
     obs::TimeHistogram* speed_seconds = nullptr;

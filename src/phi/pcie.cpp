@@ -34,8 +34,10 @@ void PcieLink::attach_telemetry(obs::Recorder& recorder,
   obs_.rec = &recorder;
   obs_.prefix = prefix;
   obs::Registry& m = recorder.metrics();
-  obs_.bytes_in = &m.counter(prefix + ".bytes_in");
-  obs_.bytes_out = &m.counter(prefix + ".bytes_out");
+  m.counter(prefix + ".bytes_in",
+            [this] { return static_cast<std::uint64_t>(stats_.mib_in); });
+  m.counter(prefix + ".bytes_out",
+            [this] { return static_cast<std::uint64_t>(stats_.mib_out); });
   obs_.busy_frac = &m.series(prefix + ".busy_frac");
   obs_.queue_depth = &m.series(prefix + ".transfer_queue_depth");
   obs_.busy_frac->set(sim_.now(), transfers_.empty() ? 0.0 : 1.0);
@@ -189,16 +191,10 @@ void PcieLink::finish(XferId id) {
     case XferDir::kIn:
       stats_.transfers_in += 1;
       stats_.mib_in += done.mib;
-      if (obs_.rec != nullptr) {
-        obs_.bytes_in->inc(static_cast<std::uint64_t>(done.mib));
-      }
       break;
     case XferDir::kOut:
       stats_.transfers_out += 1;
       stats_.mib_out += done.mib;
-      if (obs_.rec != nullptr) {
-        obs_.bytes_out->inc(static_cast<std::uint64_t>(done.mib));
-      }
       break;
   }
   if (obs_.rec != nullptr) {

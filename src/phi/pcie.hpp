@@ -113,7 +113,8 @@ class PcieLink {
 
   /// Registers the link's instruments under `prefix` (e.g.
   /// "phi.node0.mic0.pcie"): busy_frac and transfer_queue_depth series,
-  /// bytes_in/out counters (MiB units), and pcie_xfer_begin/end events.
+  /// bytes_in/out counters (stats().mib_in/mib_out, so MiB units), and
+  /// pcie_xfer_begin/end events.
   void attach_telemetry(obs::Recorder& recorder, const std::string& prefix);
 
  private:
@@ -150,8 +151,6 @@ class PcieLink {
   struct Telemetry {
     obs::Recorder* rec = nullptr;
     std::string prefix;
-    obs::Counter* bytes_in = nullptr;
-    obs::Counter* bytes_out = nullptr;
     obs::TimeSeriesGauge* busy_frac = nullptr;
     obs::TimeSeriesGauge* queue_depth = nullptr;
   };

@@ -53,7 +53,8 @@ void PcieSwitch::attach_telemetry(obs::Recorder& recorder,
   obs_.rec = &recorder;
   obs_.prefix = prefix;
   obs::Registry& m = recorder.metrics();
-  obs_.bytes = &m.counter(prefix + ".bytes");
+  m.counter(prefix + ".bytes",
+            [this] { return static_cast<std::uint64_t>(stats_.mib); });
   obs_.busy_frac = &m.series(prefix + ".busy_frac");
   obs_.queue_depth = &m.series(prefix + ".queue_depth");
   const std::size_t active = active_transfers();
@@ -89,7 +90,6 @@ void PcieSwitch::on_transfer_end(JobId job, MiB mib, XferDir dir) {
   stats_.transfers += 1;
   stats_.mib += mib;
   if (obs_.rec == nullptr) return;
-  obs_.bytes->inc(static_cast<std::uint64_t>(mib));
   obs_.rec->event(sim_.now(), "pcie_switch_xfer_end",
                   {{"switch", obs_.prefix},
                    {"job", std::to_string(job)},

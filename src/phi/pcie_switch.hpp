@@ -89,7 +89,7 @@ class PcieSwitch {
 
   /// Registers the switch's instruments under `prefix` (e.g.
   /// "phi.node0.pcie_switch"): busy_frac and queue_depth series, a bytes
-  /// counter (MiB delivered, both directions), and
+  /// counter (stats().mib: MiB delivered, both directions), and
   /// pcie_switch_xfer_begin/end events.
   void attach_telemetry(obs::Recorder& recorder, const std::string& prefix);
 
@@ -112,7 +112,6 @@ class PcieSwitch {
   struct Telemetry {
     obs::Recorder* rec = nullptr;
     std::string prefix;
-    obs::Counter* bytes = nullptr;
     obs::TimeSeriesGauge* busy_frac = nullptr;
     obs::TimeSeriesGauge* queue_depth = nullptr;
   };

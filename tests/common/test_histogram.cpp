@@ -81,15 +81,6 @@ TEST(Histogram, InfiniteSamplesClampToEdgeBins) {
   EXPECT_DOUBLE_EQ(h.total(), 2.0);
 }
 
-TEST(Histogram, ClearRestoresTheEmptyState) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(3.0, 2.5);
-  h.clear();
-  EXPECT_DOUBLE_EQ(h.total(), 0.0);
-  EXPECT_DOUBLE_EQ(h.count(1), 0.0);
-  EXPECT_DOUBLE_EQ(h.fraction(1), 0.0);  // never a 0/0 NaN
-}
-
 TEST(Histogram, RejectsBadConstruction) {
   EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);

@@ -173,22 +173,28 @@ TEST_F(DeviceMetricsTest, OversubEpisodeOpenAtRunEndIsClosed) {
   dev.start_offload(1, 240, 10, 4.0, nullptr);
   dev.start_offload(2, 240, 10, 4.0, nullptr);  // demand 480: episode opens
   sim_.run_until(1.0);  // stop the simulation mid-episode
-  dev.finalize_telemetry();
+  // Finalization writes into a copy of the recorder, as the harness's
+  // result() and snapshot() do.
+  obs::Recorder finalized = rec_;
+  dev.finalize_telemetry_into(finalized);
 
   EXPECT_EQ(dev.stats().oversub_episodes, 1u);
-  EXPECT_EQ(rec_.events().of_type("oversub_begin").size(), 1u);
-  const auto ends = rec_.events().of_type("oversub_end");
+  EXPECT_EQ(finalized.events().of_type("oversub_begin").size(), 1u);
+  const auto ends = finalized.events().of_type("oversub_end");
   ASSERT_EQ(ends.size(), 1u);
   // The synthesized closing event is marked so dashboards can tell a real
   // drain from a truncated run.
   ASSERT_FALSE(ends[0].fields.empty());
   EXPECT_EQ(ends[0].fields.back().first, "at_run_end");
-  // Busy-core time was flushed up to the stop time, not left at zero.
+  // The live recorder keeps the episode open: the run may go on.
+  EXPECT_TRUE(rec_.events().of_type("oversub_end").empty());
+  // Busy-core time integrates up to the stop time, not left at zero.
   EXPECT_GT(dev.core_utilization(1.0), 0.0);
 
-  // Idempotent: a second finalize must not emit a second end event.
-  dev.finalize_telemetry();
-  EXPECT_EQ(rec_.events().of_type("oversub_end").size(), 1u);
+  // Finalizing another copy closes the episode there exactly once too.
+  obs::Recorder again = rec_;
+  dev.finalize_telemetry_into(again);
+  EXPECT_EQ(again.events().of_type("oversub_end").size(), 1u);
 }
 
 TEST_F(DeviceMetricsTest, DetachedDeviceRecordsNothing) {

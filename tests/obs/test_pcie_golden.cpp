@@ -53,7 +53,7 @@ TEST(PcieGolden, DeviceScenarioMatchesGoldenFile) {
   sim.run();
   dev.pcie_link().start_transfer(1, 250, XferDir::kOut, nullptr);
   sim.run();
-  dev.finalize_telemetry();
+  dev.finalize_telemetry_into(rec);
 
   const obs::Snapshot snap = obs::take_snapshot(rec, sim.now());
   const std::string doc = obs::snapshot_json(snap, /*pretty=*/true);

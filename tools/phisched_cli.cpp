@@ -120,13 +120,18 @@ service mode (open-loop streaming arrivals, see docs/service.md):
                         free memory and threads: admit anyway when one can
                         take the job (default off; scalar occupancy cannot
                         see per-device fragmentation)
-  --tenants N           attribute jobs round-robin-free to N tenants and
-                        export per-tenant fairness gauges (default 1)
+  --tenants N           attribute each arrival to one of N tenants
+                        (default 1); each SLA window carries
+                        fairness_jain, Jain's index over the tenants'
+                        mean slowdowns
   --tenant-skew X       tenant k draws with weight (k+1)^-X (default 0)
   --no-drain            stop at the horizon instead of draining admitted
                         jobs to completion
   In service mode --jobs caps generated arrivals (default 0 = unbounded)
-  and --workload picks the per-arrival job mix.
+  and --workload picks the per-arrival job mix. The batch-only options
+  (--compare, --arrival-rate, --series, --csv, --save-jobs, --load-jobs,
+  --metrics-out, --events-out, --metrics-filter) exit 2 with --serve, and
+  the service options exit 2 without it.
 )";
 
 cluster::StackConfig parse_stack(const std::string& name) {
@@ -323,27 +328,43 @@ int main(int argc, char** argv) {
       std::printf("%s", kUsage);
       return 0;
     }
-    const auto unknown = args.unknown(
-        {"stack", "compare", "workload", "jobs", "nodes", "devices", "seed",
-         "arrival-rate", "negotiation-interval", "negotiation", "overcommit",
-         "series", "csv", "save-jobs", "load-jobs", "metrics-out",
-         "events-out", "metrics-filter", "mem-bw-contention",
-         "mem-bw-saturation", "pcie-contention", "pcie-bandwidth",
-         "pcie-switch", "pcie-switch-bandwidth", "serve",
-         "arrivals", "horizon", "sla-interval", "sla-out", "admit-queue",
-         "admit-occupancy", "admit-defer", "admit-max-defers", "admit-pack",
-         "tenants", "tenant-skew", "no-drain", "help"});
-    if (!unknown.empty()) {
+    const std::vector<std::string> shared = {
+        "stack", "workload", "jobs", "nodes", "devices", "seed",
+        "negotiation-interval", "negotiation", "overcommit",
+        "mem-bw-contention", "mem-bw-saturation", "pcie-contention",
+        "pcie-bandwidth", "pcie-switch", "pcie-switch-bandwidth", "serve",
+        "help"};
+    const std::vector<std::string> batch_only = {
+        "compare", "arrival-rate", "series", "csv", "save-jobs", "load-jobs",
+        "metrics-out", "events-out", "metrics-filter"};
+    const std::vector<std::string> serve_only = {
+        "arrivals", "horizon", "sla-interval", "sla-out", "admit-queue",
+        "admit-occupancy", "admit-defer", "admit-max-defers", "admit-pack",
+        "tenants", "tenant-skew", "no-drain"};
+    std::vector<std::string> known = shared;
+    known.insert(known.end(), batch_only.begin(), batch_only.end());
+    known.insert(known.end(), serve_only.begin(), serve_only.end());
+    if (const auto unknown = args.unknown(known); !unknown.empty()) {
       std::fprintf(stderr, "unknown option --%s (try --help)\n",
                    unknown.front().c_str());
+      return 2;
+    }
+    // An option of the other mode would be silently ignored.
+    const bool serve = args.get_bool_or("serve", false);
+    for (const std::string& name : serve ? batch_only : serve_only) {
+      if (!args.has(name)) continue;
+      std::fprintf(stderr,
+                   serve ? "option --%s is for batch mode, not --serve "
+                           "(try --help)\n"
+                         : "option --%s is for service mode; add --serve "
+                           "(try --help)\n",
+                   name.c_str());
       return 2;
     }
 
     const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
     const std::string workload_name = args.get_or("workload", "real");
-    if (args.get_bool_or("serve", false)) {
-      return run_serve(args, seed, workload_name);
-    }
+    if (serve) return run_serve(args, seed, workload_name);
     const auto job_count =
         static_cast<std::size_t>(count_arg(args, "jobs", 1000));
 
