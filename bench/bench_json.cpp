@@ -6,10 +6,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
+#include "common/parallel.hpp"
 #include "common/parse.hpp"
 
 namespace phisched::bench {
@@ -29,10 +32,64 @@ namespace {
   return *v;
 }
 
+/// The BENCH_<name>.json document: name, build environment, wall time
+/// and one metric map per seed, seed_base first. The "results" array
+/// depends only on the seeds run, never on scheduling, so serial and
+/// parallel sweeps of the same seeds serialize identically there.
+[[nodiscard]] std::string bench_report_json(
+    const std::string& name, std::uint64_t seed_base,
+    const std::vector<std::map<std::string, double>>& results,
+    double wall_time_s, unsigned threads_used) {
+  JsonWriter w(/*pretty=*/true);
+  w.begin_object();
+  w.member("bench", name);
+  w.member("schema_version", std::int64_t{1});
+  w.key("environment");
+  w.begin_object();
+#if defined(__clang__)
+  w.member("compiler", std::string("clang ") + __clang_version__);
+#elif defined(__GNUC__)
+  w.member("compiler", std::string("gcc ") + __VERSION__);
+#else
+  w.member("compiler", "unknown");
+#endif
+#if defined(NDEBUG)
+  w.member("build_type", "release");
+#else
+  w.member("build_type", "debug");
+#endif
+#if defined(__linux__)
+  w.member("os", "linux");
+#elif defined(__APPLE__)
+  w.member("os", "darwin");
+#else
+  w.member("os", "other");
+#endif
+  w.member("hardware_concurrency",
+           static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  w.end_object();
+  w.member("threads_used", static_cast<std::uint64_t>(threads_used));
+  w.member("wall_time_s", wall_time_s);
+  w.key("results");
+  w.begin_array();
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    w.begin_object();
+    w.member("seed", static_cast<std::uint64_t>(seed_base + i));
+    w.key("metrics");
+    w.begin_object();
+    for (const auto& [key, value] : results[i]) w.member(key, value);
+    w.end_object();
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  return std::move(w).str();
+}
+
 }  // namespace
 
 bool run_json_mode(int argc, char** argv, const std::string& name,
-                   const obs::SeedFn& run_seed) {
+                   const SeedFn& run_seed) {
   bool json = false;
   std::string path = "BENCH_" + name + ".json";
   std::uint64_t seed_base = 42;
@@ -76,14 +133,18 @@ bool run_json_mode(int argc, char** argv, const std::string& name,
       threads > 0 ? threads : std::max(1u, std::thread::hardware_concurrency());
 
   const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<obs::SeedRun> runs =
-      obs::sweep_seeds(seed_base, seeds, run_seed, threads);
+  // Results are stored by seed index, so the sweep's order of work
+  // cannot reach the report.
+  std::vector<std::map<std::string, double>> results(seeds);
+  parallel_for(
+      seeds, [&](std::size_t i) { results[i] = run_seed(seed_base + i); },
+      threads);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  const std::string doc = obs::bench_report_json(
-      name, obs::current_environment(), runs, wall, used);
+  const std::string doc =
+      bench_report_json(name, seed_base, results, wall, used);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());

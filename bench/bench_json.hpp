@@ -2,8 +2,8 @@
 //
 // Each harness keeps its human-readable stdout report as the default and
 // gains a `--json` mode: a seed sweep (parallel_for, bit-identical to
-// serial) whose per-seed metric maps are written to BENCH_<name>.json via
-// obs::bench_report_json.
+// serial) whose per-seed metric maps are written to BENCH_<name>.json,
+// stamped with the build environment and the sweep's wall time.
 //
 //   int main(int argc, char** argv) {
 //     if (phisched::bench::run_json_mode(argc, argv, "fig9", per_seed)) {
@@ -23,15 +23,21 @@
 // Each number is read by read_int; a value outside its range exits 2.
 #pragma once
 
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 
-#include "obs/seedsweep.hpp"
-
 namespace phisched::bench {
+
+/// One seed's run of a harness: seed -> flat metric map. It must be a
+/// pure function of the seed, so a parallel sweep is bit-identical to a
+/// serial one.
+using SeedFn = std::function<std::map<std::string, double>(std::uint64_t)>;
 
 /// Returns false (doing nothing) unless --json is present; otherwise runs
 /// the sweep, writes the report file, prints its path, and returns true.
 bool run_json_mode(int argc, char** argv, const std::string& name,
-                   const obs::SeedFn& run_seed);
+                   const SeedFn& run_seed);
 
 }  // namespace phisched::bench

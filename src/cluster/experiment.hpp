@@ -101,9 +101,10 @@ struct ExperimentConfig {
   SimTime sample_interval = 0.0;
 
   /// Full observability: when true, every layer (devices, middleware,
-  /// negotiator, schedd, cluster rollups) records into an obs::Recorder
-  /// whose snapshot lands in ExperimentResult::telemetry. Off by default —
-  /// the instrumented sites then cost one null check each.
+  /// negotiator, schedd) records into an obs::Recorder whose snapshot,
+  /// with the cluster rollups added, lands in ExperimentResult::telemetry.
+  /// Off by default — the instrumented sites then cost one null check
+  /// each.
   bool telemetry = false;
 
   /// On-failure retries: a job killed by COSMIC's container (or the OOM

@@ -445,41 +445,51 @@ ExperimentResult Harness::gather(SimTime until) const {
   return r;
 }
 
-void Harness::roll_up(obs::Recorder& rec, const ExperimentResult& r) const {
-  auto& m = rec.metrics();
-  m.gauge("cluster.makespan_s").set(r.makespan);
-  m.gauge("cluster.avg_core_utilization").set(r.avg_core_utilization);
-  m.gauge("cluster.device_energy_mj").set(r.device_energy_mj);
-  m.gauge("cluster.mean_turnaround_s").set(r.mean_turnaround);
-  m.counter("cluster.jobs_completed").inc(r.jobs_completed);
-  m.counter("cluster.jobs_failed").inc(r.jobs_failed);
-  m.counter("cluster.job_retries").inc(r.job_retries);
+void Harness::roll_up(obs::MetricsSnapshot& m,
+                      const ExperimentResult& r) const {
+  // Written into the snapshot, not through the registry, so the schema
+  // extractor cannot see the names; declare them for the lint.
+  // phisched-lint: emits(gauge cluster.makespan_s)
+  // phisched-lint: emits(gauge cluster.avg_core_utilization)
+  // phisched-lint: emits(gauge cluster.device_energy_mj)
+  // phisched-lint: emits(gauge cluster.mean_turnaround_s)
+  // phisched-lint: emits(counter cluster.jobs_completed)
+  // phisched-lint: emits(counter cluster.jobs_failed)
+  // phisched-lint: emits(counter cluster.job_retries)
+  // phisched-lint: emits(histogram cluster.job_slowdown)
+  m.gauges["cluster.makespan_s"] = r.makespan;
+  m.gauges["cluster.avg_core_utilization"] = r.avg_core_utilization;
+  m.gauges["cluster.device_energy_mj"] = r.device_energy_mj;
+  m.gauges["cluster.mean_turnaround_s"] = r.mean_turnaround;
+  m.counters["cluster.jobs_completed"] = r.jobs_completed;
+  m.counters["cluster.jobs_failed"] = r.jobs_failed;
+  m.counters["cluster.job_retries"] = r.job_retries;
   // Per-job slowdown (turnaround over solo full-speed duration) — the
   // paper's fairness lens on sharing.
-  auto& slowdown = m.histogram("cluster.job_slowdown", 0.0, 20.0, 40);
+  Histogram slowdown(0.0, 20.0, 40);
   schedd_.for_each_by_id([this, &slowdown](const condor::JobRecord& jrec) {
     const double solo = jobs_.at(jrec.id).spec.profile.total_duration();
     if (jrec.finish_time >= 0.0 && solo > 0.0) {
       slowdown.add((jrec.finish_time - jrec.submit_time) / solo);
     }
   });
+  m.histograms["cluster.job_slowdown"] = obs::histogram_data(slowdown);
 }
 
 ExperimentResult Harness::finish(SimTime until) const {
   ExperimentResult r = gather(until);
   if (recorder_ != nullptr) {
-    // Finalize a COPY of the recorder: close any open oversubscription
-    // episodes and write cluster rollups there, leaving the live
-    // instruments (and the stack) untouched.
-    obs::Recorder copy = *recorder_;
+    // One read of the live recorder. The events closing open
+    // oversubscription episodes and the cluster rollups go into that
+    // snapshot only, so the recorder never holds them.
+    obs::Snapshot snap = obs::take_snapshot(*recorder_, until);
     for (const auto& node : nodes_) {
       for (DeviceId d = 0; d < node->device_count(); ++d) {
-        node->device(d).finalize_telemetry_into(copy);
+        node->device(d).finalize_telemetry_into(snap);
       }
     }
-    roll_up(copy, r);
-    r.telemetry =
-        std::make_shared<const obs::Snapshot>(obs::take_snapshot(copy, until));
+    roll_up(snap.metrics, r);
+    r.telemetry = std::make_shared<const obs::Snapshot>(std::move(snap));
   }
   return r;
 }

@@ -146,16 +146,16 @@ class Harness {
   /// counters and distributions cover what has happened so far, and
   /// time-integrated metrics (utilization, energy, telemetry series) run
   /// to now(). The live stack is never mutated — telemetry is finalized
-  /// on a copy of the recorder (open oversubscription episodes are
-  /// closed in the copy only), so interleaved snapshots cannot perturb
-  /// the run or the final result.
+  /// in the snapshot taken of the recorder (open oversubscription
+  /// episodes are closed there only), so interleaved snapshots cannot
+  /// perturb the run or the final result.
   [[nodiscard]] ExperimentResult snapshot() const;
 
   /// The finalized end-of-run result; requires complete(). Integrates
   /// exactly to the makespan (bit-identical to the one-shot
   /// run_experiment() path) and finalizes telemetry the way snapshot()
-  /// does, on a copy of the recorder. Cached: repeated calls return the
-  /// same result until new work is submitted.
+  /// does, in the snapshot of the recorder. Cached: repeated calls
+  /// return the same result until new work is submitted.
   [[nodiscard]] const ExperimentResult& result();
 
  private:
@@ -185,13 +185,14 @@ class Harness {
   /// Every field of ExperimentResult except .telemetry, with
   /// time-integrated metrics run to `until`.
   [[nodiscard]] ExperimentResult gather(SimTime until) const;
-  /// Cluster-level rollups written into `rec`, a fresh copy of the live
+  /// Cluster-level rollups written into `m`, a snapshot of the live
   /// recorder, which never holds them itself.
-  void roll_up(obs::Recorder& rec, const ExperimentResult& r) const;
+  void roll_up(obs::MetricsSnapshot& m, const ExperimentResult& r) const;
   /// The one finalization behind result() and snapshot(): gather(until)
-  /// plus, with telemetry on, the snapshot of a finalized copy of the
-  /// recorder (open oversubscription episodes closed, rollups written),
-  /// with time-based instruments run to `until`. Mutates nothing.
+  /// plus, with telemetry on, one snapshot of the recorder with
+  /// time-based instruments run to `until`, finalized in place (open
+  /// oversubscription episodes closed, rollups written). Mutates
+  /// nothing.
   [[nodiscard]] ExperimentResult finish(SimTime until) const;
 
   ExperimentConfig config_;

@@ -111,7 +111,6 @@ void Service::offer(workload::JobSpec job, SimTime offer_time,
       occupied_threads_ += declared_threads(job);
       live_[job.id] = LiveJob{offer_time, tenant, declared_threads(job),
                               job.profile.total_duration()};
-      tenants_[tenant].admitted += 1;
       // A deferred job is past its original submit_time by now; the
       // harness submits it immediately either way.
       job.submit_time = std::min(job.submit_time, harness_.now());
@@ -148,7 +147,6 @@ void Service::on_terminal(const condor::JobRecord& rec) {
     window_completed_ += 1;
     auto& tenant = tenants_[job.tenant];
     tenant.completed += 1;
-    tenant.wait_sum_s += wait;
     tenant.slowdown_sum += job.solo_duration_s > 0.0
                                ? turnaround / job.solo_duration_s
                                : 1.0;
@@ -224,38 +222,6 @@ void Service::close_window(SimTime t_start, SimTime t_end) {
   m["cum_mean_wait_s"] = total_wait_.mean();
   m["cum_p99_turnaround_s"] = total_turnaround_.p99();
   m["fairness_jain"] = jain_fairness();
-
-  // Mirror the row into the SLA registry: windowed values as gauges,
-  // lifetime totals as counters, per-tenant fairness gauges alongside.
-  auto& reg = recorder_.metrics();
-  for (const auto& [key, value] : m) reg.gauge("sla.window." + key).set(value);
-  reg.counter("sla.offered").inc(a.offered - last_admission_.offered);
-  reg.counter("sla.admitted").inc(a.admitted - last_admission_.admitted);
-  reg.counter("sla.rejected").inc(a.rejected_total() -
-                                  last_admission_.rejected_total());
-  reg.counter("sla.deferred").inc(a.deferred - last_admission_.deferred);
-  reg.counter("sla.completed").inc(window_completed_);
-  reg.counter("sla.failed").inc(window_failed_);
-  reg.gauge("sla.windows_closed").set(static_cast<double>(w.index + 1));
-  for (std::size_t k = 0; k < tenants_.size(); ++k) {
-    const auto& tenant = tenants_[k];
-    const std::string prefix = "sla.tenant" + std::to_string(k) + ".";
-    reg.gauge(prefix + "admitted").set(static_cast<double>(tenant.admitted));
-    reg.gauge(prefix + "completed").set(static_cast<double>(tenant.completed));
-    reg.gauge(prefix + "mean_wait_s")
-        .set(tenant.completed > 0
-                 ? tenant.wait_sum_s / static_cast<double>(tenant.completed)
-                 : 0.0);
-    reg.gauge(prefix + "mean_slowdown")
-        .set(tenant.completed > 0
-                 ? tenant.slowdown_sum / static_cast<double>(tenant.completed)
-                 : 0.0);
-  }
-  recorder_.event(t_end, "sla_window",
-                  {{"index", std::to_string(w.index)},
-                   {"completed", std::to_string(window_completed_)},
-                   {"p99_wait_s", json_number(m["p99_wait_s"])},
-                   {"queue_depth", json_number(m["queue_depth"])}});
 
   windows_.push_back(std::move(w));
   window_wait_.reset();

@@ -6,8 +6,8 @@
 // continuously (Poisson / bursty / diurnal / replayed trace), an
 // admission layer sheds or defers load when the queue or occupancy
 // crosses its thresholds, and windowed p50/p95/p99 wait and turnaround,
-// queue depths, and per-tenant fairness flow through an obs::Registry
-// and out through the JSON writers.
+// queue depths, and per-tenant fairness close into one row per window,
+// which sla_report_json writes out.
 //
 // Structure (after Jeongseob's HotCloud'12 dynamic-VM-scheduler: a
 // collector poll loop feeding a scheduler decision thread, here folded
@@ -33,7 +33,6 @@
 #include "cluster/harness.hpp"
 #include "common/quantiles.hpp"
 #include "common/rng.hpp"
-#include "obs/recorder.hpp"
 #include "workload/arrivals.hpp"
 
 namespace phisched::cluster {
@@ -97,16 +96,11 @@ class Service {
   /// window per window_s, then (optionally) the drain. Call once.
   ServiceResult run();
 
-  /// SLA instruments (gauges/counters updated at every window close)
-  /// for ad-hoc export through obs::metrics_json.
-  [[nodiscard]] const obs::Recorder& recorder() const { return recorder_; }
   [[nodiscard]] Harness& harness() { return harness_; }
 
  private:
   struct TenantStats {
-    std::uint64_t admitted = 0;
     std::uint64_t completed = 0;
-    double wait_sum_s = 0.0;
     double slowdown_sum = 0.0;
   };
 
@@ -155,7 +149,6 @@ class Service {
 
   std::vector<TenantStats> tenants_;
   std::vector<ServiceWindow> windows_;
-  obs::Recorder recorder_;
 };
 
 /// The SLA export document (docs/service.md): shaped like a bench

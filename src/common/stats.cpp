@@ -87,4 +87,9 @@ double TimeWeighted::mean_until(SimTime t) const {
   return (integral_ + value_ * (t - last_)) / span;
 }
 
+double TimeWeighted::integral_until(SimTime t) const {
+  if (!started_) return 0.0;
+  return integral_ + value_ * (t > last_ ? t - last_ : 0.0);
+}
+
 }  // namespace phisched

@@ -60,6 +60,10 @@ class TimeWeighted {
   /// Time-weighted mean over [start, t], extending the last value to t.
   [[nodiscard]] double mean_until(SimTime t) const;
 
+  /// Integral over [start, t], extending the last value to t (a t before
+  /// the last update adds nothing); 0 before the first set.
+  [[nodiscard]] double integral_until(SimTime t) const;
+
  private:
   SimTime start_ = 0.0;
   SimTime last_ = 0.0;

@@ -94,11 +94,11 @@ class Negotiator {
   struct Telemetry {
     obs::Recorder* rec = nullptr;
     std::string prefix;
-    obs::TimeSeriesGauge* pending_jobs = nullptr;
+    TimeWeighted* pending_jobs = nullptr;
     obs::Gauge* pending_age_max_s = nullptr;
-    obs::ValueHistogram* pending_age_hist = nullptr;
+    Histogram* pending_age_hist = nullptr;
     // Batch-only instrument (null under FifoStrategy).
-    obs::ValueHistogram* match_latency = nullptr;
+    Histogram* match_latency = nullptr;
   };
 
   Simulator& sim_;

@@ -131,7 +131,7 @@ class Schedd {
   }
 
   // Lifecycle transitions (driven by negotiator / starter / node). Each
-  // takes one of this schedd's records; the JobId forms look it up.
+  // takes one of this schedd's records (record(id) looks one up).
   void mark_matched(const JobRecord& rec, NodeId node);
   void mark_running(const JobRecord& rec);
   void mark_completed(const JobRecord& rec);
@@ -144,15 +144,6 @@ class Schedd {
   /// with a fresh ad (e.g. a boosted memory declaration) and its retry
   /// counter incremented. Does NOT count as a terminal transition.
   void requeue(const JobRecord& rec, classad::ClassAd new_ad);
-
-  void mark_matched(JobId id, NodeId node) { mark_matched(record(id), node); }
-  void mark_running(JobId id) { mark_running(record(id)); }
-  void mark_completed(JobId id) { mark_completed(record(id)); }
-  void mark_failed(JobId id) { mark_failed(record(id)); }
-  void release_match(JobId id) { release_match(record(id)); }
-  void requeue(JobId id, classad::ClassAd new_ad) {
-    requeue(record(id), std::move(new_ad));
-  }
 
   [[nodiscard]] std::size_t submitted_count() const { return table_.size(); }
   [[nodiscard]] std::size_t completed_count() const { return completed_; }

@@ -46,10 +46,10 @@ void NodeMiddleware::attach_telemetry(obs::Recorder& recorder,
   // Rebuild the per-device series bindings into a fresh vector and swap it
   // in whole, so a re-registration (second attach_telemetry call) can
   // never leave note_queue_depth racing a partially rebuilt vector.
-  std::vector<obs::TimeSeriesGauge*> depths;
+  std::vector<TimeWeighted*> depths;
   depths.reserve(devices_.size());
   for (std::size_t d = 0; d < devices_.size(); ++d) {
-    obs::TimeSeriesGauge* depth =
+    TimeWeighted* depth =
         &m.series(prefix + ".mic" + std::to_string(d) + ".queue_depth");
     depth->set(sim_.now(), static_cast<double>(devices_[d].queue.size()));
     depths.push_back(depth);

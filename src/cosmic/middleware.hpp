@@ -209,9 +209,9 @@ class NodeMiddleware {
     obs::Recorder* rec = nullptr;
     std::string prefix;
     obs::Gauge* admission_wait_s = nullptr;
-    obs::ValueHistogram* admission_wait_hist = nullptr;
-    obs::TimeSeriesGauge* admission_depth = nullptr;
-    std::vector<obs::TimeSeriesGauge*> queue_depth;  ///< per device
+    Histogram* admission_wait_hist = nullptr;
+    TimeWeighted* admission_depth = nullptr;
+    std::vector<TimeWeighted*> queue_depth;  ///< per device
   };
 
   /// Post-transfer stage of request_offload: container check + queueing.

@@ -2,20 +2,16 @@
 
 namespace phisched::obs {
 
-Counter& Registry::counter(const std::string& name) {
-  return counters_[name];
-}
-
 void Registry::counter(const std::string& name,
                        std::function<std::uint64_t()> source) {
-  bound_counters_[name] = std::move(source);
+  counters_[name] = std::move(source);
 }
 
 Gauge& Registry::gauge(const std::string& name) {
   return gauges_[name];
 }
 
-TimeSeriesGauge& Registry::series(const std::string& name) {
+TimeWeighted& Registry::series(const std::string& name) {
   return series_[name];
 }
 
@@ -28,18 +24,16 @@ TimeHistogram& Registry::time_histogram(const std::string& name, double lo,
   return it->second;
 }
 
-ValueHistogram& Registry::histogram(const std::string& name, double lo,
-                                    double hi, std::size_t bins) {
+Histogram& Registry::histogram(const std::string& name, double lo, double hi,
+                               std::size_t bins) {
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    it = histograms_.emplace(name, ValueHistogram(lo, hi, bins)).first;
+    it = histograms_.emplace(name, Histogram(lo, hi, bins)).first;
   }
   return it->second;
 }
 
-namespace {
-
-MetricsSnapshot::HistogramData flatten(const Histogram& h) {
+MetricsSnapshot::HistogramData histogram_data(const Histogram& h) {
   MetricsSnapshot::HistogramData data;
   data.lo = h.bin_low(0);
   data.hi = h.bin_high(h.bins() - 1);
@@ -48,12 +42,9 @@ MetricsSnapshot::HistogramData flatten(const Histogram& h) {
   return data;
 }
 
-}  // namespace
-
 MetricsSnapshot Registry::snapshot(SimTime until) const {
   MetricsSnapshot snap;
-  for (const auto& [name, c] : counters_) snap.counters.emplace(name, c.value());
-  for (const auto& [name, source] : bound_counters_) {
+  for (const auto& [name, source] : counters_) {
     snap.counters.emplace(name, source());
   }
   for (const auto& [name, g] : gauges_) snap.gauges.emplace(name, g.value());
@@ -62,10 +53,10 @@ MetricsSnapshot Registry::snapshot(SimTime until) const {
     snap.gauges.emplace(name + ".integral", s.integral_until(until));
   }
   for (const auto& [name, h] : time_histograms_) {
-    snap.histograms.emplace(name, flatten(h.finalized(until)));
+    snap.histograms.emplace(name, histogram_data(h.finalized(until)));
   }
   for (const auto& [name, h] : histograms_) {
-    snap.histograms.emplace(name, flatten(h.histogram()));
+    snap.histograms.emplace(name, histogram_data(h));
   }
   return snap;
 }

@@ -129,10 +129,11 @@ void Device::note_container(JobId job) {
   m.series(base + ".threads").set(sim_.now(), threads);
 }
 
-void Device::finalize_telemetry_into(obs::Recorder& recorder) const {
+void Device::finalize_telemetry_into(obs::Snapshot& snap) const {
   if (obs_.rec == nullptr || !oversub_active_) return;
-  recorder.event(sim_.now(), "oversub_end",
-                 {{"device", obs_.prefix}, {"at_run_end", "1"}});
+  snap.events.push_back(
+      obs::Event{sim_.now(), "oversub_end",
+                 {{"device", obs_.prefix}, {"at_run_end", "1"}}});
 }
 
 OffloadId Device::start_offload(JobId job, ThreadCount threads, MiB memory,

@@ -207,12 +207,13 @@ class Device {
 
   /// End-of-run bookkeeping for a snapshot: if an oversubscription
   /// episode is still open because the simulation stopped mid-episode,
-  /// emits the matching `oversub_end` event (marked `at_run_end`) into
-  /// `recorder`, a copy of the attached one, so the exported episode
-  /// events come in begin/end pairs. Leaves this device — its
-  /// open-episode flag included — untouched, so a snapshot cannot
-  /// perturb the run. No-op unless telemetry was attached.
-  void finalize_telemetry_into(obs::Recorder& recorder) const;
+  /// appends the matching `oversub_end` event (marked `at_run_end`) to
+  /// `snap`, a snapshot of the attached recorder, so the exported
+  /// episode events come in begin/end pairs. Leaves this device — its
+  /// open-episode flag included — and the recorder untouched, so a
+  /// snapshot cannot perturb the run. No-op unless telemetry was
+  /// attached.
+  void finalize_telemetry_into(obs::Snapshot& snap) const;
 
  private:
   struct Offload {
@@ -254,12 +255,12 @@ class Device {
   struct Telemetry {
     obs::Recorder* rec = nullptr;
     std::string prefix;
-    obs::TimeSeriesGauge* speed = nullptr;
-    obs::TimeSeriesGauge* busy_cores = nullptr;
+    TimeWeighted* speed = nullptr;
+    TimeWeighted* busy_cores = nullptr;
     obs::TimeHistogram* speed_seconds = nullptr;
     /// Registered only when the mem_bw contention model is on, so the
     /// default telemetry JSON stays byte-identical to the seed.
-    obs::TimeSeriesGauge* bw_demand = nullptr;
+    TimeWeighted* bw_demand = nullptr;
   };
 
   Simulator& sim_;

@@ -112,8 +112,8 @@ class PcieSwitch {
   struct Telemetry {
     obs::Recorder* rec = nullptr;
     std::string prefix;
-    obs::TimeSeriesGauge* busy_frac = nullptr;
-    obs::TimeSeriesGauge* queue_depth = nullptr;
+    TimeWeighted* busy_frac = nullptr;
+    TimeWeighted* queue_depth = nullptr;
   };
 
   Simulator& sim_;

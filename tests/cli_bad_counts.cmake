@@ -13,6 +13,8 @@
 # with no job (`--jobs 0`, or a job set file holding only its header)
 # used to spin idle negotiation cycles until the simulator's runaway
 # guard threw, minutes later; each case is bounded by a timeout.
+# `--arrival-rate 0` and `-1` printed the plain batch report, as if the
+# option were absent.
 file(WRITE ${WORKDIR}/empty.jobs "# phisched jobset v1\n")
 foreach(case
     "--nodes;-1;nodes"
@@ -33,7 +35,9 @@ foreach(case
     "--seed;99999999999999999999;seed"
     "--serve;--tenants;-2;tenants"
     "--serve;--admit-queue;-1;admit-queue"
-    "--serve;--admit-max-defers;-3;admit-max-defers")
+    "--serve;--admit-max-defers;-3;admit-max-defers"
+    "--arrival-rate;0;arrival-rate"
+    "--arrival-rate;-1;arrival-rate")
   list(POP_BACK case option)
   # --jobs 1 comes first so a case that sets --jobs overrides it.
   execute_process(COMMAND ${CLI} --jobs 1 ${case}

@@ -64,4 +64,14 @@ foreach(case
     "no-drain")
   expect_refused("${batch_base}" service "${case}")
 endforeach()
+
+# --metrics-filter narrows the two telemetry exports; without either it
+# printed the unfiltered report and exited 0.
+execute_process(COMMAND ${CLI} ${batch_base} --metrics-filter phi.
+                WORKING_DIRECTORY ${dir} TIMEOUT 60
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "--metrics-filter .*--metrics-out")
+  message(FATAL_ERROR "--metrics-filter without an export exited ${rc}, "
+                      "expected 2 naming both options:\n${out}${err}")
+endif()
 file(REMOVE_RECURSE ${dir})

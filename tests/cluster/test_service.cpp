@@ -133,22 +133,33 @@ TEST(Service, TenantFairnessIsTrackedPerTenant) {
   const double jain = r.windows.back().metrics.at("fairness_jain");
   EXPECT_GT(jain, 0.0);
   EXPECT_LE(jain, 1.0);
+}
 
-  // The registry mirrors per-tenant gauges at every window close.
-  const obs::MetricsSnapshot snap =
-      service.recorder().metrics().snapshot(service.harness().now());
-  double admitted = 0.0;
-  for (std::size_t k = 0; k < 3; ++k) {
-    const std::string prefix = "sla.tenant" + std::to_string(k) + ".";
-    ASSERT_TRUE(snap.gauges.count(prefix + "admitted")) << prefix;
-    admitted += snap.gauges.at(prefix + "admitted");
+TEST(Service, TenantSkewChangesOnlyTheFairnessColumn) {
+  // Tenants are drawn from their own stream, so the skew moves which
+  // tenant each job is charged to and nothing the cluster does.
+  ServiceConfig uniform = small_service(13, 0.15);
+  uniform.tenants = 3;
+  ServiceConfig skewed = uniform;
+  skewed.tenant_skew = 4.0;
+  Service a(uniform);
+  Service b(skewed);
+  const ServiceResult ra = a.run();
+  const ServiceResult rb = b.run();
+
+  ASSERT_EQ(ra.windows.size(), rb.windows.size());
+  bool fairness_moved = false;
+  for (std::size_t i = 0; i < ra.windows.size(); ++i) {
+    auto ma = ra.windows[i].metrics;
+    auto mb = rb.windows[i].metrics;
+    fairness_moved = fairness_moved ||
+                     ma.at("fairness_jain") != mb.at("fairness_jain");
+    ma.erase("fairness_jain");
+    mb.erase("fairness_jain");
+    EXPECT_EQ(ma, mb) << "window " << i;
   }
-  EXPECT_DOUBLE_EQ(admitted, static_cast<double>(r.admission.admitted));
-  // Skew 1.0 favours tenant 0 with twice tenant 1's weight.
-  EXPECT_GE(snap.gauges.at("sla.tenant0.admitted"),
-            snap.gauges.at("sla.tenant2.admitted"));
-  EXPECT_EQ(snap.counters.at("sla.completed"),
-            static_cast<std::uint64_t>(r.cluster.jobs_completed));
+  EXPECT_TRUE(fairness_moved);
+  EXPECT_NE(sla_report_json(uniform, ra), sla_report_json(skewed, rb));
 }
 
 TEST(Service, OccupancyDividesByTheCardsTheHarnessBuilt) {

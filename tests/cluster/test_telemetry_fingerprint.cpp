@@ -4,11 +4,15 @@
 // FNV-1a hashes of the exported metrics and event-log JSON (captured
 // before the telemetry counters were bound to the components' own
 // stats), and checks that every exported count equals the one the same
-// run's ExperimentResult reports, so the two cannot drift apart. Any
-// hash drift means an export changed: fix the code, do not re-capture.
+// run's ExperimentResult reports, so the two cannot drift apart. One
+// more case pins a mid-run snapshot that closes an open
+// oversubscription episode (hashes captured while snapshots still
+// finalized a copy of the recorder). Any hash drift means an export
+// changed: fix the code, do not re-capture.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "cluster/harness.hpp"
 #include "condor/strategy.hpp"
@@ -154,6 +158,54 @@ TEST(TelemetryFingerprint, OomKillsWithContainersOff) {
   EXPECT_GT(r.oom_kills, 0u);
   EXPECT_EQ(r.container_kills, 0u);
   expect_hashes(r, 17708926491204978231ull, 4832589447945144698ull);
+}
+
+/// Events of `type`, and how many of them carry the `at_run_end` field.
+std::pair<std::size_t, std::size_t> count_events(const obs::Snapshot& snap,
+                                                 const std::string& type) {
+  std::size_t total = 0;
+  std::size_t at_run_end = 0;
+  for (const obs::Event& e : snap.events) {
+    if (e.type != type) continue;
+    ++total;
+    for (const auto& [key, value] : e.fields) {
+      if (key == "at_run_end" && value == "1") ++at_run_end;
+    }
+  }
+  return {total, at_run_end};
+}
+
+TEST(TelemetryFingerprint, OpenEpisodeAtMidRunSnapshot) {
+  // MC runs both async offloads of the one job at once (COSMIC would
+  // serialize them under MCC): 360 threads against 240 open an
+  // oversubscription episode that is still open at t = 3, so the
+  // mid-run snapshot is the one that closes it with at_run_end=1.
+  ExperimentConfig config;
+  config.stack = StackConfig::kMC;
+  config.node_count = 1;
+  config.telemetry = true;
+  workload::JobSpec job;
+  job.id = 0;
+  job.mem_req_mib = 1000;
+  job.threads_req = 180;
+  job.profile = OffloadProfile({Segment::offload_async(10.0, 180, 200),
+                                Segment::offload_async(10.0, 180, 200),
+                                Segment::sync()});
+  Harness harness(config);
+  harness.submit(job);
+  harness.run_until(3.0);
+  const ExperimentResult mid = harness.snapshot();
+  const ExperimentResult last = harness.run_to_completion();
+
+  ASSERT_NE(mid.telemetry, nullptr);
+  ASSERT_NE(last.telemetry, nullptr);
+  using Counts = std::pair<std::size_t, std::size_t>;
+  EXPECT_EQ(count_events(*mid.telemetry, "oversub_begin"), Counts(1, 0));
+  EXPECT_EQ(count_events(*mid.telemetry, "oversub_end"), Counts(1, 1));
+  EXPECT_EQ(count_events(*last.telemetry, "oversub_begin"), Counts(1, 0));
+  EXPECT_EQ(count_events(*last.telemetry, "oversub_end"), Counts(1, 0));
+  expect_hashes(mid, 14189499854192320035ull, 8670943830886890241ull);
+  expect_hashes(last, 2348230048166203135ull, 5271799111442710837ull);
 }
 
 }  // namespace

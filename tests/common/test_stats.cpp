@@ -95,6 +95,23 @@ TEST(TimeWeighted, MeanUntilExtendsLastValue) {
   EXPECT_DOUBLE_EQ(tw.mean_until(20.0), 3.5);
 }
 
+TEST(TimeWeighted, IntegralUntilExtendsLastValue) {
+  TimeWeighted tw;
+  // Before the first set there is no signal: every horizon reads 0.
+  EXPECT_DOUBLE_EQ(tw.integral_until(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(tw.integral_until(50.0), 0.0);
+  EXPECT_DOUBLE_EQ(tw.mean_until(50.0), 0.0);
+  tw.set(1.0, 2.0);
+  tw.set(5.0, 4.0);
+  // At the last update: [1,5) at 2 only.
+  EXPECT_DOUBLE_EQ(tw.integral_until(5.0), 8.0);
+  // Past it the last value extends: plus [5,20) at 4.
+  EXPECT_DOUBLE_EQ(tw.integral_until(20.0), 68.0);
+  // The query reads without advancing the signal.
+  EXPECT_DOUBLE_EQ(tw.integral(), 8.0);
+  EXPECT_DOUBLE_EQ(tw.last_time(), 5.0);
+}
+
 TEST(TimeWeighted, FirstSetActsAsReset) {
   TimeWeighted tw;
   tw.set(3.0, 7.0);

@@ -67,7 +67,7 @@ void reference_cycle(Schedd& schedd, MachineAds machines, Rng& rng,
     const auto chosen = reference_choose(rec.ad, machines, rng);
     if (!chosen.has_value()) continue;
     auto& [node, machine] = machines[*chosen];
-    schedd.mark_matched(id, node);
+    schedd.mark_matched(rec, node);
     if (dispatch(id, node)) {
       if (machine.has(kAttrFreeSlots)) {
         machine.insert_integer(
@@ -75,7 +75,7 @@ void reference_cycle(Schedd& schedd, MachineAds machines, Rng& rng,
             machine.eval_integer(kAttrFreeSlots).value_or(0) - 1);
       }
     } else {
-      schedd.release_match(id);
+      schedd.release_match(rec);
     }
   }
 }
@@ -230,15 +230,15 @@ TEST(AutoclusterProperty, MemoChoosesExactlyWhatThePerJobScanChose) {
       for (JobId id = 0; id < next; ++id) {
         const JobRecord& rec = memo.schedd().record(id);
         if (rec.state == JobState::kMatched) {
-          memo.schedd().mark_running(id);
-          reference.schedd().mark_running(id);
+          memo.schedd().mark_running(memo.schedd().record(id));
+          reference.schedd().mark_running(reference.schedd().record(id));
           if (gen.bernoulli(0.4)) {
             const classad::ClassAd ad = random_job(gen, id);
-            memo.schedd().requeue(id, ad);
-            reference.schedd().requeue(id, ad);
+            memo.schedd().requeue(memo.schedd().record(id), ad);
+            reference.schedd().requeue(reference.schedd().record(id), ad);
           } else {
-            memo.schedd().mark_completed(id);
-            reference.schedd().mark_completed(id);
+            memo.schedd().mark_completed(memo.schedd().record(id));
+            reference.schedd().mark_completed(reference.schedd().record(id));
           }
         } else if (rec.state == JobState::kPending && gen.bernoulli(0.3)) {
           const classad::ClassAd donor = random_job(gen, id);
@@ -370,15 +370,15 @@ TEST(AutoclusterProperty, NameIndexChoosesExactlyWhatThePerJobScanChose) {
       for (JobId id = 0; id < next; ++id) {
         const JobRecord& rec = memo.schedd().record(id);
         if (rec.state == JobState::kMatched) {
-          memo.schedd().mark_running(id);
-          reference.schedd().mark_running(id);
+          memo.schedd().mark_running(memo.schedd().record(id));
+          reference.schedd().mark_running(reference.schedd().record(id));
           if (gen.bernoulli(0.4)) {
             const classad::ClassAd ad = random_named_job(gen, id);
-            memo.schedd().requeue(id, ad);
-            reference.schedd().requeue(id, ad);
+            memo.schedd().requeue(memo.schedd().record(id), ad);
+            reference.schedd().requeue(reference.schedd().record(id), ad);
           } else {
-            memo.schedd().mark_completed(id);
-            reference.schedd().mark_completed(id);
+            memo.schedd().mark_completed(memo.schedd().record(id));
+            reference.schedd().mark_completed(reference.schedd().record(id));
           }
         } else if (rec.state == JobState::kPending && gen.bernoulli(0.3)) {
           const classad::ExprPtr expr =
@@ -481,9 +481,10 @@ TEST_F(AutoclusterTest, QeditAndRequeueReclassify) {
   EXPECT_EQ(schedd_.record(2).autocluster, 0u);
   EXPECT_NE(id_of(2), shared);
 
-  schedd_.mark_matched(1, 0);
-  schedd_.mark_running(1);
-  schedd_.requeue(1, classad::parse_classad("Requirements = TARGET.Mem >= 8"));
+  schedd_.mark_matched(schedd_.record(1), 0);
+  schedd_.mark_running(schedd_.record(1));
+  schedd_.requeue(schedd_.record(1),
+                  classad::parse_classad("Requirements = TARGET.Mem >= 8"));
   EXPECT_EQ(schedd_.record(1).autocluster, 0u);
   EXPECT_EQ(id_of(1), id_of(2));
 }
@@ -494,9 +495,9 @@ TEST_F(AutoclusterTest, TableStaysProportionalToLiveJobs) {
   for (JobId id = 0; id < 500; ++id) {
     submit(id, "Requirements = TARGET.Mem >= " + std::to_string(id));
     (void)id_of(id);
-    schedd_.mark_matched(id, 0);
-    schedd_.mark_running(id);
-    schedd_.mark_completed(id);
+    schedd_.mark_matched(schedd_.record(id), 0);
+    schedd_.mark_running(schedd_.record(id));
+    schedd_.mark_completed(schedd_.record(id));
   }
   EXPECT_LE(schedd_.autocluster_count(), 16u);
 }

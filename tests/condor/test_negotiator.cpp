@@ -176,8 +176,8 @@ TEST_F(NegotiatorTest, PeriodicCyclesFireOnTimer) {
   EXPECT_EQ(dispatched_.size(), 1u);  // cycle at t=10
   // Free the slot before the next cycle.
   machine_slots_[0] = 1;
-  schedd_.mark_running(1);
-  schedd_.mark_completed(1);
+  schedd_.mark_running(schedd_.record(1));
+  schedd_.mark_completed(schedd_.record(1));
   sim_.run_until(20.5);
   EXPECT_EQ(dispatched_.size(), 2u);  // cycle at t=20
   negotiator.stop();

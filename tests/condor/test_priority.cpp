@@ -77,11 +77,11 @@ TEST_F(PriorityTest, RefusedAndRequeuedJobsKeepTheirPlace) {
   EXPECT_EQ(examination_order(), (std::vector<JobId>{2, 5, 4}));
 
   // Job 1 fails and is requeued with a fresh ad: it too keeps its place.
-  schedd_.mark_running(1);
+  schedd_.mark_running(schedd_.record(1));
   classad::ClassAd fresh;
   fresh.insert_integer(kAttrJobId, 1);
   fresh.insert_expr(kAttrRequirements, "TARGET.FreeSlots >= 1");
-  schedd_.requeue(1, fresh);
+  schedd_.requeue(schedd_.record(1), fresh);
   EXPECT_EQ(examination_order(), (std::vector<JobId>{1, 2, 5, 4}));
 }
 

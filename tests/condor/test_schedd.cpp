@@ -45,15 +45,15 @@ TEST_F(ScheddTest, DuplicateSubmitThrows) {
 TEST_F(ScheddTest, LifecycleTransitions) {
   schedd_.submit(1, simple_ad());
   sim_.run_until(5.0);
-  schedd_.mark_matched(1, 2);
+  schedd_.mark_matched(schedd_.record(1), 2);
   EXPECT_EQ(schedd_.record(1).state, JobState::kMatched);
   EXPECT_EQ(schedd_.record(1).node, 2);
   EXPECT_TRUE(schedd_.pending().empty());
   sim_.run_until(6.0);
-  schedd_.mark_running(1);
+  schedd_.mark_running(schedd_.record(1));
   EXPECT_DOUBLE_EQ(schedd_.record(1).start_time, 6.0);
   sim_.run_until(20.0);
-  schedd_.mark_completed(1);
+  schedd_.mark_completed(schedd_.record(1));
   EXPECT_EQ(schedd_.record(1).state, JobState::kCompleted);
   EXPECT_DOUBLE_EQ(schedd_.record(1).finish_time, 20.0);
   EXPECT_TRUE(schedd_.drained());
@@ -62,16 +62,18 @@ TEST_F(ScheddTest, LifecycleTransitions) {
 
 TEST_F(ScheddTest, InvalidTransitionsThrow) {
   schedd_.submit(1, simple_ad());
-  EXPECT_THROW(schedd_.mark_running(1), std::invalid_argument);
-  EXPECT_THROW(schedd_.mark_completed(1), std::invalid_argument);
-  schedd_.mark_matched(1, 0);
-  EXPECT_THROW(schedd_.mark_matched(1, 0), std::invalid_argument);
+  EXPECT_THROW(schedd_.mark_running(schedd_.record(1)), std::invalid_argument);
+  EXPECT_THROW(schedd_.mark_completed(schedd_.record(1)),
+               std::invalid_argument);
+  schedd_.mark_matched(schedd_.record(1), 0);
+  EXPECT_THROW(schedd_.mark_matched(schedd_.record(1), 0),
+               std::invalid_argument);
 }
 
 TEST_F(ScheddTest, ReleaseMatchReturnsToPending) {
   schedd_.submit(1, simple_ad());
-  schedd_.mark_matched(1, 0);
-  schedd_.release_match(1);
+  schedd_.mark_matched(schedd_.record(1), 0);
+  schedd_.release_match(schedd_.record(1));
   EXPECT_EQ(schedd_.record(1).state, JobState::kPending);
   EXPECT_EQ(pending_ids(), (std::vector<JobId>{1}));
 }
@@ -79,11 +81,11 @@ TEST_F(ScheddTest, ReleaseMatchReturnsToPending) {
 TEST_F(ScheddTest, FailedFromMatchedOrRunning) {
   schedd_.submit(1, simple_ad());
   schedd_.submit(2, simple_ad());
-  schedd_.mark_matched(1, 0);
-  schedd_.mark_failed(1);  // killed during dispatch latency
-  schedd_.mark_matched(2, 0);
-  schedd_.mark_running(2);
-  schedd_.mark_failed(2);
+  schedd_.mark_matched(schedd_.record(1), 0);
+  schedd_.mark_failed(schedd_.record(1));  // killed during dispatch latency
+  schedd_.mark_matched(schedd_.record(2), 0);
+  schedd_.mark_running(schedd_.record(2));
+  schedd_.mark_failed(schedd_.record(2));
   EXPECT_EQ(schedd_.failed_count(), 2u);
   EXPECT_TRUE(schedd_.drained());
 }
@@ -98,7 +100,7 @@ TEST_F(ScheddTest, QeditRewritesPendingAd) {
 
 TEST_F(ScheddTest, QeditOnNonPendingThrows) {
   schedd_.submit(1, simple_ad());
-  schedd_.mark_matched(1, 0);
+  schedd_.mark_matched(schedd_.record(1), 0);
   EXPECT_THROW(schedd_.qedit_expr(1, "Requirements", "true"),
                std::invalid_argument);
 }
@@ -109,11 +111,11 @@ TEST_F(ScheddTest, TerminalCallbackFires) {
       [&](const JobRecord& rec) { terminal.push_back(rec.id); });
   schedd_.submit(1, simple_ad());
   schedd_.submit(2, simple_ad());
-  schedd_.mark_matched(1, 0);
-  schedd_.mark_running(1);
-  schedd_.mark_completed(1);
-  schedd_.mark_matched(2, 0);
-  schedd_.mark_failed(2);
+  schedd_.mark_matched(schedd_.record(1), 0);
+  schedd_.mark_running(schedd_.record(1));
+  schedd_.mark_completed(schedd_.record(1));
+  schedd_.mark_matched(schedd_.record(2), 0);
+  schedd_.mark_failed(schedd_.record(2));
   EXPECT_EQ(terminal, (std::vector<JobId>{1, 2}));
 }
 
@@ -121,23 +123,23 @@ TEST_F(ScheddTest, RequeuedJobKeepsItsFifoPosition) {
   schedd_.submit(1, simple_ad());
   schedd_.submit(2, simple_ad());
   schedd_.submit(3, simple_ad());
-  schedd_.mark_matched(2, 0);
-  schedd_.mark_running(2);
+  schedd_.mark_matched(schedd_.record(2), 0);
+  schedd_.mark_running(schedd_.record(2));
   // Later submissions, and enough retirements to compact the live list
   // while job 2 is away.
   schedd_.submit(4, simple_ad());
   schedd_.submit(5, simple_ad());
   for (const JobId id : {JobId{1}, JobId{3}, JobId{4}}) {
-    schedd_.mark_matched(id, 0);
-    schedd_.mark_running(id);
-    schedd_.mark_completed(id);
+    schedd_.mark_matched(schedd_.record(id), 0);
+    schedd_.mark_running(schedd_.record(id));
+    schedd_.mark_completed(schedd_.record(id));
   }
   schedd_.submit(6, simple_ad());
-  schedd_.requeue(2, simple_ad());
+  schedd_.requeue(schedd_.record(2), simple_ad());
   EXPECT_EQ(pending_ids(), (std::vector<JobId>{2, 5, 6}));
   // A refused dispatch returns a job to its place as well.
-  schedd_.mark_matched(5, 0);
-  schedd_.release_match(5);
+  schedd_.mark_matched(schedd_.record(5), 0);
+  schedd_.release_match(schedd_.record(5));
   EXPECT_EQ(pending_ids(), (std::vector<JobId>{2, 5, 6}));
   EXPECT_EQ(schedd_.pending_count(), 3u);
 }
@@ -159,24 +161,24 @@ TEST_F(ScheddTest, PendingCountTracksPendingThroughALifecycle) {
       const JobId id = active[at];
       switch (schedd_.record(id).state) {
         case JobState::kPending:
-          schedd_.mark_matched(id, 0);
+          schedd_.mark_matched(schedd_.record(id), 0);
           break;
         case JobState::kMatched:
           if (rng.bernoulli(0.3)) {
-            schedd_.release_match(id);
+            schedd_.release_match(schedd_.record(id));
           } else if (rng.bernoulli(0.1)) {
-            schedd_.mark_failed(id);
+            schedd_.mark_failed(schedd_.record(id));
           } else {
-            schedd_.mark_running(id);
+            schedd_.mark_running(schedd_.record(id));
           }
           break;
         case JobState::kRunning:
           if (rng.bernoulli(0.2)) {
-            schedd_.requeue(id, simple_ad());
+            schedd_.requeue(schedd_.record(id), simple_ad());
           } else if (rng.bernoulli(0.1)) {
-            schedd_.mark_failed(id);
+            schedd_.mark_failed(schedd_.record(id));
           } else {
-            schedd_.mark_completed(id);
+            schedd_.mark_completed(schedd_.record(id));
           }
           break;
         default:

@@ -101,9 +101,9 @@ TEST_F(AddonTest, RepinsAfterJobLeavesQueue) {
   run(addon);
   // Job 1 dispatches and completes; the machine ad shows the memory free
   // again (we never changed free_mem_), so job 2 can be pinned now.
-  schedd_.mark_matched(1, 0);
-  schedd_.mark_running(1);
-  schedd_.mark_completed(1);
+  schedd_.mark_matched(schedd_.record(1), 0);
+  schedd_.mark_running(schedd_.record(1));
+  schedd_.mark_completed(schedd_.record(1));
   run(addon);
   EXPECT_EQ(addon.stats().pins, 2u);
   EXPECT_EQ(schedd_.record(2).ad.eval_integer(condor::kAttrPinnedDevice), 0);

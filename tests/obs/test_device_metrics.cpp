@@ -4,12 +4,25 @@
 // matching events.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "obs/recorder.hpp"
 #include "phi/device.hpp"
 #include "sim/simulator.hpp"
 
 namespace phisched::phi {
 namespace {
+
+/// A snapshot's events of one type, in emission order.
+std::vector<obs::Event> of_type(const obs::Snapshot& snap,
+                                const std::string& type) {
+  std::vector<obs::Event> out;
+  for (const obs::Event& e : snap.events) {
+    if (e.type == type) out.push_back(e);
+  }
+  return out;
+}
 
 class DeviceMetricsTest : public ::testing::Test {
  protected:
@@ -173,14 +186,14 @@ TEST_F(DeviceMetricsTest, OversubEpisodeOpenAtRunEndIsClosed) {
   dev.start_offload(1, 240, 10, 4.0, nullptr);
   dev.start_offload(2, 240, 10, 4.0, nullptr);  // demand 480: episode opens
   sim_.run_until(1.0);  // stop the simulation mid-episode
-  // Finalization writes into a copy of the recorder, as the harness's
-  // result() and snapshot() do.
-  obs::Recorder finalized = rec_;
+  // Finalization writes into a snapshot of the recorder, as the
+  // harness's result() and snapshot() do.
+  obs::Snapshot finalized = obs::take_snapshot(rec_, 1.0);
   dev.finalize_telemetry_into(finalized);
 
   EXPECT_EQ(dev.stats().oversub_episodes, 1u);
-  EXPECT_EQ(finalized.events().of_type("oversub_begin").size(), 1u);
-  const auto ends = finalized.events().of_type("oversub_end");
+  EXPECT_EQ(of_type(finalized, "oversub_begin").size(), 1u);
+  const auto ends = of_type(finalized, "oversub_end");
   ASSERT_EQ(ends.size(), 1u);
   // The synthesized closing event is marked so dashboards can tell a real
   // drain from a truncated run.
@@ -191,10 +204,11 @@ TEST_F(DeviceMetricsTest, OversubEpisodeOpenAtRunEndIsClosed) {
   // Busy-core time integrates up to the stop time, not left at zero.
   EXPECT_GT(dev.core_utilization(1.0), 0.0);
 
-  // Finalizing another copy closes the episode there exactly once too.
-  obs::Recorder again = rec_;
+  // Finalizing another snapshot closes the episode there exactly once
+  // too.
+  obs::Snapshot again = obs::take_snapshot(rec_, 1.0);
   dev.finalize_telemetry_into(again);
-  EXPECT_EQ(again.events().of_type("oversub_end").size(), 1u);
+  EXPECT_EQ(of_type(again, "oversub_end").size(), 1u);
 }
 
 TEST_F(DeviceMetricsTest, DetachedDeviceRecordsNothing) {

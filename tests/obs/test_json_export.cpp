@@ -5,6 +5,7 @@
 // after a deliberate schema change, and review the diff.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -31,8 +32,8 @@ namespace {
 [[nodiscard]] Recorder make_reference_recorder() {
   Recorder rec;
   Registry& m = rec.metrics();
-  m.counter("phi.node0.mic0.oom_kills").inc(2);
-  m.counter("condor.negotiator.cycles").inc(7);
+  m.counter("phi.node0.mic0.oom_kills", [] { return std::uint64_t{2}; });
+  m.counter("condor.negotiator.cycles", [] { return std::uint64_t{7}; });
   m.gauge("cluster.makespan_s").set(123.5);
   m.gauge("cluster.avg_core_utilization").set(0.7421875);
   m.series("cosmic.node0.mic0.queue_depth").set(0.0, 0.0);

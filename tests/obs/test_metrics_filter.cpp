@@ -3,6 +3,8 @@
 // type or identity-field prefix.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "obs/recorder.hpp"
 
 namespace phisched::obs {
@@ -11,10 +13,11 @@ namespace {
 [[nodiscard]] Recorder make_recorder() {
   Recorder rec;
   Registry& m = rec.metrics();
-  m.counter("phi.node0.mic0.oom_kills").inc(2);
-  m.counter("phi.node0.mic0.pcie.bytes_in").inc(4096);
-  m.counter("phi.node1.mic0.oom_kills").inc(1);
-  m.counter("cosmic.node0.offloads_admitted").inc(9);
+  m.counter("phi.node0.mic0.oom_kills", [] { return std::uint64_t{2}; });
+  m.counter("phi.node0.mic0.pcie.bytes_in",
+            [] { return std::uint64_t{4096}; });
+  m.counter("phi.node1.mic0.oom_kills", [] { return std::uint64_t{1}; });
+  m.counter("cosmic.node0.offloads_admitted", [] { return std::uint64_t{9}; });
   m.gauge("cluster.makespan_s").set(42.0);
   m.series("phi.node0.mic0.pcie.busy_frac").set(0.0, 1.0);
   m.series("cosmic.node0.mic0.queue_depth").set(0.0, 2.0);

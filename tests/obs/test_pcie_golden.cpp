@@ -53,9 +53,8 @@ TEST(PcieGolden, DeviceScenarioMatchesGoldenFile) {
   sim.run();
   dev.pcie_link().start_transfer(1, 250, XferDir::kOut, nullptr);
   sim.run();
-  dev.finalize_telemetry_into(rec);
-
-  const obs::Snapshot snap = obs::take_snapshot(rec, sim.now());
+  obs::Snapshot snap = obs::take_snapshot(rec, sim.now());
+  dev.finalize_telemetry_into(snap);
   const std::string doc = obs::snapshot_json(snap, /*pretty=*/true);
   ASSERT_TRUE(json_parse(doc).has_value());
 

@@ -56,7 +56,7 @@ options:
                         usable before contention kicks in (default 0.5;
                         only meaningful with --mem-bw-contention)
   --seed N              experiment + workload seed (default 42)
-  --arrival-rate R      Poisson arrivals at R jobs/s instead of a batch
+  --arrival-rate R      Poisson arrivals at R > 0 jobs/s instead of a batch
   --negotiation-interval S   Condor cycle seconds (default 5)
   --negotiation SPEC    matchmaking strategy per cycle (default fifo):
                         fifo — the per-job FIFO walk
@@ -77,7 +77,7 @@ options:
   --metrics-filter P[,P...]  keep only metrics whose dotted name — and
                         events whose type or identity field value —
                         starts with one of the comma-separated prefixes
-                        (applies to --metrics-out and --events-out)
+                        (needs --metrics-out or --events-out)
   --pcie-contention     enable the per-device PCIe link contention model
                         (phi::PcieLink; off by default so calibrated
                         outputs reproduce bit-identically)
@@ -367,6 +367,20 @@ int main(int argc, char** argv) {
     if (serve) return run_serve(args, seed, workload_name);
     const auto job_count =
         static_cast<std::size_t>(count_arg(args, "jobs", 1000));
+    // Either option at a value that changes nothing would run the plain
+    // batch as if it were absent.
+    const double rate = args.get_real_or("arrival-rate", 0.0);
+    if (args.has("arrival-rate") && !(rate > 0.0)) {
+      throw std::invalid_argument(
+          "--arrival-rate wants a positive rate in jobs/s, got " +
+          args.get_or("arrival-rate", ""));
+    }
+    if (args.has("metrics-filter") && !args.has("metrics-out") &&
+        !args.has("events-out")) {
+      throw std::invalid_argument(
+          "--metrics-filter narrows --metrics-out and --events-out; "
+          "give one of them");
+    }
 
     // A batch run needs a job: with none, the comparison has no baseline.
     workload::JobSet jobs;
@@ -391,7 +405,6 @@ int main(int argc, char** argv) {
       std::printf("wrote %zu jobs to %s\n", jobs.size(), path->c_str());
       return 0;
     }
-    const double rate = args.get_real_or("arrival-rate", 0.0);
     if (rate > 0.0) {
       Rng arrivals = Rng(seed).child("arrivals");
       SimTime t = 0.0;
