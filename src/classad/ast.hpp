@@ -29,7 +29,7 @@ enum class BinaryOp {
 };
 
 struct Expr {
-  enum class Kind { kLiteral, kAttrRef, kUnary, kBinary, kTernary, kCall };
+  enum class Kind { kLiteral, kAttrRef, kUnary, kBinary, kTernary };
 
   explicit Expr(Kind k) : kind(k) {}
 
@@ -49,11 +49,8 @@ struct Expr {
   // kBinary
   BinaryOp binary_op = BinaryOp::kAdd;
 
-  // kCall
-  std::string function;
-
   // Children: unary → [operand]; binary → [lhs, rhs];
-  // ternary → [cond, then, else]; call → arguments.
+  // ternary → [cond, then, else].
   std::vector<ExprPtr> children;
 };
 
@@ -62,7 +59,6 @@ struct Expr {
 [[nodiscard]] ExprPtr make_unary(UnaryOp op, ExprPtr operand);
 [[nodiscard]] ExprPtr make_binary(BinaryOp op, ExprPtr lhs, ExprPtr rhs);
 [[nodiscard]] ExprPtr make_ternary(ExprPtr cond, ExprPtr t, ExprPtr f);
-[[nodiscard]] ExprPtr make_call(std::string function, std::vector<ExprPtr> args);
 
 /// Unparses an expression to canonical ClassAd syntax.
 [[nodiscard]] std::string to_string(const Expr& expr);
@@ -81,9 +77,9 @@ void for_each_reference(const Expr& expr, Visit&& visit) {
 }
 
 /// Structural identity: the same tree of operators, scopes, reference
-/// and function names (case-insensitively, as lookups see them) and
-/// literals of the same type and value (reals by bit pattern, strings
-/// byte for byte). Identical expressions evaluate alike in every context.
+/// names (case-insensitively, as lookups see them) and literals of the
+/// same type and value (reals by bit pattern, strings byte for byte).
+/// Identical expressions evaluate alike in every context.
 [[nodiscard]] bool same_expr(const Expr& a, const Expr& b);
 
 /// A hash of `expr` consistent with same_expr.

@@ -1,11 +1,9 @@
 #include "classad/classad.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <sstream>
 
 #include "classad/eval.hpp"
-#include "classad/lexer.hpp"
 #include "classad/parser.hpp"
 #include "common/check.hpp"
 
@@ -62,16 +60,6 @@ std::vector<ClassAd::Slot>::const_iterator ClassAd::find_slot(
   return slots_.end();
 }
 
-std::vector<const ClassAd::Slot*> ClassAd::sorted_slots() const {
-  std::vector<const Slot*> out;
-  out.reserve(slots_.size());
-  for (const Slot& slot : slots_) out.push_back(&slot);
-  std::sort(out.begin(), out.end(), [](const Slot* a, const Slot* b) {
-    return iless(a->name, b->name);
-  });
-  return out;
-}
-
 void ClassAd::insert(std::string name, ExprPtr expr) {
   PHISCHED_REQUIRE(!name.empty(), "ClassAd: empty attribute name");
   PHISCHED_REQUIRE(expr != nullptr, "ClassAd: null expression");
@@ -94,10 +82,6 @@ void ClassAd::insert_integer(std::string name, std::int64_t v) {
 
 void ClassAd::insert_real(std::string name, double v) {
   insert(std::move(name), make_literal(Value::real(v)));
-}
-
-void ClassAd::insert_boolean(std::string name, bool v) {
-  insert(std::move(name), make_literal(Value::boolean(v)));
 }
 
 void ClassAd::insert_string(std::string name, std::string v) {
@@ -150,31 +134,15 @@ std::optional<double> ClassAd::eval_real(std::string_view name,
   return std::nullopt;
 }
 
-std::optional<bool> ClassAd::eval_boolean(std::string_view name,
-                                          const ClassAd* target) const {
-  const Value v = eval(name, target);
-  if (v.is_boolean()) return v.as_boolean();
-  if (v.is_number()) return v.number() != 0.0;
-  return std::nullopt;
-}
-
-std::optional<std::string> ClassAd::eval_string(std::string_view name,
-                                                const ClassAd* target) const {
-  const Value v = eval(name, target);
-  if (v.is_string()) return v.as_string();
-  return std::nullopt;
-}
-
-std::vector<std::string> ClassAd::attribute_names() const {
-  std::vector<std::string> out;
-  out.reserve(slots_.size());
-  for (const Slot* slot : sorted_slots()) out.push_back(slot->name);
-  return out;
-}
-
 std::string ClassAd::to_string() const {
+  std::vector<const Slot*> sorted;
+  sorted.reserve(slots_.size());
+  for (const Slot& slot : slots_) sorted.push_back(&slot);
+  std::sort(sorted.begin(), sorted.end(), [](const Slot* a, const Slot* b) {
+    return iless(a->name, b->name);
+  });
   std::ostringstream os;
-  for (const Slot* slot : sorted_slots()) {
+  for (const Slot* slot : sorted) {
     os << slot->name << " = " << classad::to_string(*slot->expr) << "\n";
   }
   return os.str();
@@ -202,72 +170,6 @@ bool requirements_met(const ClassAd& ad, const ClassAd& target) {
 
 bool symmetric_match(const ClassAd& a, const ClassAd& b) {
   return requirements_met(a, b) && requirements_met(b, a);
-}
-
-ClassAd parse_classad(std::string_view text) {
-  ClassAd ad;
-  std::size_t line_start = 0;
-  std::size_t line_no = 0;
-  while (line_start <= text.size()) {
-    const std::size_t nl = text.find('\n', line_start);
-    std::string_view line = text.substr(
-        line_start, nl == std::string_view::npos ? text.size() - line_start
-                                                 : nl - line_start);
-    ++line_no;
-    line_start = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
-
-    // Strip comments (a '#' outside of string literals) and whitespace.
-    // Inside a string a backslash escapes the next character, so `\"`
-    // does not close the string and `\\` does not escape the quote after it.
-    bool in_string = false;
-    std::size_t comment = line.size();
-    for (std::size_t i = 0; i < line.size(); ++i) {
-      if (in_string && line[i] == '\\') {
-        ++i;
-      } else if (line[i] == '"') {
-        in_string = !in_string;
-      } else if (line[i] == '#' && !in_string) {
-        comment = i;
-        break;
-      }
-    }
-    line = line.substr(0, comment);
-    while (!line.empty() && std::isspace(static_cast<unsigned char>(line.front()))) {
-      line.remove_prefix(1);
-    }
-    while (!line.empty() && std::isspace(static_cast<unsigned char>(line.back()))) {
-      line.remove_suffix(1);
-    }
-    if (line.empty()) continue;
-
-    // Split on the first '=' that is not part of ==, =?=, =!=, <=, >=, !=.
-    std::size_t eq = std::string_view::npos;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-      if (line[i] != '=') continue;
-      const char prev = i > 0 ? line[i - 1] : '\0';
-      const char next = i + 1 < line.size() ? line[i + 1] : '\0';
-      if (prev == '<' || prev == '>' || prev == '!' || prev == '=') continue;
-      if (next == '=' || next == '?' || next == '!') continue;
-      eq = i;
-      break;
-    }
-    if (eq == std::string_view::npos) {
-      throw ParseError("expected 'Name = expression' on line " +
-                           std::to_string(line_no),
-                       0);
-    }
-    std::string name(line.substr(0, eq));
-    while (!name.empty() && std::isspace(static_cast<unsigned char>(name.back()))) {
-      name.pop_back();
-    }
-    if (name.empty()) {
-      throw ParseError("missing attribute name on line " +
-                           std::to_string(line_no),
-                       0);
-    }
-    ad.insert(std::move(name), parse(line.substr(eq + 1)));
-  }
-  return ad;
 }
 
 }  // namespace phisched::classad

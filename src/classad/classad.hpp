@@ -18,7 +18,6 @@ class ClassAd {
   void insert(std::string name, ExprPtr expr);
   void insert_integer(std::string name, std::int64_t v);
   void insert_real(std::string name, double v);
-  void insert_boolean(std::string name, bool v);
   void insert_string(std::string name, std::string v);
   /// Parses `expr_source` and inserts it; throws ParseError on bad syntax.
   void insert_expr(std::string name, std::string_view expr_source);
@@ -47,14 +46,6 @@ class ClassAd {
       std::string_view name, const ClassAd* target = nullptr) const;
   [[nodiscard]] std::optional<double> eval_real(
       std::string_view name, const ClassAd* target = nullptr) const;
-  [[nodiscard]] std::optional<bool> eval_boolean(
-      std::string_view name, const ClassAd* target = nullptr) const;
-  [[nodiscard]] std::optional<std::string> eval_string(
-      std::string_view name, const ClassAd* target = nullptr) const;
-
-  /// Attribute names in insertion-independent order (iless), each in the
-  /// spelling it was first inserted with.
-  [[nodiscard]] std::vector<std::string> attribute_names() const;
 
   /// Calls `visit(expr)` for every attribute's expression, in slot order.
   template <typename Visit>
@@ -62,7 +53,9 @@ class ClassAd {
     for (const Slot& slot : slots_) visit(*slot.expr);
   }
 
-  /// Multi-line `Name = expr` rendering, in attribute_names() order.
+  /// Multi-line `Name = expr` rendering, one line per attribute in
+  /// insertion-independent order (iless), each name in the spelling it
+  /// was first inserted with.
   [[nodiscard]] std::string to_string() const;
 
  private:
@@ -78,8 +71,6 @@ class ClassAd {
   /// The slot holding `name`, or slots_.end().
   [[nodiscard]] std::vector<Slot>::const_iterator find_slot(
       std::uint64_t hash, std::string_view name) const;
-  /// Slots in iless order of their names.
-  [[nodiscard]] std::vector<const Slot*> sorted_slots() const;
 
   /// Sorted by hash; names that collide on a hash sit side by side.
   std::vector<Slot> slots_;
@@ -105,10 +96,5 @@ class ClassAd {
 /// Condor-style symmetric match: both ads' Requirements must accept the
 /// other side. An ad without a Requirements attribute accepts anything.
 [[nodiscard]] bool symmetric_match(const ClassAd& a, const ClassAd& b);
-
-/// Parses a whole ClassAd from its textual form: one `Name = <expr>` per
-/// line, `#` comments and blank lines ignored. Inverse of
-/// ClassAd::to_string(). Throws ParseError on malformed input.
-[[nodiscard]] ClassAd parse_classad(std::string_view text);
 
 }  // namespace phisched::classad

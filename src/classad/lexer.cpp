@@ -8,9 +8,9 @@ namespace phisched::classad {
 
 namespace {
 const char* kind_names[] = {
-    "end",  "integer", "real", "string", "identifier", ".", "(", ")", ",",
-    "+",    "-",       "*",    "/",      "%",          "<", "<=", ">", ">=",
-    "==",   "!=",      "=?=",  "=!=",    "&&",         "||", "!", "?", ":"};
+    "end", "integer", "real", "string", "identifier", ".",  "(",  ")", "+",
+    "-",   "*",       "/",    "%",      "<",          "<=", ">",  ">=", "==",
+    "!=",  "=?=",     "=!=",  "&&",     "||",         "!",  "?",  ":"};
 }
 
 const char* token_kind_name(TokenKind kind) {
@@ -126,7 +126,6 @@ std::vector<Token> lex(std::string_view src) {
       case '.': push(TokenKind::kDot, at); ++i; continue;
       case '(': push(TokenKind::kLParen, at); ++i; continue;
       case ')': push(TokenKind::kRParen, at); ++i; continue;
-      case ',': push(TokenKind::kComma, at); ++i; continue;
       case '+': push(TokenKind::kPlus, at); ++i; continue;
       case '-': push(TokenKind::kMinus, at); ++i; continue;
       case '*': push(TokenKind::kStar, at); ++i; continue;

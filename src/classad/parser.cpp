@@ -47,13 +47,6 @@ ExprPtr make_ternary(ExprPtr cond, ExprPtr t, ExprPtr f) {
   return e;
 }
 
-ExprPtr make_call(std::string function, std::vector<ExprPtr> args) {
-  auto e = std::make_shared<Expr>(Expr::Kind::kCall);
-  e->function = std::move(function);
-  e->children = std::move(args);
-  return e;
-}
-
 namespace {
 
 const char* binary_op_text(BinaryOp op) {
@@ -275,21 +268,6 @@ class Parser {
         return {make_attr(scope, std::move(attr.text))};
       }
     }
-    if (accept(TokenKind::kLParen)) {
-      std::vector<ExprPtr> args;
-      int height = 0;
-      const auto argument = [&] {
-        Parsed arg = ternary();
-        height = std::max(height, arg.height);
-        args.push_back(std::move(arg.expr));
-      };
-      if (!accept(TokenKind::kRParen)) {
-        argument();
-        while (accept(TokenKind::kComma)) argument();
-        expect(TokenKind::kRParen, "expected ')' after arguments");
-      }
-      return node(make_call(std::move(tok.text), std::move(args)), height);
-    }
     return {make_attr(AttrScope::kNone, std::move(tok.text))};
   }
 
@@ -329,14 +307,6 @@ std::string to_string(const Expr& expr) {
       return std::string("(") + to_string(*expr.children[0]) + " ? " +
              to_string(*expr.children[1]) + " : " +
              to_string(*expr.children[2]) + ")";
-    case Expr::Kind::kCall: {
-      std::string out = expr.function + "(";
-      for (std::size_t i = 0; i < expr.children.size(); ++i) {
-        if (i != 0) out += ", ";
-        out += to_string(*expr.children[i]);
-      }
-      return out + ")";
-    }
   }
   return "error";
 }
@@ -403,9 +373,6 @@ bool same_expr(const Expr& a, const Expr& b) {
       break;
     case Expr::Kind::kTernary:
       break;
-    case Expr::Kind::kCall:
-      if (!iequals(a.function, b.function)) return false;
-      break;
   }
   for (std::size_t i = 0; i < a.children.size(); ++i) {
     if (!same_expr(*a.children[i], *b.children[i])) return false;
@@ -428,9 +395,6 @@ std::uint64_t expr_hash(const Expr& expr) {
       h = mix(h, static_cast<std::uint64_t>(expr.binary_op));
       break;
     case Expr::Kind::kTernary:
-      break;
-    case Expr::Kind::kCall:
-      h = mix(h, name_hash(expr.function));
       break;
   }
   for (const ExprPtr& child : expr.children) h = mix(h, expr_hash(*child));

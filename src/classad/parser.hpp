@@ -9,9 +9,8 @@
 //   additive    :=  multiplicative ( ('+'|'-') multiplicative )*
 //   multiplicative := unary ( ('*'|'/'|'%') unary )*
 //   unary       :=  ('!'|'-') unary | primary
-//   primary     :=  literal | attrref | call | '(' expr ')'
+//   primary     :=  literal | attrref | '(' expr ')'
 //   attrref     :=  [ ('MY'|'TARGET') '.' ] identifier
-//   call        :=  identifier '(' [ expr (',' expr)* ] ')'
 //
 // The identifiers true/false/undefined/error are literals (case-insensitive).
 #pragma once

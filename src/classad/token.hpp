@@ -12,11 +12,10 @@ enum class TokenKind {
   kInteger,     // 42
   kReal,        // 3.5, 1e3
   kString,      // "text"
-  kIdentifier,  // attribute or function name, true/false/undefined/error
+  kIdentifier,  // attribute name, true/false/undefined/error
   kDot,         // . (scope separator: MY.Attr, TARGET.Attr)
   kLParen,
   kRParen,
-  kComma,
   kPlus,
   kMinus,
   kStar,

@@ -7,7 +7,7 @@
 //   bound counter   monotone event count (OOM kills, match cycles, ...)
 //                   read at snapshot time from the count the component
 //                   already keeps in its stats
-//   Gauge           scalar that is set, summed or maxed in place
+//   Gauge           scalar that is summed or maxed in place
 //                   (summed admission wait, max pending age)
 //   TimeWeighted    piecewise-constant signal integrated over SIM time
 //                   (busy cores, offload queue depth, device speed)
@@ -40,7 +40,6 @@ namespace phisched::obs {
 
 class Gauge {
  public:
-  void set(double v) { value_ = v; }
   void add(double v) { value_ += v; }
   /// Keeps the running maximum (for e.g. peak queue age).
   void set_max(double v) {

@@ -1,36 +1,50 @@
 // phisched::obs — the Recorder instrumented components talk to, and the
 // Snapshot experiments hand back to callers.
 //
-// A Recorder bundles one metrics Registry and one EventLog for one run.
+// A Recorder bundles one metrics Registry and one event log for one run.
 // Components receive a Recorder* via attach_telemetry(...); a null
 // pointer (the default everywhere) means telemetry is off and the
 // instrumented sites reduce to a single pointer test — determinism and
 // performance of un-instrumented runs are untouched.
 #pragma once
 
-#include <memory>
+#include <initializer_list>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 
 namespace phisched::obs {
+
+/// A discrete occurrence keyed by simulation time: an OOM kill, an
+/// oversubscription episode beginning, a job parked in COSMIC's
+/// admission queue. Fields are ordered; the emitter pre-formats their
+/// values (json_number for numbers) so the log is deterministic.
+struct Event {
+  SimTime t = 0.0;
+  std::string type;
+  std::vector<std::pair<std::string, std::string>> fields;
+
+  friend bool operator==(const Event&, const Event&) = default;
+};
 
 class Recorder {
  public:
   [[nodiscard]] Registry& metrics() { return metrics_; }
   [[nodiscard]] const Registry& metrics() const { return metrics_; }
-  [[nodiscard]] EventLog& events() { return events_; }
-  [[nodiscard]] const EventLog& events() const { return events_; }
+  /// Every event so far, in emission order (deterministic for a seeded
+  /// run; the golden-file tests rely on that).
+  [[nodiscard]] const std::vector<Event>& events() const { return events_; }
 
   void event(SimTime t, std::string type,
              std::initializer_list<std::pair<std::string, std::string>> fields) {
-    events_.emit(t, std::move(type), fields);
+    events_.push_back(Event{t, std::move(type), fields});
   }
 
  private:
   Registry metrics_;
-  EventLog events_;
+  std::vector<Event> events_;
 };
 
 /// Immutable end-of-run view: flattened metrics + the full event log.
@@ -45,7 +59,7 @@ struct Snapshot {
 
 [[nodiscard]] inline Snapshot take_snapshot(const Recorder& rec,
                                             SimTime until) {
-  return Snapshot{rec.metrics().snapshot(until), rec.events().events()};
+  return Snapshot{rec.metrics().snapshot(until), rec.events()};
 }
 
 /// JSON for the metrics section:

@@ -69,7 +69,7 @@ TEST(Lexer, Identifiers) {
 }
 
 TEST(Lexer, AllOperators) {
-  EXPECT_EQ(kinds("+ - * / % < <= > >= == != =?= =!= && || ! ? : . ( ) ,"),
+  EXPECT_EQ(kinds("+ - * / % < <= > >= == != =?= =!= && || ! ? : . ( )"),
             (std::vector<TokenKind>{
                 TokenKind::kPlus, TokenKind::kMinus, TokenKind::kStar,
                 TokenKind::kSlash, TokenKind::kPercent, TokenKind::kLt,
@@ -77,8 +77,7 @@ TEST(Lexer, AllOperators) {
                 TokenKind::kNe, TokenKind::kIs, TokenKind::kIsnt,
                 TokenKind::kAnd, TokenKind::kOr, TokenKind::kNot,
                 TokenKind::kQuestion, TokenKind::kColon, TokenKind::kDot,
-                TokenKind::kLParen, TokenKind::kRParen, TokenKind::kComma,
-                TokenKind::kEnd}));
+                TokenKind::kLParen, TokenKind::kRParen, TokenKind::kEnd}));
 }
 
 TEST(Lexer, SingleEqualsThrows) {

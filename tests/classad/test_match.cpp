@@ -131,7 +131,6 @@ TEST(Match, RequiredNameIgnoresEveryOtherShape) {
         "MY.Name == \"node7\"", "Name == \"node7\"",
         "TARGET.Name =?= \"node7\"", "TARGET.Name =!= \"node7\"",
         "TARGET.Name != \"node7\"", "TARGET.Name == 7",
-        "TARGET.Name == strcat(\"node\", \"7\")",
         "TARGET.Name == TARGET.Alias", "TARGET.Host == \"node7\""}) {
     EXPECT_EQ(required_name_of(requirements), std::nullopt) << requirements;
   }

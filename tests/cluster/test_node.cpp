@@ -69,7 +69,7 @@ TEST_F(NodeTest, ExclusiveDeviceTracking) {
 TEST_F(NodeTest, MachineAdContents) {
   Node node = make_node(2);
   const classad::ClassAd ad = node.machine_ad();
-  EXPECT_EQ(ad.eval_string(condor::kAttrName), "node3");
+  EXPECT_EQ(ad.eval(condor::kAttrName).to_string(), "\"node3\"");
   EXPECT_EQ(ad.eval_integer(condor::kAttrTotalSlots), 16);
   EXPECT_EQ(ad.eval_integer(condor::kAttrFreeSlots), 16);
   EXPECT_EQ(ad.eval_integer(condor::kAttrPhiDevices), 2);

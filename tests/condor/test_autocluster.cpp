@@ -14,6 +14,7 @@
 // takes every form the memo's name index must tell apart.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <utility>
@@ -108,7 +109,9 @@ classad::ClassAd random_machine(Rng& rng, NodeId node) {
   if (rng.bernoulli(0.7)) {
     ad.insert_string("Color", pick<std::string>(rng, {"red", "blue"}));
   }
-  if (rng.bernoulli(0.5)) ad.insert_boolean("Open", rng.bernoulli(0.5));
+  if (rng.bernoulli(0.5)) {
+    ad.insert_expr("Open", rng.bernoulli(0.5) ? "true" : "false");
+  }
   ad.insert_expr("Fits", "TARGET.NeedMem <= MY.Mem");
   ad.insert_expr(kAttrRequirements,
                  pick<std::string>(
@@ -145,7 +148,7 @@ classad::ClassAd random_job(Rng& rng, JobId id) {
                    pick<std::string>(
                        rng, {"TARGET.Mem", "-TARGET.Load",
                              "TARGET.Mem * Weight",
-                             "ifThenElse(TARGET.Color == \"red\", 10, 1)"}));
+                             "TARGET.Color == \"red\" ? 10 : 1"}));
   }
   ad.insert_expr(kAttrRequirements,
                  pick<std::string>(
@@ -284,7 +287,8 @@ classad::ClassAd random_named_machine(Rng& rng, NodeId node) {
       ad.insert_integer(kAttrName, rng.uniform_int(0, 2));
       break;
     case 4:
-      ad.insert_expr(kAttrName, "strcat(\"node\", \"" + n + "\")");
+      ad.insert_expr(kAttrName,
+                     "MY.FreeSlots >= 0 ? \"node" + n + "\" : \"none\"");
       break;
     default:
       ad.insert_expr(kAttrName, "TARGET.Alias");
@@ -395,12 +399,22 @@ TEST(AutoclusterProperty, NameIndexChoosesExactlyWhatThePerJobScanChose) {
 
 // --- the autocluster key --------------------------------------------------
 
+/// (attribute name, expression source).
+using Attr = std::pair<std::string, std::string>;
+
+/// An ad holding `attrs`, each inserted with insert_expr.
+classad::ClassAd ad_of(std::initializer_list<Attr> attrs) {
+  classad::ClassAd ad;
+  for (const auto& [name, source] : attrs) ad.insert_expr(name, source);
+  return ad;
+}
+
 class AutoclusterTest : public ::testing::Test {
  protected:
   AutoclusterTest() : schedd_(sim_) {}
 
-  void submit(JobId id, const std::string& text) {
-    schedd_.submit(id, classad::parse_classad(text));
+  void submit(JobId id, std::initializer_list<Attr> attrs) {
+    schedd_.submit(id, ad_of(attrs));
   }
   AutoclusterId id_of(JobId id) {
     return schedd_.autocluster(schedd_.record(id));
@@ -411,12 +425,18 @@ class AutoclusterTest : public ::testing::Test {
 };
 
 TEST_F(AutoclusterTest, EqualSignificantAttributesShareAnId) {
-  submit(1, "Requirements = TARGET.Mem >= MY.NeedMem\nNeedMem = 4\nJobId = 1");
-  submit(2, "Requirements = TARGET.Mem >= MY.NeedMem\nNeedMem = 4\nJobId = 2");
-  submit(3, "Requirements = TARGET.Mem >= MY.NeedMem\nNeedMem = 8\nJobId = 3");
+  submit(1, {{"Requirements", "TARGET.Mem >= MY.NeedMem"},
+             {"NeedMem", "4"},
+             {"JobId", "1"}});
+  submit(2, {{"Requirements", "TARGET.Mem >= MY.NeedMem"},
+             {"NeedMem", "4"},
+             {"JobId", "2"}});
+  submit(3, {{"Requirements", "TARGET.Mem >= MY.NeedMem"},
+             {"NeedMem", "8"},
+             {"JobId", "3"}});
   // Spelling and case of names do not matter; literals' types do.
-  submit(4, "requirements = target.MEM >= my.needmem\nneedmem = 4");
-  submit(5, "Requirements = TARGET.Mem >= MY.NeedMem\nNeedMem = 4.0");
+  submit(4, {{"requirements", "target.MEM >= my.needmem"}, {"needmem", "4"}});
+  submit(5, {{"Requirements", "TARGET.Mem >= MY.NeedMem"}, {"NeedMem", "4.0"}});
   EXPECT_NE(id_of(1), 0u);
   EXPECT_EQ(id_of(1), id_of(2));  // JobId is not significant
   EXPECT_NE(id_of(1), id_of(3));
@@ -428,42 +448,48 @@ TEST_F(AutoclusterTest, EqualSignificantAttributesShareAnId) {
 TEST_F(AutoclusterTest, ReferencesAreFollowedTransitively) {
   // Requirements -> Want (bare) -> Limit (bare): all three count, and so
   // does the absence of a name the job does not define.
-  submit(1, "Requirements = Want\nWant = TARGET.Load < Limit\nLimit = 1");
-  submit(2, "Requirements = Want\nWant = TARGET.Load < Limit\nLimit = 2");
-  submit(3, "Requirements = Want\nWant = TARGET.Load < Limit");
-  submit(4, "Requirements = Want\nWant = TARGET.Load < Limit\nLimit = 1\n"
-            "Other = 7");
+  submit(1, {{"Requirements", "Want"},
+             {"Want", "TARGET.Load < Limit"},
+             {"Limit", "1"}});
+  submit(2, {{"Requirements", "Want"},
+             {"Want", "TARGET.Load < Limit"},
+             {"Limit", "2"}});
+  submit(3, {{"Requirements", "Want"}, {"Want", "TARGET.Load < Limit"}});
+  submit(4, {{"Requirements", "Want"},
+             {"Want", "TARGET.Load < Limit"},
+             {"Limit", "1"},
+             {"Other", "7"}});
   EXPECT_NE(id_of(1), id_of(2));
   EXPECT_NE(id_of(1), id_of(3));
   EXPECT_EQ(id_of(1), id_of(4));
   // TARGET.x names the machine's attribute, not the job's.
-  submit(5, "Requirements = TARGET.Limit > 0\nLimit = 1");
-  submit(6, "Requirements = TARGET.Limit > 0\nLimit = 2");
+  submit(5, {{"Requirements", "TARGET.Limit > 0"}, {"Limit", "1"}});
+  submit(6, {{"Requirements", "TARGET.Limit > 0"}, {"Limit", "2"}});
   EXPECT_EQ(id_of(5), id_of(6));
 }
 
 TEST_F(AutoclusterTest, RankIsAnOrdinaryAttribute) {
   // Nothing evaluates Rank, so jobs that differ only in it share an id...
-  submit(1, "Requirements = true\nRank = TARGET.Mem");
-  submit(2, "Requirements = true\nRank = -TARGET.Mem");
-  submit(3, "Requirements = true");
+  submit(1, {{"Requirements", "true"}, {"Rank", "TARGET.Mem"}});
+  submit(2, {{"Requirements", "true"}, {"Rank", "-TARGET.Mem"}});
+  submit(3, {{"Requirements", "true"}});
   EXPECT_EQ(id_of(1), id_of(2));
   EXPECT_EQ(id_of(1), id_of(3));
   // ...unless their Requirements reads it, like any other name.
-  submit(4, "Requirements = MY.Rank > 0\nRank = 1");
-  submit(5, "Requirements = MY.Rank > 0\nRank = 2");
+  submit(4, {{"Requirements", "MY.Rank > 0"}, {"Rank", "1"}});
+  submit(5, {{"Requirements", "MY.Rank > 0"}, {"Rank", "2"}});
   EXPECT_NE(id_of(4), id_of(5));
 }
 
 TEST_F(AutoclusterTest, MachineSideNamesJoinTheKey) {
-  submit(1, "Requirements = true\nOwner = \"alice\"");
-  submit(2, "Requirements = true\nOwner = \"mallory\"");
+  submit(1, {{"Requirements", "true"}, {"Owner", "\"alice\""}});
+  submit(2, {{"Requirements", "true"}, {"Owner", "\"mallory\""}});
   EXPECT_EQ(id_of(1), id_of(2));  // nothing reads Owner yet
 
   // A machine ad that reads TARGET.Owner reclassifies every job.
   MachineAds machines;
-  machines.emplace_back(0, classad::parse_classad(
-                               "Requirements = TARGET.Owner =!= \"mallory\""));
+  machines.emplace_back(
+      0, ad_of({{"Requirements", "TARGET.Owner =!= \"mallory\""}}));
   CandidateMemo memo(schedd_, machines);
   EXPECT_EQ(schedd_.record(1).autocluster, 0u);
   EXPECT_NE(id_of(1), id_of(2));
@@ -472,8 +498,8 @@ TEST_F(AutoclusterTest, MachineSideNamesJoinTheKey) {
 }
 
 TEST_F(AutoclusterTest, QeditAndRequeueReclassify) {
-  submit(1, "Requirements = TARGET.Mem >= 4");
-  submit(2, "Requirements = TARGET.Mem >= 4");
+  submit(1, {{"Requirements", "TARGET.Mem >= 4"}});
+  submit(2, {{"Requirements", "TARGET.Mem >= 4"}});
   const AutoclusterId shared = id_of(1);
   EXPECT_EQ(id_of(2), shared);
 
@@ -484,7 +510,7 @@ TEST_F(AutoclusterTest, QeditAndRequeueReclassify) {
   schedd_.mark_matched(schedd_.record(1), 0);
   schedd_.mark_running(schedd_.record(1));
   schedd_.requeue(schedd_.record(1),
-                  classad::parse_classad("Requirements = TARGET.Mem >= 8"));
+                  ad_of({{"Requirements", "TARGET.Mem >= 8"}}));
   EXPECT_EQ(schedd_.record(1).autocluster, 0u);
   EXPECT_EQ(id_of(1), id_of(2));
 }
@@ -493,7 +519,7 @@ TEST_F(AutoclusterTest, TableStaysProportionalToLiveJobs) {
   // A long stream of distinct signatures, each job finishing before the
   // next arrives: the table is compacted rather than grown with history.
   for (JobId id = 0; id < 500; ++id) {
-    submit(id, "Requirements = TARGET.Mem >= " + std::to_string(id));
+    submit(id, {{"Requirements", "TARGET.Mem >= " + std::to_string(id)}});
     (void)id_of(id);
     schedd_.mark_matched(schedd_.record(id), 0);
     schedd_.mark_running(schedd_.record(id));
@@ -504,10 +530,10 @@ TEST_F(AutoclusterTest, TableStaysProportionalToLiveJobs) {
 
 TEST_F(AutoclusterTest, ClaimsInvalidateTheMemo) {
   MachineAds machines;
-  machines.emplace_back(0, classad::parse_classad("FreeSlots = 1"));
-  machines.emplace_back(1, classad::parse_classad("FreeSlots = 1"));
-  submit(1, "Requirements = TARGET.FreeSlots >= 1");
-  submit(2, "Requirements = TARGET.FreeSlots >= 1");
+  machines.emplace_back(0, ad_of({{"FreeSlots", "1"}}));
+  machines.emplace_back(1, ad_of({{"FreeSlots", "1"}}));
+  submit(1, {{"Requirements", "TARGET.FreeSlots >= 1"}});
+  submit(2, {{"Requirements", "TARGET.FreeSlots >= 1"}});
   CandidateMemo memo(schedd_, machines);
   EXPECT_EQ(memo.candidates(schedd_.record(1)).size(), 2u);
   EXPECT_EQ(memo.candidates(schedd_.record(2)).size(), 2u);

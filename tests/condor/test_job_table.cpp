@@ -48,7 +48,7 @@ std::pair<std::string, std::string> random_edit(Rng& rng) {
             {kAttrRequestPhiMemBandwidth, "undefined"},
             {kAttrRequestPhiDevices, std::to_string(rng.uniform_int(-2, 2))},
             {kAttrRequestPhiThreads, "Weight * 2"},
-            {kAttrRequestPhiDevices, "ifThenElse(Urgent, 3, -1)"},
+            {kAttrRequestPhiDevices, "Urgent ? 3 : -1"},
             {kAttrRequestPhiThreads, "\"high\""},
             {"Weight", std::to_string(rng.uniform_int(-1, 2))},
             {"Urgent", pick<std::string>(rng, {"true", "false"})},
@@ -179,8 +179,10 @@ TEST(JobTable, RecordsStayPutAndKeepSubmissionOrder) {
 TEST(JobTable, ViewsDecodeOnFirstReadAfterAnEdit) {
   Simulator sim;
   Schedd schedd(sim);
-  const JobRecord& rec = schedd.submit(
-      1, classad::parse_classad("RequestPhiMemory = 100\nRequirements = false"));
+  classad::ClassAd ad;
+  ad.insert_integer(kAttrRequestPhiMemory, 100);
+  ad.insert_expr(kAttrRequirements, "false");
+  const JobRecord& rec = schedd.submit(1, std::move(ad));
   EXPECT_EQ(schedd.view_decodes(), 0u);  // submit decodes nothing
   EXPECT_EQ(schedd.view(rec).request.mem_mib, 100);
   EXPECT_TRUE(schedd.view(rec).never_met);
@@ -205,7 +207,9 @@ TEST(JobTable, ViewsDecodeOnFirstReadAfterAnEdit) {
   // A requeue brings a fresh ad.
   schedd.mark_matched(rec, 0);
   schedd.mark_running(rec);
-  schedd.requeue(rec, classad::parse_classad("RequestPhiMemory = 200"));
+  classad::ClassAd fresh;
+  fresh.insert_integer(kAttrRequestPhiMemory, 200);
+  schedd.requeue(rec, std::move(fresh));
   EXPECT_EQ(schedd.view(rec).request.mem_mib, 200);
   EXPECT_FALSE(schedd.view(rec).pinned_node);
   EXPECT_EQ(schedd.view_decodes(), 3u);

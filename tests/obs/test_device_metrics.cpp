@@ -14,11 +14,11 @@
 namespace phisched::phi {
 namespace {
 
-/// A snapshot's events of one type, in emission order.
-std::vector<obs::Event> of_type(const obs::Snapshot& snap,
+/// Events of one type, in emission order.
+std::vector<obs::Event> of_type(const std::vector<obs::Event>& events,
                                 const std::string& type) {
   std::vector<obs::Event> out;
-  for (const obs::Event& e : snap.events) {
+  for (const obs::Event& e : events) {
     if (e.type == type) out.push_back(e);
   }
   return out;
@@ -58,8 +58,8 @@ TEST_F(DeviceMetricsTest, OversubEpisodeCountedOncePerEpisode) {
 
   const auto snap = obs::take_snapshot(rec_, sim_.now());
   EXPECT_EQ(snap.metrics.counters.at("phi.test.mic0.oversub_episodes"), 2u);
-  EXPECT_EQ(rec_.events().of_type("oversub_begin").size(), 2u);
-  EXPECT_EQ(rec_.events().of_type("oversub_end").size(), 2u);
+  EXPECT_EQ(of_type(rec_.events(), "oversub_begin").size(), 2u);
+  EXPECT_EQ(of_type(rec_.events(), "oversub_end").size(), 2u);
 }
 
 TEST_F(DeviceMetricsTest, StayingWithinBudgetRecordsNoEpisode) {
@@ -75,7 +75,7 @@ TEST_F(DeviceMetricsTest, StayingWithinBudgetRecordsNoEpisode) {
   EXPECT_EQ(dev.stats().oversub_episodes, 0u);
   const auto snap = obs::take_snapshot(rec_, sim_.now());
   EXPECT_EQ(snap.metrics.counters.at("phi.test.mic0.oversub_episodes"), 0u);
-  EXPECT_TRUE(rec_.events().of_type("oversub_begin").empty());
+  EXPECT_TRUE(of_type(rec_.events(), "oversub_begin").empty());
 }
 
 TEST_F(DeviceMetricsTest, OomKillCountedOnceWithEvent) {
@@ -101,7 +101,7 @@ TEST_F(DeviceMetricsTest, OomKillCountedOnceWithEvent) {
 
   const auto snap = obs::take_snapshot(rec_, sim_.now());
   EXPECT_EQ(snap.metrics.counters.at("phi.test.mic0.oom_kills"), 1u);
-  const auto kills = rec_.events().of_type("kill");
+  const auto kills = of_type(rec_.events(), "kill");
   ASSERT_EQ(kills.size(), 1u);
   ASSERT_GE(kills[0].fields.size(), 3u);
   EXPECT_EQ(kills[0].fields[0].first, "device");
@@ -192,15 +192,15 @@ TEST_F(DeviceMetricsTest, OversubEpisodeOpenAtRunEndIsClosed) {
   dev.finalize_telemetry_into(finalized);
 
   EXPECT_EQ(dev.stats().oversub_episodes, 1u);
-  EXPECT_EQ(of_type(finalized, "oversub_begin").size(), 1u);
-  const auto ends = of_type(finalized, "oversub_end");
+  EXPECT_EQ(of_type(finalized.events, "oversub_begin").size(), 1u);
+  const auto ends = of_type(finalized.events, "oversub_end");
   ASSERT_EQ(ends.size(), 1u);
   // The synthesized closing event is marked so dashboards can tell a real
   // drain from a truncated run.
   ASSERT_FALSE(ends[0].fields.empty());
   EXPECT_EQ(ends[0].fields.back().first, "at_run_end");
   // The live recorder keeps the episode open: the run may go on.
-  EXPECT_TRUE(rec_.events().of_type("oversub_end").empty());
+  EXPECT_TRUE(of_type(rec_.events(), "oversub_end").empty());
   // Busy-core time integrates up to the stop time, not left at zero.
   EXPECT_GT(dev.core_utilization(1.0), 0.0);
 
@@ -208,7 +208,7 @@ TEST_F(DeviceMetricsTest, OversubEpisodeOpenAtRunEndIsClosed) {
   // too.
   obs::Snapshot again = obs::take_snapshot(rec_, 1.0);
   dev.finalize_telemetry_into(again);
-  EXPECT_EQ(of_type(again, "oversub_end").size(), 1u);
+  EXPECT_EQ(of_type(again.events, "oversub_end").size(), 1u);
 }
 
 TEST_F(DeviceMetricsTest, DetachedDeviceRecordsNothing) {

@@ -34,8 +34,8 @@ namespace {
   Registry& m = rec.metrics();
   m.counter("phi.node0.mic0.oom_kills", [] { return std::uint64_t{2}; });
   m.counter("condor.negotiator.cycles", [] { return std::uint64_t{7}; });
-  m.gauge("cluster.makespan_s").set(123.5);
-  m.gauge("cluster.avg_core_utilization").set(0.7421875);
+  m.gauge("cluster.makespan_s").add(123.5);
+  m.gauge("cluster.avg_core_utilization").add(0.7421875);
   m.series("cosmic.node0.mic0.queue_depth").set(0.0, 0.0);
   m.series("cosmic.node0.mic0.queue_depth").set(2.0, 3.0);
   m.series("cosmic.node0.mic0.queue_depth").set(6.0, 1.0);
@@ -85,7 +85,7 @@ TEST(JsonExport, MetricsJsonHasStableSchema) {
 
 TEST(JsonExport, EventsJsonPreservesOrderAndFields) {
   const Recorder rec = make_reference_recorder();
-  const std::string doc = events_json(rec.events().events());
+  const std::string doc = events_json(rec.events());
   ASSERT_TRUE(json_parse(doc).has_value());
   EXPECT_EQ(doc.find("oversub_begin") < doc.find("\"kill\""), true);
   EXPECT_NE(doc.find("\"t\":1.5"), std::string::npos);

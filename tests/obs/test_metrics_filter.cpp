@@ -18,7 +18,7 @@ namespace {
             [] { return std::uint64_t{4096}; });
   m.counter("phi.node1.mic0.oom_kills", [] { return std::uint64_t{1}; });
   m.counter("cosmic.node0.offloads_admitted", [] { return std::uint64_t{9}; });
-  m.gauge("cluster.makespan_s").set(42.0);
+  m.gauge("cluster.makespan_s").add(42.0);
   m.series("phi.node0.mic0.pcie.busy_frac").set(0.0, 1.0);
   m.series("cosmic.node0.mic0.queue_depth").set(0.0, 2.0);
   m.histogram("cluster.job_slowdown", 0.0, 10.0, 5).add(1.5);
@@ -36,7 +36,7 @@ TEST(MetricsFilter, EmptyPrefixListKeepsEverything) {
   EXPECT_EQ(kept.counters.size(), snap.counters.size());
   EXPECT_EQ(kept.gauges.size(), snap.gauges.size());
   EXPECT_EQ(kept.histograms.size(), snap.histograms.size());
-  EXPECT_EQ(filter_events(rec.events().events(), {}).size(), 3u);
+  EXPECT_EQ(filter_events(rec.events(), {}).size(), 3u);
 }
 
 TEST(MetricsFilter, PrefixSelectsAcrossInstrumentKinds) {
@@ -65,15 +65,15 @@ TEST(MetricsFilter, MultiplePrefixesUnion) {
 TEST(MetricsFilter, EventsMatchOnTypeOrFieldValue) {
   const Recorder rec = make_recorder();
   // By field value: the kill event carries device=phi.node1.mic0.
-  const auto by_field = filter_events(rec.events().events(), {"phi.node1"});
+  const auto by_field = filter_events(rec.events(), {"phi.node1"});
   ASSERT_EQ(by_field.size(), 1u);
   EXPECT_EQ(by_field[0].type, "kill");
   // By type prefix.
-  const auto by_type = filter_events(rec.events().events(), {"pcie_"});
+  const auto by_type = filter_events(rec.events(), {"pcie_"});
   ASSERT_EQ(by_type.size(), 1u);
   EXPECT_EQ(by_type[0].type, "pcie_xfer_begin");
   // No match drops everything.
-  EXPECT_TRUE(filter_events(rec.events().events(), {"nope."}).empty());
+  EXPECT_TRUE(filter_events(rec.events(), {"nope."}).empty());
 }
 
 }  // namespace

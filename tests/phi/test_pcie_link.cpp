@@ -1,12 +1,25 @@
 // phi::PcieLink — fair-share bandwidth model of one card's PCIe bus.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "obs/recorder.hpp"
 #include "phi/pcie.hpp"
 #include "sim/simulator.hpp"
 
 namespace phisched::phi {
 namespace {
+
+/// The recorder's events of one type, in emission order.
+std::vector<obs::Event> of_type(const obs::Recorder& rec,
+                                const std::string& type) {
+  std::vector<obs::Event> out;
+  for (const obs::Event& e : rec.events()) {
+    if (e.type == type) out.push_back(e);
+  }
+  return out;
+}
 
 PcieLinkConfig link_config(double bandwidth_mib_s, double latency_s = 0.0) {
   PcieLinkConfig c;
@@ -124,9 +137,9 @@ TEST(PcieLink, TelemetryRecordsBytesDepthAndEvents) {
   EXPECT_GT(
       snap.metrics.gauges.at("phi.test.mic0.pcie.transfer_queue_depth.mean"),
       0.0);
-  ASSERT_EQ(rec.events().of_type("pcie_xfer_begin").size(), 2u);
-  ASSERT_EQ(rec.events().of_type("pcie_xfer_end").size(), 2u);
-  const auto begin = rec.events().of_type("pcie_xfer_begin")[0];
+  ASSERT_EQ(of_type(rec, "pcie_xfer_begin").size(), 2u);
+  ASSERT_EQ(of_type(rec, "pcie_xfer_end").size(), 2u);
+  const auto begin = of_type(rec, "pcie_xfer_begin")[0];
   EXPECT_EQ(begin.fields[0].first, "link");
   EXPECT_EQ(begin.fields[0].second, "phi.test.mic0.pcie");
   EXPECT_EQ(begin.fields[2].second, "in");

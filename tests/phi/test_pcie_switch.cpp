@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "obs/recorder.hpp"
@@ -13,6 +14,16 @@
 
 namespace phisched::phi {
 namespace {
+
+/// The recorder's events of one type, in emission order.
+std::vector<obs::Event> of_type(const obs::Recorder& rec,
+                                const std::string& type) {
+  std::vector<obs::Event> out;
+  for (const obs::Event& e : rec.events()) {
+    if (e.type == type) out.push_back(e);
+  }
+  return out;
+}
 
 PcieLinkConfig link_config(double bandwidth_mib_s, double latency_s = 0.0) {
   PcieLinkConfig c;
@@ -215,9 +226,9 @@ TEST(PcieSwitch, TelemetryRecordsBytesDepthAndEvents) {
             0.0);
   EXPECT_GT(
       snap.metrics.gauges.at("phi.node0.pcie_switch.queue_depth.mean"), 0.0);
-  ASSERT_EQ(rec.events().of_type("pcie_switch_xfer_begin").size(), 2u);
-  ASSERT_EQ(rec.events().of_type("pcie_switch_xfer_end").size(), 2u);
-  const auto begin = rec.events().of_type("pcie_switch_xfer_begin")[0];
+  ASSERT_EQ(of_type(rec, "pcie_switch_xfer_begin").size(), 2u);
+  ASSERT_EQ(of_type(rec, "pcie_switch_xfer_end").size(), 2u);
+  const auto begin = of_type(rec, "pcie_switch_xfer_begin")[0];
   EXPECT_EQ(begin.fields[0].first, "switch");
   EXPECT_EQ(begin.fields[0].second, "phi.node0.pcie_switch");
   EXPECT_EQ(begin.fields[2].second, "in");
