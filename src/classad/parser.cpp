@@ -276,6 +276,47 @@ class Parser {
   int depth_ = 0;
 };
 
+/// Appends the canonical text of `expr` to `out`, fully parenthesized.
+void append_expr(std::string& out, const Expr& expr) {
+  switch (expr.kind) {
+    case Expr::Kind::kLiteral:
+      out += expr.literal.to_string();
+      return;
+    case Expr::Kind::kAttrRef:
+      switch (expr.scope) {
+        case AttrScope::kMy: out += "MY."; break;
+        case AttrScope::kTarget: out += "TARGET."; break;
+        case AttrScope::kNone: break;
+      }
+      out += expr.attr;
+      return;
+    case Expr::Kind::kUnary:
+      out += expr.unary_op == UnaryOp::kNot ? "!(" : "-(";
+      append_expr(out, *expr.children[0]);
+      out += ')';
+      return;
+    case Expr::Kind::kBinary:
+      out += '(';
+      append_expr(out, *expr.children[0]);
+      out += ' ';
+      out += binary_op_text(expr.binary_op);
+      out += ' ';
+      append_expr(out, *expr.children[1]);
+      out += ')';
+      return;
+    case Expr::Kind::kTernary:
+      out += '(';
+      append_expr(out, *expr.children[0]);
+      out += " ? ";
+      append_expr(out, *expr.children[1]);
+      out += " : ";
+      append_expr(out, *expr.children[2]);
+      out += ')';
+      return;
+  }
+  out += "error";
+}
+
 }  // namespace
 
 ExprPtr parse(std::string_view source) {
@@ -283,32 +324,9 @@ ExprPtr parse(std::string_view source) {
 }
 
 std::string to_string(const Expr& expr) {
-  switch (expr.kind) {
-    case Expr::Kind::kLiteral:
-      return expr.literal.to_string();
-    case Expr::Kind::kAttrRef:
-      switch (expr.scope) {
-        case AttrScope::kMy: return "MY." + expr.attr;
-        case AttrScope::kTarget: return "TARGET." + expr.attr;
-        case AttrScope::kNone: return expr.attr;
-      }
-      return expr.attr;
-    case Expr::Kind::kUnary:
-      return std::string(expr.unary_op == UnaryOp::kNot ? "!" : "-") + "(" +
-             to_string(*expr.children[0]) + ")";
-    // std::string("(") + ... (not "(" + ...): the const char* + string&&
-    // overload trips GCC 12's bogus -Wrestrict on the insert path (PR
-    // 105651), which -Werror builds would reject.
-    case Expr::Kind::kBinary:
-      return std::string("(") + to_string(*expr.children[0]) + " " +
-             binary_op_text(expr.binary_op) + " " +
-             to_string(*expr.children[1]) + ")";
-    case Expr::Kind::kTernary:
-      return std::string("(") + to_string(*expr.children[0]) + " ? " +
-             to_string(*expr.children[1]) + " : " +
-             to_string(*expr.children[2]) + ")";
-  }
-  return "error";
+  std::string out;
+  append_expr(out, expr);
+  return out;
 }
 
 namespace {

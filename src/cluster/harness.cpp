@@ -111,6 +111,10 @@ void Harness::build_condor() {
   if (recorder_ != nullptr) {
     negotiator_->attach_telemetry(*recorder_, "condor.negotiator");
     schedd_.attach_telemetry(*recorder_, "condor.schedd");
+    // Per-job slowdown (turnaround over solo full-speed duration), the
+    // paper's fairness lens on sharing, sampled as each job ends.
+    slowdown_ = &recorder_->metrics().histogram("cluster.job_slowdown", 0.0,
+                                                20.0, 40);
   }
 
   if (uses_addon(config_.stack)) {
@@ -148,6 +152,12 @@ void Harness::build_condor() {
     // service layer can stream per-job wait/turnaround samples the
     // moment they exist.
     if (terminal_observer_ != nullptr) terminal_observer_(rec);
+    if (slowdown_ != nullptr) {
+      const double solo = jobs_.at(rec.id).spec.profile.total_duration();
+      if (solo > 0.0) {
+        slowdown_->add((rec.finish_time - rec.submit_time) / solo);
+      }
+    }
     if (complete()) {
       negotiator_->stop();
       if (sampler_ != nullptr) sampler_->stop();
@@ -225,6 +235,8 @@ void Harness::submit(const workload::JobSpec& job) {
   // (stopped by the terminal hook) must be re-armed, and any finalized
   // result is stale.
   const bool resume = started_ && complete();
+  // A retired job has left jobs_ but not the schedd.
+  PHISCHED_REQUIRE(!schedd_.known(job.id), "harness: duplicate job id");
   const auto [it, added] = jobs_.try_emplace(job.id);
   PHISCHED_REQUIRE(added, "harness: duplicate job id");
   Job& entry = it->second;
@@ -317,6 +329,13 @@ void Harness::set_terminal_observer(
 }
 
 bool Harness::dispatch(JobId job_id, NodeId node_id) {
+  // The negotiation cycle runs in an event of its own, so no run is on
+  // the stack here.
+  for (const auto& run : retired_runs_) {
+    PHISCHED_DCHECK(run->quiescent(), "harness: job=", run->spec().id,
+                    " freed while a callback can still reach its run");
+  }
+  retired_runs_.clear();
   Node& node = *nodes_[static_cast<std::size_t>(node_id)];
   if (node.free_slots() <= 0) return false;
 
@@ -355,8 +374,6 @@ bool Harness::dispatch(JobId job_id, NodeId node_id) {
     if (pinned.has_value()) devices.push_back(static_cast<DeviceId>(*pinned));
   }
 
-  // A retried job replaces its finished previous run, which holds no
-  // pending events by now.
   job.run = std::make_unique<JobRun>(
       sim_, spec, node.middleware(), devices,
       [this, &job](const workload::JobSpec&, bool success) {
@@ -378,11 +395,11 @@ void Harness::on_job_done(Job& job, bool success) {
     exclusive_claims_.erase(addr);
   }
   job.exclusive_claims.clear();
-  if (success) {
-    schedd_.mark_completed(*job.record);
-    return;
-  }
-  if (job.record->retries < config_.max_retries) {
+  // The run ended inside its own callbacks, so it only changes owner
+  // here: an OOM kill can even land inside the drain of the job's own
+  // completing offload, whose callback then calls the killed run.
+  retired_runs_.push_back(std::move(job.run));
+  if (!success && job.record->retries < config_.max_retries) {
     // Requeue with a boosted declaration: the kill told us the
     // estimate was too low.
     MiB usable = 0;
@@ -397,7 +414,12 @@ void Harness::on_job_done(Job& job, bool success) {
                     condor::make_job_ad(job.spec, requirements_for_stack()));
     return;
   }
-  schedd_.mark_failed(*job.record);
+  if (success) {
+    schedd_.mark_completed(*job.record);
+  } else {
+    schedd_.mark_failed(*job.record);
+  }
+  jobs_.erase(job.record->id);
 }
 
 ExperimentResult Harness::gather(SimTime until) const {
@@ -456,7 +478,6 @@ void Harness::roll_up(obs::MetricsSnapshot& m,
   // phisched-lint: emits(counter cluster.jobs_completed)
   // phisched-lint: emits(counter cluster.jobs_failed)
   // phisched-lint: emits(counter cluster.job_retries)
-  // phisched-lint: emits(histogram cluster.job_slowdown)
   m.gauges["cluster.makespan_s"] = r.makespan;
   m.gauges["cluster.avg_core_utilization"] = r.avg_core_utilization;
   m.gauges["cluster.device_energy_mj"] = r.device_energy_mj;
@@ -464,16 +485,6 @@ void Harness::roll_up(obs::MetricsSnapshot& m,
   m.counters["cluster.jobs_completed"] = r.jobs_completed;
   m.counters["cluster.jobs_failed"] = r.jobs_failed;
   m.counters["cluster.job_retries"] = r.job_retries;
-  // Per-job slowdown (turnaround over solo full-speed duration) — the
-  // paper's fairness lens on sharing.
-  Histogram slowdown(0.0, 20.0, 40);
-  schedd_.for_each_by_id([this, &slowdown](const condor::JobRecord& jrec) {
-    const double solo = jobs_.at(jrec.id).spec.profile.total_duration();
-    if (jrec.finish_time >= 0.0 && solo > 0.0) {
-      slowdown.add((jrec.finish_time - jrec.submit_time) / solo);
-    }
-  });
-  m.histograms["cluster.job_slowdown"] = obs::histogram_data(slowdown);
 }
 
 ExperimentResult Harness::finish(SimTime until) const {

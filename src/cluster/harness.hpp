@@ -21,6 +21,14 @@
 // run_experiment(config, jobs), even with snapshot() calls interleaved
 // mid-run (snapshot() never mutates the stack, the event queue, or the
 // RNG). tests/cluster/test_harness.cpp pins this for every StackConfig.
+//
+// Memory follows live jobs: a job that completes or fails retires. The
+// schedd frees its ad, the harness erases its spec and claims, and its
+// JobRun is freed at the next dispatch, from the negotiation cycle's
+// event, where no callback of the run is on the stack or queued.
+// The end-of-run statistics read what outlives it: the schedd's record
+// shell (id, state, node, times, retries) and, with telemetry on, the
+// slowdown sample it added to `cluster.job_slowdown` when it ended.
 #pragma once
 
 #include <functional>
@@ -42,6 +50,7 @@
 #include "workload/jobspec.hpp"
 
 namespace phisched {
+class Histogram;
 class PeriodicTimer;
 namespace condor {
 class Negotiator;
@@ -76,8 +85,9 @@ class Harness {
   /// paper's "dynamic scenario with continuously arriving jobs"). Every
   /// job must individually fit one coprocessor of the node's fleet
   /// (Section III) — a gang needs that many cards that each hold it —
-  /// and ids must be unique across the harness's lifetime. Submitting
-  /// after a previous workload drained resumes negotiation automatically.
+  /// and ids must be unique across the harness's lifetime, retired jobs'
+  /// included. Submitting after a previous workload drained resumes
+  /// negotiation automatically.
   void submit(const workload::JobSpec& job);
 
   /// Enqueues a whole job set (in order).
@@ -127,7 +137,8 @@ class Harness {
   /// failed) with the job's final record — the hook the service mode's
   /// SLA telemetry streams wait/turnaround samples from. Runs inside the
   /// event that ends the job, so its call order is bit-identical across
-  /// repeats. Pass nullptr to clear.
+  /// repeats, and before the job retires, so the record still holds its
+  /// ad. Pass nullptr to clear.
   void set_terminal_observer(
       std::function<void(const condor::JobRecord&)> observer);
   [[nodiscard]] const ExperimentConfig& config() const { return config_; }
@@ -159,12 +170,12 @@ class Harness {
   [[nodiscard]] const ExperimentResult& result();
 
  private:
-  /// Everything the harness keeps per job.
+  /// Everything the harness keeps per job until it retires.
   struct Job {
     workload::JobSpec spec;  ///< as submitted; a retry boosts its memory
     /// The schedd's record, from the job's arrival on.
     const condor::JobRecord* record = nullptr;
-    /// The current run; a retry replaces the finished one.
+    /// The current run, from dispatch until it ends.
     std::unique_ptr<JobRun> run;
     /// Whole devices an MC dispatch claimed, until the run ends.
     std::vector<DeviceAddress> exclusive_claims;
@@ -180,13 +191,15 @@ class Harness {
   void take_sample();
   [[nodiscard]] std::string requirements_for_stack() const;
   bool dispatch(JobId job_id, NodeId node_id);
-  /// The job's run ended on the node its record names.
+  /// The job's run ended on the node its record names. Its run moves to
+  /// retired_runs_; a terminal job's entry goes.
   void on_job_done(Job& job, bool success);
   /// Every field of ExperimentResult except .telemetry, with
   /// time-integrated metrics run to `until`.
   [[nodiscard]] ExperimentResult gather(SimTime until) const;
   /// Cluster-level rollups written into `m`, a snapshot of the live
-  /// recorder, which never holds them itself.
+  /// recorder, which never holds them itself (`cluster.job_slowdown`,
+  /// filled as jobs end, is the recorder's own).
   void roll_up(obs::MetricsSnapshot& m, const ExperimentResult& r) const;
   /// The one finalization behind result() and snapshot(): gather(until)
   /// plus, with telemetry on, one snapshot of the recorder with
@@ -204,9 +217,15 @@ class Harness {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unique_ptr<condor::Negotiator> negotiator_;
   std::unique_ptr<core::SharingAwareScheduler> addon_;
-  /// Every submitted job, arrived or not. Only ever looked up by id:
-  /// gather() and roll_up() walk the schedd's records in id order.
+  /// Every submitted job that is not terminal yet, arrived or not. Only
+  /// ever looked up by id: gather() walks the schedd's records in id
+  /// order, and a terminal job's entry is erased.
   std::unordered_map<JobId, Job> jobs_;
+  /// Runs that ended. A run ends inside its own callbacks, so it is
+  /// freed later, at the top of the next dispatch, once quiescent().
+  std::vector<std::unique_ptr<JobRun>> retired_runs_;
+  /// `cluster.job_slowdown` in the recorder; null with telemetry off.
+  Histogram* slowdown_ = nullptr;
   std::set<DeviceAddress> exclusive_claims_;
   std::size_t total_jobs_ = 0;
   std::unique_ptr<PeriodicTimer> sampler_;

@@ -91,6 +91,12 @@ void JobRun::on_async_complete() {
   }
 }
 
+bool JobRun::quiescent() const {
+  return (finished_ || killed_) && !host_timer_.pending() &&
+         !middleware_.job_known(spec_.id) &&
+         (killed_ || outstanding_async_ == 0);
+}
+
 void JobRun::on_killed() {
   PHISCHED_CHECK(!finished_, "JobRun: killed after finishing");
   killed_ = true;

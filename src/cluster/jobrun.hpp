@@ -37,6 +37,12 @@ class JobRun {
   [[nodiscard]] bool admitted() const { return admitted_; }
   [[nodiscard]] bool killed() const { return killed_; }
   [[nodiscard]] bool finished() const { return finished_; }
+  /// True once the run ended and nothing can call it any more: its host
+  /// timer is spent or cancelled, the middleware holds no reservation
+  /// for it, and a finished run waits on no async offload (a kill drops
+  /// the killed job's offloads at the device and link). Only such a run
+  /// may be freed while its simulator runs on.
+  [[nodiscard]] bool quiescent() const;
   [[nodiscard]] const workload::JobSpec& spec() const { return spec_; }
 
  private:

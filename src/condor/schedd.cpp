@@ -45,17 +45,27 @@ void Schedd::attach_telemetry(obs::Recorder& recorder,
   m.counter(prefix + ".jobs_requeued", [this] { return requeued_; });
 }
 
-void Schedd::note_terminal(const JobRecord& rec, const char* type) {
-  if (obs_.rec == nullptr) return;
-  const SimTime turnaround = rec.finish_time - rec.submit_time;
-  // The event type flows in as a parameter, so the schema extractor
-  // cannot see the names; declare them for the lint's telemetry pass.
-  // phisched-lint: emits(event job_completed, event job_failed)
-  obs_.rec->event(sim_.now(), type,
-                  {{"job", std::to_string(rec.id)},
-                   {"node", std::to_string(rec.node)},
-                   {"retries", std::to_string(rec.retries)},
-                   {"turnaround_s", json_number(turnaround)}});
+void Schedd::finish_terminal(JobRecord& rec, const char* type) {
+  rec.finish_time = sim_.now();
+  last_finish_ = sim_.now();
+  retire_from_live();
+  if (obs_.rec != nullptr) {
+    const SimTime turnaround = rec.finish_time - rec.submit_time;
+    // The event type flows in as a parameter, so the schema extractor
+    // cannot see the names; declare them for the lint's telemetry pass.
+    // phisched-lint: emits(event job_completed, event job_failed)
+    obs_.rec->event(sim_.now(), type,
+                    {{"job", std::to_string(rec.id)},
+                     {"node", std::to_string(rec.node)},
+                     {"retries", std::to_string(rec.retries)},
+                     {"turnaround_s", json_number(turnaround)}});
+  }
+  if (on_terminal_) on_terminal_(rec);
+  // Retire: keep the lifecycle fields, free what only a live job needs.
+  rec.ad = classad::ClassAd();
+  rec.view_ = JobView();
+  rec.view_stale_ = true;
+  rec.autocluster = 0;
 }
 
 JobRecord& Schedd::mutable_record(const JobRecord& rec) {
@@ -80,10 +90,8 @@ void Schedd::qedit_expr(JobId id, const std::string& attr,
 
 void Schedd::retire_from_live() {
   if (2 * ++terminal_in_live_ <= live_.size()) return;
-  std::erase_if(live_, [](const JobRecord* rec) {
-    return rec->state == JobState::kCompleted ||
-           rec->state == JobState::kFailed;
-  });
+  std::erase_if(live_,
+                [](const JobRecord* rec) { return is_terminal(rec->state); });
   terminal_in_live_ = 0;
 }
 
@@ -111,6 +119,7 @@ void Schedd::set_machine_side_names(AttrNames names) {
 }
 
 AutoclusterId Schedd::autocluster(const JobRecord& rec) {
+  PHISCHED_REQUIRE(!is_terminal(rec.state), "autocluster: job is terminal");
   return rec.autocluster != 0 ? rec.autocluster
                               : classify(mutable_record(rec));
 }
@@ -179,10 +188,7 @@ void Schedd::compact_autoclusters() {
   if (autoclusters_.size() < 2 * live + 8) return;
   std::vector<AutoclusterId> held;
   for (const JobRecord* rec : live_) {
-    if (rec->state != JobState::kCompleted &&
-        rec->state != JobState::kFailed && rec->autocluster != 0) {
-      held.push_back(rec->autocluster);
-    }
+    if (rec->autocluster != 0) held.push_back(rec->autocluster);
   }
   std::sort(held.begin(), held.end());
   std::erase_if(autoclusters_, [&held](const auto& entry) {
@@ -216,12 +222,8 @@ void Schedd::mark_completed(const JobRecord& job) {
   JobRecord& rec = mutable_record(job);
   PHISCHED_REQUIRE(rec.state == JobState::kRunning, "mark_completed: not running");
   rec.state = JobState::kCompleted;
-  rec.finish_time = sim_.now();
-  last_finish_ = sim_.now();
   ++completed_;
-  retire_from_live();
-  note_terminal(rec, "job_completed");
-  if (on_terminal_) on_terminal_(rec);
+  finish_terminal(rec, "job_completed");
 }
 
 void Schedd::mark_failed(const JobRecord& job) {
@@ -230,12 +232,8 @@ void Schedd::mark_failed(const JobRecord& job) {
                        rec.state == JobState::kMatched,
                    "mark_failed: job not active");
   rec.state = JobState::kFailed;
-  rec.finish_time = sim_.now();
-  last_finish_ = sim_.now();
   ++failed_;
-  retire_from_live();
-  note_terminal(rec, "job_failed");
-  if (on_terminal_) on_terminal_(rec);
+  finish_terminal(rec, "job_failed");
 }
 
 void Schedd::requeue(const JobRecord& job, classad::ClassAd new_ad) {

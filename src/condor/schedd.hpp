@@ -12,6 +12,13 @@
 // requeue marks stale and view() decodes on the next read; the
 // negotiation cycle carries record pointers and reads the views, so only
 // the boundary (qedit, record(id)) looks a job up by id.
+//
+// A job that reaches a terminal state retires, as HTCondor's schedd moves
+// a finished job from its queue into the history file: once its terminal
+// event and observer have run, its record frees the ad, the decoded view
+// and the autocluster id, and keeps only the lifecycle fields (id, state,
+// node, times, retries) the end-of-run statistics fold. A finished job
+// then costs its record shell, not its ad.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +31,7 @@
 #include <vector>
 
 #include "classad/classad.hpp"
+#include "common/check.hpp"
 #include "common/types.hpp"
 #include "condor/ads.hpp"
 #include "obs/recorder.hpp"
@@ -41,6 +49,11 @@ enum class JobState {
 
 [[nodiscard]] const char* job_state_name(JobState s);
 
+/// Completed or failed: the job will not run again.
+[[nodiscard]] constexpr bool is_terminal(JobState s) {
+  return s == JobState::kCompleted || s == JobState::kFailed;
+}
+
 /// Jobs with equal autocluster ids match the same machines against any
 /// snapshot (see Schedd::autocluster). 0 means "not classified yet".
 using AutoclusterId = std::uint64_t;
@@ -48,6 +61,8 @@ using AutoclusterId = std::uint64_t;
 /// Attribute names with their classad::name_hash.
 using AttrNames = std::vector<std::pair<std::uint64_t, std::string>>;
 
+/// One job's queue entry. A terminal record keeps only its lifecycle
+/// fields: its ad is empty, and view() and autocluster() refuse it.
 struct JobRecord {
   JobId id = 0;
   classad::ClassAd ad;
@@ -94,7 +109,9 @@ class Schedd {
 
   /// The record's decoded ad, job_view(rec.ad), decoded here on the first
   /// read after a submit, qedit or requeue and cached until the next.
+  /// The job must not be terminal: a retired record holds no ad.
   [[nodiscard]] const JobView& view(const JobRecord& rec) {
+    PHISCHED_REQUIRE(!is_terminal(rec.state), "view: job is terminal");
     return rec.view_stale_ ? decode_view(rec) : rec.view_;
   }
 
@@ -113,7 +130,7 @@ class Schedd {
   /// reach through MY. or bare references, followed transitively.
   /// Together these are everything a two-way match reads from the job,
   /// so jobs that share an id match the same machines against any
-  /// snapshot.
+  /// snapshot. The job must not be terminal.
   [[nodiscard]] AutoclusterId autocluster(const JobRecord& rec);
 
   /// Distinct autoclusters held, live jobs' and not yet compacted ones.
@@ -121,7 +138,10 @@ class Schedd {
     return autoclusters_.size();
   }
 
+  /// Any job submitted here, terminal ones included: a retired record
+  /// keeps its id, state, node, times and retries.
   [[nodiscard]] const JobRecord& record(JobId id) const;
+  /// True for every id ever submitted; ids are never reused.
   [[nodiscard]] bool known(JobId id) const;
 
   /// Calls `fn` on every record, in JobId order.
@@ -134,6 +154,9 @@ class Schedd {
   // takes one of this schedd's records (record(id) looks one up).
   void mark_matched(const JobRecord& rec, NodeId node);
   void mark_running(const JobRecord& rec);
+  /// Terminal transitions: the terminal event and set_on_terminal's
+  /// observer see the whole record, then the record retires (its ad,
+  /// view and autocluster id are freed).
   void mark_completed(const JobRecord& rec);
   void mark_failed(const JobRecord& rec);
   /// Returns a matched-but-not-running job to the pending queue (its
@@ -154,7 +177,8 @@ class Schedd {
     return completed_ + failed_ == table_.size();
   }
 
-  /// Invoked after every terminal transition (completed or failed).
+  /// Invoked after every terminal transition (completed or failed),
+  /// before the record retires.
   void set_on_terminal(std::function<void(const JobRecord&)> fn) {
     on_terminal_ = std::move(fn);
   }
@@ -176,7 +200,8 @@ class Schedd {
     std::string prefix;
   };
 
-  void note_terminal(const JobRecord& rec, const char* type);
+  /// The terminal event, the observer, then the record's retirement.
+  void finish_terminal(JobRecord& rec, const char* type);
   /// Counts one more terminal job in live_ and compacts live_ once
   /// terminal jobs make up more than half of it.
   void retire_from_live();

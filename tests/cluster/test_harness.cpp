@@ -310,6 +310,20 @@ TEST(Harness, DuplicateJobIdIsRejected) {
   EXPECT_THROW(harness.submit(jobs[0]), std::exception);
 }
 
+TEST(Harness, DuplicateIdOfRetiredJobIsRefused) {
+  // A terminal job leaves the harness's job map but keeps its record,
+  // so its id stays taken.
+  Harness harness(small_cluster(StackConfig::kMCCK, 2));
+  auto jobs = workload::make_real_jobset(1, Rng(2).child("jobs"));
+  jobs[0].id = 0;
+  harness.submit(jobs[0]);
+  (void)harness.run_to_completion();
+  ASSERT_TRUE(condor::is_terminal(harness.schedd().record(0).state));
+  EXPECT_THROW(harness.submit(jobs[0]), std::invalid_argument);
+  EXPECT_TRUE(harness.complete());
+  EXPECT_EQ(harness.jobs_submitted(), 1u);
+}
+
 TEST(Harness, SubmitAfterDrainResumesTheRun) {
   const std::uint64_t seed = 9;
   ExperimentConfig config = small_cluster(StackConfig::kMCCK, seed);

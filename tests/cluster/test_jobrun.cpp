@@ -51,9 +51,12 @@ TEST_F(JobRunTest, RunsProfileToCompletion) {
              });
   run.arrive();
   EXPECT_TRUE(run.admitted());
+  sim_.run_until(5.0);  // inside the host segment: its timer is pending
+  EXPECT_FALSE(run.quiescent());
   sim_.run();
   EXPECT_TRUE(success);
   EXPECT_TRUE(run.finished());
+  EXPECT_TRUE(run.quiescent());
   EXPECT_DOUBLE_EQ(done_at, 10.0);
   // Resources are fully released.
   EXPECT_EQ(device_->memory_used(), 0);
@@ -119,7 +122,26 @@ TEST_F(JobRunTest, ContainerKillReportsFailure) {
   EXPECT_TRUE(done);
   EXPECT_FALSE(success);
   EXPECT_TRUE(run.killed());
+  EXPECT_TRUE(run.quiescent());
   EXPECT_EQ(device_->memory_used(), 0);
+}
+
+TEST_F(JobRunTest, KillDuringHostSegmentLeavesNothingToCallTheRun) {
+  build();
+  // An async offload runs under the host segment when the kill lands.
+  OffloadProfile profile({Segment::offload_async(10.0, 60, 100),
+                          Segment::host(5.0), Segment::sync()});
+  int calls = 0;
+  JobRun run(sim_, spec(1, profile), *mw_, {},
+             [&](const workload::JobSpec&, bool) { ++calls; });
+  run.arrive();
+  sim_.run_until(1.0);
+  EXPECT_FALSE(run.quiescent());
+  device_->kill_process(1, phi::KillReason::kAdmin);
+  EXPECT_TRUE(run.killed());
+  EXPECT_TRUE(run.quiescent());
+  sim_.run();
+  EXPECT_EQ(calls, 1);
 }
 
 TEST_F(JobRunTest, PinnedDeviceIsHonoured) {

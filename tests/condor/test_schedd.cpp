@@ -202,6 +202,54 @@ TEST_F(ScheddTest, PendingCountTracksPendingThroughALifecycle) {
   EXPECT_GT(schedd_.failed_count(), 0u);
 }
 
+TEST(Schedd, TerminalRecordKeepsLifecycleOnly) {
+  Simulator sim;
+  Schedd schedd(sim);
+  const JobRecord& done = schedd.submit(1, simple_ad());
+  const JobRecord& failed = schedd.submit(2, simple_ad());
+  (void)schedd.view(done);
+  (void)schedd.autocluster(done);
+  bool observer_saw_ad = false;
+  schedd.set_on_terminal([&](const JobRecord& rec) {
+    observer_saw_ad = rec.ad.has("RequestPhiMemory");
+  });
+
+  // Job 1 is killed once and requeued, then runs to completion.
+  sim.run_until(5.0);
+  schedd.mark_matched(done, 2);
+  schedd.mark_running(done);
+  schedd.requeue(done, simple_ad());
+  schedd.mark_matched(done, 3);
+  sim.run_until(6.0);
+  schedd.mark_running(done);
+  sim.run_until(20.0);
+  schedd.mark_completed(done);
+  EXPECT_TRUE(observer_saw_ad);
+
+  const JobRecord& rec = schedd.record(1);
+  EXPECT_EQ(&rec, &done);
+  EXPECT_EQ(rec.id, 1);
+  EXPECT_EQ(rec.state, JobState::kCompleted);
+  EXPECT_EQ(rec.node, 3);
+  EXPECT_DOUBLE_EQ(rec.submit_time, 0.0);
+  EXPECT_DOUBLE_EQ(rec.start_time, 6.0);
+  EXPECT_DOUBLE_EQ(rec.finish_time, 20.0);
+  EXPECT_EQ(rec.retries, 1);
+  EXPECT_FALSE(rec.ad.has("RequestPhiMemory"));
+  EXPECT_EQ(rec.autocluster, 0u);
+  EXPECT_THROW((void)schedd.view(rec), std::invalid_argument);
+  EXPECT_THROW((void)schedd.autocluster(rec), std::invalid_argument);
+
+  // A failed job retires the same way.
+  schedd.mark_matched(failed, 0);
+  schedd.mark_failed(failed);
+  EXPECT_EQ(schedd.record(2).state, JobState::kFailed);
+  EXPECT_DOUBLE_EQ(schedd.record(2).finish_time, 20.0);
+  EXPECT_THROW((void)schedd.view(failed), std::invalid_argument);
+  EXPECT_TRUE(schedd.known(1));
+  EXPECT_TRUE(schedd.drained());
+}
+
 TEST_F(ScheddTest, UnknownJobThrows) {
   EXPECT_THROW((void)schedd_.record(9), std::invalid_argument);
   EXPECT_FALSE(schedd_.known(9));
